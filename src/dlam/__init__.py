@@ -21,12 +21,10 @@ if _threads:
 from .network_state import (                                    # noqa: E402
     ActivationKind,
     Architecture,
-    Interval,
     NetworkState,
     RegKind,
     RiskKind,
     activation_apply,
-    activation_invert_interval,
     feasibility_residual,
     forward_logits,
     initialize,
@@ -43,13 +41,11 @@ __all__ = [
     "Architecture",
     "EpochReport",
     "HyperParams",
-    "Interval",
     "NetworkState",
     "ObjectiveBreakdown",
     "RegKind",
     "RiskKind",
     "activation_apply",
-    "activation_invert_interval",
     "adapt_epsilon",
     "evaluate_f",
     "feasibility_residual",

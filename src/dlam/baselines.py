@@ -15,7 +15,6 @@ import numpy as np
 
 from . import network_state as ns
 from . import objective as obj
-from .tensor_core import add_col, matmul
 
 
 class BaselineKind(Enum):
@@ -63,7 +62,7 @@ def backprop_grads(arch: ns.Architecture, W: list[np.ndarray], b: list[np.ndarra
     zs, acts = [], [x]
     cur = x
     for l in range(L):
-        z = add_col(matmul(W[l], cur), b[l])
+        z = W[l] @ cur + b[l]
         zs.append(z)
         if l < L - 1:
             cur = ns.activation_apply(arch.activation[l], z)
@@ -72,17 +71,21 @@ def backprop_grads(arch: ns.Architecture, W: list[np.ndarray], b: list[np.ndarra
     dW = [None] * L
     db = [None] * L
     for l in range(L - 1, -1, -1):
-        dW[l] = matmul(delta, acts[l].T)
+        dW[l] = delta @ acts[l].T
         db[l] = delta.sum(axis=1, keepdims=True)
         if l > 0:
-            delta = matmul(W[l].T, delta) * activation_derivative(arch.activation[l - 1], zs[l - 1])
+            delta = (W[l].T @ delta) * activation_derivative(arch.activation[l - 1], zs[l - 1])
     return dW, db
 
 
 def train_baseline(cfg: BaselineConfig, arch: ns.Architecture, x: np.ndarray,
                    y: np.ndarray, per_epoch=None
                    ) -> tuple[list[np.ndarray], list[np.ndarray], list[dict]]:
-    """Full-batch training loop; returns (W, b, trace of per-epoch records)."""
+    """Full-batch training loop; returns (W, b, trace of per-epoch records).
+
+    ``y`` must be one-hot; it is checked once here, not on every epoch.
+    """
+    ns.check_one_hot(y)
     W, b = ns.he_init(arch, cfg.seed)
     params = W + b
     if cfg.kind is BaselineKind.ADAGRAD:

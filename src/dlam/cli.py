@@ -16,7 +16,7 @@ import math
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import baselines, data_io, diagnostics, network_state as ns, objective as obj
@@ -85,19 +85,35 @@ class RunConfig:
         except ValueError:
             raise ConfigError(f"bad hidden spec {self.hidden!r}; expected e.g. 100,100") from None
 
+    def _build(self, cls, **given):
+        """``cls`` from this config's fields of the same names, then ``given``."""
+        shared = {f.name: getattr(self, f.name) for f in fields(cls) if f.name in FIELD_TYPES}
+        return cls(**{**shared, **given})
+
     def hyper_params(self) -> obj.HyperParams:
-        return obj.HyperParams(rho=self.rho, eps0=self.eps0, gamma=self.gamma,
-                               eta=self.eta, alpha0=self.alpha0,
-                               fista_iters=self.fista_iters, fista_tol=self.fista_tol,
-                               max_backtrack=self.max_backtrack, epochs=self.epochs,
-                               seed=self.seed)
+        return self._build(obj.HyperParams)
+
+    def baseline_config(self) -> baselines.BaselineConfig:
+        return self._build(baselines.BaselineConfig,
+                           kind=baselines.BaselineKind(self.optimizer))
+
+    def architecture(self, features: int, classes: int) -> ns.Architecture:
+        return self._build(ns.Architecture,
+                           layer_sizes=(features, *self.hidden_sizes(), classes),
+                           activation=ns.ActivationKind(self.activation),
+                           regularizer=ns.RegKind(self.reg))
+
+
+# every config key, with the type its value is parsed to (that of its default)
+FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+# spellings kept from before the flags were generated from the keys
+FLAG_ALIASES = {"subset_size": "--subset", "out_dir": "--out"}
 
 
 def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` lines; '#' starts a comment."""
     values: dict = {}
     text = Path(path).read_text()
-    valid = {f.name for f in fields(RunConfig)}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -106,33 +122,27 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in valid:
+        if key not in FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
 
 
-def _coerce(cfg_fields: dict, values: dict) -> dict:
+def _coerce(values: dict) -> dict:
     out = {}
     for key, raw in values.items():
-        typ = cfg_fields[key]
         try:
-            out[key] = typ(raw) if typ is not str else raw
+            out[key] = FIELD_TYPES[key](raw)
         except ValueError:
             raise ConfigError(f"bad value {raw!r} for {key}") from None
     return out
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg_fields = {f.name: f.type for f in fields(RunConfig)}
-    # dataclass field types arrive as strings under future annotations
-    typemap = {"str": str, "float": float, "int": int}
-    cfg_fields = {k: typemap.get(v, v) if isinstance(v, str) else v
-                  for k, v in cfg_fields.items()}
     values: dict = {}
     if getattr(args, "config", None):
-        values.update(_coerce(cfg_fields, parse_config_file(args.config)))
-    for key in cfg_fields:
+        values.update(_coerce(parse_config_file(args.config)))
+    for key in FIELD_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -149,7 +159,7 @@ def load_dataset(cfg: RunConfig) -> tuple[data_io.Dataset, data_io.Dataset | Non
                                              noise=cfg.blobs_noise)
         test = data_io.synth_gaussian_blobs(cfg.blobs_classes, cfg.blobs_features,
                                             max(cfg.blobs_per_class // 4, 1),
-                                            cfg.seed + 1, noise=cfg.blobs_noise,
+                                            cfg.seed, noise=cfg.blobs_noise,
                                             split="test")
         if cfg.subset_size:
             train = data_io.take_subset(train, cfg.subset_size, cfg.seed)
@@ -209,12 +219,7 @@ def run(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_ds, test_ds = load_dataset(cfg)
-    arch = ns.Architecture(
-        layer_sizes=(train_ds.features, *cfg.hidden_sizes(), train_ds.classes),
-        activation=ns.ActivationKind(cfg.activation),
-        regularizer=ns.RegKind(cfg.reg),
-        reg_weight=cfg.reg_weight,
-    )
+    arch = cfg.architecture(train_ds.features, train_ds.classes)
     rows: list[dict] = []
 
     if cfg.optimizer == "dlam":
@@ -234,19 +239,13 @@ def run(cfg: RunConfig) -> int:
         state, trace = opt.train(arch, train_ds.x, train_ds.y, hp, per_epoch=per_epoch)
         diagnostics.write_diagnostics_csv(trace, hp.rho, str(out_dir / "diagnostics.csv"))
     else:
-        kind = baselines.BaselineKind(cfg.optimizer)
-        lr = cfg.lr
-        if lr == 0.0:
+        if cfg.lr == 0.0:
             probe = train_ds
             if probe.n_samples > 5000:
                 probe = data_io.take_subset(probe, 5000, cfg.seed)
-            lr = baselines.select_learning_rate(kind, arch, probe.x, probe.y,
-                                                seed=cfg.seed)
-            cfg.lr = lr
-        bcfg = baselines.BaselineConfig(kind=kind, lr=lr, adagrad_eps=cfg.adagrad_eps,
-                                        adadelta_rho=cfg.adadelta_rho,
-                                        adadelta_eps=cfg.adadelta_eps,
-                                        epochs=cfg.epochs, seed=cfg.seed)
+            cfg.lr = baselines.select_learning_rate(baselines.BaselineKind(cfg.optimizer),
+                                                    arch, probe.x, probe.y, seed=cfg.seed)
+        bcfg = cfg.baseline_config()
 
         def per_epoch(W, b, record):
             test_acc = math.nan
@@ -280,17 +279,13 @@ def scaling_table(cfg: RunConfig, sizes: list[int], rhos: list[float]) -> Path:
     base = load_dataset(cfg)[0]
     if max(sizes) > base.n_samples:
         raise ConfigError(f"largest size {max(sizes)} exceeds dataset ({base.n_samples})")
-    hidden = cfg.hidden_sizes()
+    arch = cfg.architecture(base.features, base.classes)
     table: list[list[float]] = []
     for rho in rhos:
+        hp = replace(cfg.hyper_params(), rho=rho)
         row = []
         for size in sizes:
             sub = data_io.take_subset(base, size, cfg.seed)
-            arch = ns.Architecture((sub.features, *hidden, sub.classes),
-                                   activation=ns.ActivationKind(cfg.activation))
-            hp = obj.HyperParams(rho=rho, eps0=cfg.eps0, epochs=cfg.epochs,
-                                 seed=cfg.seed, fista_iters=cfg.fista_iters,
-                                 fista_tol=cfg.fista_tol)
             t0 = time.perf_counter()
             opt.train(arch, sub.x, sub.y, hp)
             row.append((time.perf_counter() - t0) / max(hp.epochs, 1))
@@ -398,23 +393,14 @@ def plot_traces(trace_paths: list[str], labels: list[str], out_dir: str) -> list
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per config key: ``--key-name``, parsed like the key's default."""
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--dataset", help="|".join(DATASETS))
-    parser.add_argument("--data-dir", dest="data_dir")
-    parser.add_argument("--hidden", help="hidden sizes, e.g. 100,100")
-    parser.add_argument("--activation", choices=[k.value for k in ns.ActivationKind])
-    parser.add_argument("--optimizer", help="|".join(OPTIMIZERS))
-    parser.add_argument("--rho", type=float)
-    parser.add_argument("--eps0", type=float)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--subset", dest="subset_size", type=int)
-    parser.add_argument("--train-count", dest="train_count", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", dest="out_dir")
-    parser.add_argument("--fista-iters", dest="fista_iters", type=int)
-    parser.add_argument("--reg", choices=[k.value for k in ns.RegKind])
-    parser.add_argument("--reg-weight", dest="reg_weight", type=float)
+    for f in fields(RunConfig):
+        names = ["--" + f.name.replace("_", "-")]
+        if f.name in FLAG_ALIASES:
+            names.append(FLAG_ALIASES[f.name])
+        parser.add_argument(*names, dest=f.name, type=FIELD_TYPES[f.name],
+                            help=f"default {f.default!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -452,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
             for path in plot_traces(args.traces, labels, args.out_dir):
                 print(path)
             return 0
-    except (ConfigError, ValueError, OSError, data_io.IdxFormatError) as exc:
+    except (ValueError, OSError, opt.BacktrackError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -125,18 +125,21 @@ def downsample_196(ds: Dataset) -> Dataset:
 
 
 def synth_gaussian_blobs(classes: int, d: int, n_per_class: int, seed: int,
-                         noise: float = 0.08, flip_fraction: float = 0.0,
-                         name: str = "blobs", split: str = "train") -> Dataset:
+                         noise: float = 0.08, name: str = "blobs",
+                         split: str = "train") -> Dataset:
     """Seeded class-separated Gaussian clusters clipped to [0, 1].
 
-    ``flip_fraction`` relabels that share of samples uniformly at random,
-    which floors the achievable risk without touching the geometry. Samples
-    are shuffled so classes interleave.
+    ``seed`` fixes the class means. The train split draws its samples from
+    the same stream as the means; any other split draws them around the
+    same means from a stream of its own, so a test split is a fresh sample
+    of the training clusters. Samples are shuffled so classes interleave.
     """
     if classes < 1 or d < 1 or n_per_class < 1:
         raise ValueError("classes, d and n_per_class must all be >= 1")
     rng = np.random.default_rng(seed)
     means = rng.uniform(0.15, 0.85, size=(classes, d))
+    if split != "train":
+        rng = np.random.default_rng([seed, 1])
     n = classes * n_per_class
     x = np.empty((d, n))
     labels = np.empty(n, dtype=np.int64)
@@ -146,12 +149,7 @@ def synth_gaussian_blobs(classes: int, d: int, n_per_class: int, seed: int,
         labels[sl] = c
     perm = rng.permutation(n)
     x = np.clip(x[:, perm], 0.0, 1.0)
-    labels = labels[perm]
-    if flip_fraction > 0.0:
-        n_flip = int(round(flip_fraction * n))
-        idx = rng.choice(n, size=n_flip, replace=False)
-        labels[idx] = rng.integers(0, classes, size=n_flip)
-    return Dataset(x=x, y=one_hot(labels, classes), name=name, split=split)
+    return Dataset(x=x, y=one_hot(labels[perm], classes), name=name, split=split)
 
 
 def take_subset(ds: Dataset, n: int, seed: int) -> Dataset:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import objective as obj
+
 
 @dataclass
 class CkSeries:
@@ -74,8 +76,8 @@ def grad_b_identity_check(state_after, z_before, rho: float) -> float:
     """
     worst = 0.0
     for l in range(state_after.num_layers):
-        Wa = state_after.W[l] @ state_after.a_prev(l)
-        mean_resid = state_after.b[l] + (Wa - state_after.z[l]).mean(axis=1, keepdims=True)
+        mean_resid = obj.mean_residual(state_after.a_prev(l), state_after.W[l],
+                                       state_after.b[l], state_after.z[l])
         predicted = (z_before[l] - state_after.z[l]).mean(axis=1, keepdims=True)
         err = float(np.max(np.abs(rho * mean_resid - rho * predicted)))
         worst = max(worst, err)

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .tensor_core import InfeasibleIntervalError, ShapeError, add_col, clamp, matmul
+from .tensor_core import ShapeError
 
 # Guard against inverting a sigmoid/tanh target that rounding pushed onto the
 # boundary of the activation's open range.
@@ -63,29 +63,6 @@ def activation_apply(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi]; either end may be infinite."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise InfeasibleIntervalError(f"interval [{self.lo}, {self.hi}] is empty")
-
-    def contains(self, v: float) -> bool:
-        return self.lo <= v <= self.hi
-
-
-def _range_bounds(kind: ActivationKind) -> tuple[float, float]:
-    if kind is ActivationKind.RELU:
-        return 0.0, np.inf
-    if kind is ActivationKind.SIGMOID:
-        return 0.0, 1.0
-    return -1.0, 1.0
-
-
 def slab_z_bounds(kind: ActivationKind, a: np.ndarray, eps: float):
     """Elementwise bounds [B1, B2] of {z : a - eps <= h(z) <= a + eps}.
 
@@ -124,20 +101,6 @@ def slab_z_bounds(kind: ActivationKind, a: np.ndarray, eps: float):
     lo = np.where(empty, 0.0, lo)
     hi = np.where(empty, 0.0, hi)
     return lo, hi, empty
-
-
-def activation_invert_interval(kind: ActivationKind, a: float, eps: float) -> Interval:
-    """Tightest interval of z with h(z) inside [a - eps, a + eps].
-
-    Raises InfeasibleIntervalError when that band misses the activation's
-    range entirely (for ReLU: a + eps < 0).
-    """
-    lo, hi, empty = slab_z_bounds(kind, np.array([[float(a)]]), eps)
-    if bool(empty[0, 0]):
-        raise InfeasibleIntervalError(
-            f"no z satisfies h(z) in [{a - eps}, {a + eps}] for {kind.value}"
-        )
-    return Interval(float(lo[0, 0]), float(hi[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -219,6 +182,12 @@ class NetworkState:
         return self.x if layer == 0 else self.a[layer - 1]
 
 
+def check_one_hot(y: np.ndarray) -> None:
+    """Every column must contain a single 1 and zeros elsewhere."""
+    if not (np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=0) == 1.0)):
+        raise ValueError("labels must be one-hot columns")
+
+
 def he_init(arch: Architecture, seed: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gaussian weights with std sqrt(2 / fan_in) and zero intercepts."""
     rng = np.random.default_rng(seed)
@@ -236,7 +205,8 @@ def initialize(arch: Architecture, x: np.ndarray, y: np.ndarray, hp=None,
 
     z = W a_prev + b is computed layer by layer and a = h(z), so every
     penalty term starts at zero and the slab invariant holds for any
-    eps > 0. Deterministic for a fixed seed.
+    eps > 0. Deterministic for a fixed seed. Labels must be one-hot for the
+    cross-entropy risk; this is the one place the trainer checks it.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -248,13 +218,15 @@ def initialize(arch: Architecture, x: np.ndarray, y: np.ndarray, hp=None,
         raise ShapeError(f"y has {y.shape[0]} rows, architecture expects {arch.classes}")
     if x.shape[1] != y.shape[1]:
         raise ShapeError(f"x has {x.shape[1]} columns but y has {y.shape[1]}")
+    if arch.risk is RiskKind.CROSS_ENTROPY:
+        check_one_hot(y)
     if seed is None:
         seed = getattr(hp, "seed", 0) if hp is not None else 0
     W, b = he_init(arch, seed)
     state = NetworkState(arch=arch, x=x, y=y, W=W, b=b)
     cur = x
     for l in range(arch.num_layers):
-        z = add_col(matmul(W[l], cur), b[l])
+        z = W[l] @ cur + b[l]
         state.z.append(z)
         if l < arch.num_layers - 1:
             cur = activation_apply(arch.activation[l], z)
@@ -263,11 +235,16 @@ def initialize(arch: Architecture, x: np.ndarray, y: np.ndarray, hp=None,
 
 
 def feasibility_residual(state: NetworkState, eps: float) -> float:
-    """Largest slab violation max_l ||a_l - clamp(a_l, h(z_l)-eps, h(z_l)+eps)||_inf."""
+    """Largest slab violation max_l ||a_l - clip(a_l, h(z_l)-eps, h(z_l)+eps)||_inf.
+
+    eps = 0 gives the largest distance of any activation from h(z).
+    """
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
     worst = 0.0
     for l in range(state.num_layers - 1):
         h = activation_apply(state.arch.activation[l], state.z[l])
-        clipped = clamp(state.a[l], h - eps, h + eps)
+        clipped = np.clip(state.a[l], h - eps, h + eps)
         worst = max(worst, float(np.max(np.abs(state.a[l] - clipped), initial=0.0)))
     return worst
 
@@ -277,7 +254,7 @@ def forward_logits(arch: Architecture, W: list[np.ndarray], b: list[np.ndarray],
     """Plain feedforward pass; returns the output-layer pre-activations."""
     cur = x
     for l in range(arch.num_layers):
-        cur = add_col(matmul(W[l], cur), b[l])
+        cur = W[l] @ cur + b[l]
         if l < arch.num_layers - 1:
             cur = activation_apply(arch.activation[l], cur)
     return cur

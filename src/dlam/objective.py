@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network_state as ns
-from .tensor_core import ShapeError, add_col, fro_norm, l1_norm, matmul
+from .tensor_core import ShapeError
 
 # Absolute slack when deciding whether the indicator terms vanish; pure
 # float-rounding headroom.
@@ -68,17 +68,32 @@ class ObjectiveBreakdown:
     total: float
 
 
+def coupling_residual(a_prev: np.ndarray, W: np.ndarray, b: np.ndarray,
+                      z: np.ndarray) -> np.ndarray:
+    """W a_prev + b 1^T - z, the residual every coupling term is built on."""
+    return W @ a_prev + b - z
+
+
+def mean_residual(a_prev: np.ndarray, W: np.ndarray, b: np.ndarray,
+                  z: np.ndarray) -> np.ndarray:
+    """Per-sample mean of the coupling residual, as a column: b + mean(W a_prev - z).
+
+    The intercept is added after the mean, so this is the shift the exact
+    intercept step removes and what its identity check measures.
+    """
+    return b + (W @ a_prev - z).mean(axis=1, keepdims=True)
+
+
 def penalty_phi(a_prev: np.ndarray, W: np.ndarray, b: np.ndarray, z: np.ndarray,
                 rho: float) -> float:
     """(rho/2) ||z - W a_prev - b 1^T||_F^2."""
-    resid = z - add_col(matmul(W, a_prev), b)
+    resid = coupling_residual(a_prev, W, b, z)
     return 0.5 * rho * float(np.sum(resid * resid))
 
 
 def grad_phi_w(a_prev, W, b, z, rho) -> np.ndarray:
     """rho (W a_prev + b 1^T - z) a_prev^T."""
-    resid = add_col(matmul(W, a_prev), b) - z
-    return rho * matmul(resid, a_prev.T)
+    return rho * (coupling_residual(a_prev, W, b, z) @ a_prev.T)
 
 
 def grad_phi_b(a_prev, W, b, z, rho) -> np.ndarray:
@@ -87,25 +102,17 @@ def grad_phi_b(a_prev, W, b, z, rho) -> np.ndarray:
     Summed over batch columns, which is what finite differences of
     penalty_phi with respect to the shared intercept produce.
     """
-    resid = add_col(matmul(W, a_prev), b) - z
-    return rho * resid.sum(axis=1, keepdims=True)
+    return rho * coupling_residual(a_prev, W, b, z).sum(axis=1, keepdims=True)
 
 
 def grad_phi_z(a_prev, W, b, z, rho) -> np.ndarray:
     """rho (z - W a_prev - b 1^T)."""
-    return rho * (z - add_col(matmul(W, a_prev), b))
+    return -rho * coupling_residual(a_prev, W, b, z)
 
 
 def grad_phi_a(a, W_next, b_next, z_next, rho) -> np.ndarray:
     """rho W_next^T (W_next a + b_next 1^T - z_next)."""
-    resid = add_col(matmul(W_next, a), b_next) - z_next
-    return rho * matmul(W_next.T, resid)
-
-
-def check_one_hot(y: np.ndarray) -> None:
-    """Every column must contain a single 1 and zeros elsewhere."""
-    if not (np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=0) == 1.0)):
-        raise ValueError("labels must be one-hot columns")
+    return rho * (W_next.T @ coupling_residual(a, W_next, b_next, z_next))
 
 
 def softmax_columns(z: np.ndarray) -> np.ndarray:
@@ -116,10 +123,13 @@ def softmax_columns(z: np.ndarray) -> np.ndarray:
 
 
 def risk_cross_entropy(z: np.ndarray, y: np.ndarray) -> float:
-    """Mean over columns of -sum_c y_c log softmax(z)_c."""
+    """Mean over columns of -sum_c y_c log softmax(z)_c; y must be one-hot.
+
+    The labels are checked once where they enter (``initialize`` and
+    ``train_baseline``), not on every evaluation.
+    """
     if z.shape != y.shape:
         raise ShapeError(f"risk: shapes differ, {z.shape} vs {y.shape}")
-    check_one_hot(y)
     m = z.max(axis=0, keepdims=True)
     lse = m + np.log(np.exp(z - m).sum(axis=0, keepdims=True))
     return float(np.mean(lse - (y * z).sum(axis=0, keepdims=True)))
@@ -129,7 +139,6 @@ def grad_risk_cross_entropy(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(softmax(z) - y) / N."""
     if z.shape != y.shape:
         raise ShapeError(f"risk grad: shapes differ, {z.shape} vs {y.shape}")
-    check_one_hot(y)
     return (softmax_columns(z) - y) / z.shape[1]
 
 
@@ -171,9 +180,9 @@ def regularizer_value(kind: ns.RegKind, lam: float, W: np.ndarray) -> float:
     if kind is ns.RegKind.NONE or lam == 0.0:
         return 0.0
     if kind is ns.RegKind.L2:
-        return lam * fro_norm(W) ** 2
+        return lam * float(np.linalg.norm(W)) ** 2
     if kind is ns.RegKind.L1:
-        return lam * l1_norm(W)
+        return lam * float(np.abs(W).sum())
     raise ValueError(f"unknown regularizer {kind!r}")
 
 

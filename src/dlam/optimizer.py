@@ -23,8 +23,7 @@ import numpy as np
 
 from . import network_state as ns
 from . import objective as obj
-from .diagnostics import grad_b_identity_check
-from .tensor_core import clamp
+from .diagnostics import descent_ledger, grad_b_identity_check
 
 
 class BacktrackError(RuntimeError):
@@ -101,6 +100,10 @@ def _expand_at(phi0: float, grad: np.ndarray, d: np.ndarray) -> float:
     return phi0 + float(np.sum(grad * d))
 
 
+def _sq(delta: np.ndarray) -> float:
+    return float(np.sum(delta * delta))
+
+
 def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
              theta0: float | None = None) -> BacktrackResult:
     """Backtracked majorized step on W at ``layer``; writes the result into state.
@@ -116,9 +119,10 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
     """
     arch = state.arch
     a_prev = state.a_prev(layer)
-    W_k, b_k, z_k = state.W[layer], state.b[layer], state.z[layer]
-    phi0 = obj.penalty_phi(a_prev, W_k, b_k, z_k, hp.rho)
-    grad = obj.grad_phi_w(a_prev, W_k, b_k, z_k, hp.rho)
+    W_k = state.W[layer]
+    resid = obj.coupling_residual(a_prev, W_k, state.b[layer], state.z[layer])
+    phi0 = 0.5 * hp.rho * _sq(resid)
+    grad = hp.rho * (resid @ a_prev.T)
     theta = hp.alpha0 if theta0 is None else max(theta0, hp.alpha0)
     trials = 1
     while True:
@@ -147,9 +151,8 @@ def update_b(state: ns.NetworkState, layer: int, hp: obj.HyperParams) -> np.ndar
     minimizer: the per-sample mean of z - W a_prev. Uses the W already
     updated this epoch.
     """
-    Wa = state.W[layer] @ state.a_prev(layer)
-    mean_resid = state.b[layer] + (Wa - state.z[layer]).mean(axis=1, keepdims=True)
-    b_new = state.b[layer] - mean_resid
+    b_new = state.b[layer] - obj.mean_residual(state.a_prev(layer), state.W[layer],
+                                               state.b[layer], state.z[layer])
     state.b[layer] = b_new
     return b_new
 
@@ -179,7 +182,7 @@ def update_z_hidden(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
     grad = obj.grad_phi_z(state.a_prev(layer), state.W[layer], state.b[layer],
                           state.z[layer], hp.rho)
     step = state.z[layer] - grad / hp.rho
-    z_new = clamp(step, lo, hi)
+    z_new = np.clip(step, lo, hi)
     state.z[layer] = z_new
     return z_new, recoveries
 
@@ -255,15 +258,16 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
     """
     kind = state.arch.activation[layer]
     a_k = state.a[layer]
-    W_next, b_next, z_next = state.W[layer + 1], state.b[layer + 1], state.z[layer + 1]
+    W_next = state.W[layer + 1]
     h = ns.activation_apply(kind, state.z[layer])
     lo, hi = h - eps, h + eps
-    phi0 = obj.penalty_phi(a_k, W_next, b_next, z_next, hp.rho)
-    grad = obj.grad_phi_a(a_k, W_next, b_next, z_next, hp.rho)
+    resid = obj.coupling_residual(a_k, W_next, state.b[layer + 1], state.z[layer + 1])
+    phi0 = 0.5 * hp.rho * _sq(resid)
+    grad = hp.rho * (W_next.T @ resid)
     tau = hp.alpha0 if tau0 is None else max(tau0, hp.alpha0)
     trials = 1
     while True:
-        cand = clamp(a_k - grad / tau, lo, hi)
+        cand = np.clip(a_k - grad / tau, lo, hi)
         d = cand - a_k
         # exact quadratic expansion, see update_w
         quad_true = 0.5 * hp.rho * float(np.sum((W_next @ d) ** 2))
@@ -287,22 +291,15 @@ EPS_FLOOR = 0.01
 
 
 def adapt_epsilon(eps: float, risk: float) -> float:
-    """Slab tolerance schedule balancing the risk against the tolerance.
+    """Slab tolerance schedule: shrink when the tolerance dwarfs the risk.
 
-    Grow when the risk dwarfs the tolerance, jump down when the tolerance
-    dwarfs the risk, otherwise leave it alone. The trainer applies only the
-    decreases: regrowing after a paid shrink lets the activations drift off
-    h(z) again, so the next shrink has to clamp them back and raises F.
+    Jumps down to EPS_FLOOR (halving below it), otherwise keeps eps. It
+    never grows: regrowing after a paid shrink lets the activations drift
+    off h(z) again, so the next shrink has to clip them back and raises F.
     """
-    if risk > 10.0 * eps:
-        return max(2.0 * eps, 1.0)
     if eps > 10.0 * risk:
         return min(eps / 2.0, EPS_FLOOR)
     return eps
-
-
-def _sq(delta: np.ndarray) -> float:
-    return float(np.sum(delta * delta))
 
 
 def _block_norms(state: ns.NetworkState) -> dict:
@@ -327,25 +324,17 @@ def _grad_norm_proxy(state: ns.NetworkState, hp: obj.HyperParams) -> float:
     L = state.num_layers
     total = 0.0
     for l in range(L):
-        gw = obj.grad_phi_w(state.a_prev(l), state.W[l], state.b[l], state.z[l], hp.rho)
+        a_prev = state.a_prev(l)
+        resid = obj.coupling_residual(a_prev, state.W[l], state.b[l], state.z[l])
+        gw = hp.rho * (resid @ a_prev.T)
         if arch.regularizer is ns.RegKind.L2 and arch.reg_weight > 0.0:
             gw = gw + 2.0 * arch.reg_weight * state.W[l]
-        gb = obj.grad_phi_b(state.a_prev(l), state.W[l], state.b[l], state.z[l], hp.rho)
-        total += float(np.sum(gw * gw)) + float(np.sum(gb * gb))
-    gz = (obj.grad_phi_z(state.a_prev(L - 1), state.W[L - 1], state.b[L - 1],
-                         state.z[L - 1], hp.rho)
-          + obj.risk_grad(arch.risk, state.z[L - 1], state.y))
-    total += float(np.sum(gz * gz))
+        gb = hp.rho * resid.sum(axis=1, keepdims=True)
+        total += _sq(gw) + _sq(gb)
+    # resid is the output layer's here
+    gz = -hp.rho * resid + obj.risk_grad(arch.risk, state.z[L - 1], state.y)
+    total += _sq(gz)
     return math.sqrt(total)
-
-
-def descent_bound(theta, dw_sq, rho, db_sq, dz_sq, tau, da_sq) -> float:
-    """Weighted squared block movement that lower-bounds the epoch's descent."""
-    total = sum(0.5 * th * d for th, d in zip(theta, dw_sq))
-    total += 0.5 * rho * sum(db_sq)
-    total += 0.5 * rho * sum(dz_sq)
-    total += sum(0.5 * ta * d for ta, d in zip(tau, da_sq))
-    return total
 
 
 def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
@@ -354,10 +343,10 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     """One full sweep: per layer W, b, z, then a; adapt eps afterwards.
 
     The update order is fixed; the descent ledger assumes each block sees
-    the freshest upstream values. ``eps_next`` takes only the decreases
-    adapt_epsilon proposes, so eps never grows. When it shrinks, every hidden
-    activation is clipped back into the new slab before the next epoch so
-    the feasibility invariant survives; that re-projection happens after
+    the freshest upstream values. ``eps_next`` comes from adapt_epsilon,
+    which never grows eps. When it shrinks, every hidden activation is
+    clipped back into the new slab before the next epoch so the
+    feasibility invariant survives; that re-projection happens after
     f_after is measured and raises the objective when activations had
     drifted, which is the one step the descent guarantees do not cover.
     ``adapt=False`` keeps eps fixed (the regime the guarantees assume).
@@ -413,14 +402,13 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     grad_proxy = _grad_norm_proxy(state, hp)
     after = obj.evaluate_f(state, hp, eps)
     feas = ns.feasibility_residual(state, eps)
-    eps_next = min(eps, adapt_epsilon(eps, after.risk)) if adapt else eps
+    eps_next = adapt_epsilon(eps, after.risk) if adapt else eps
     if eps_next < eps:
         for l in range(L - 1):
             h = ns.activation_apply(state.arch.activation[l], state.z[l])
-            state.a[l] = clamp(state.a[l], h - eps_next, h + eps_next)
+            state.a[l] = np.clip(state.a[l], h - eps_next, h + eps_next)
 
-    rhs = descent_bound(theta, dw_sq, hp.rho, db_sq, dz_sq, tau, da_sq)
-    return EpochReport(
+    report = EpochReport(
         epoch=epoch,
         f_before=f_before,
         f_after=after.total,
@@ -431,7 +419,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
         db_sq=db_sq,
         dz_sq=dz_sq,
         da_sq=da_sq,
-        descent_rhs=rhs,
+        descent_rhs=math.nan,   # filled in from the movement below
         trials_w=trials_w,
         trials_a=trials_a,
         majorization_w=maj_w,
@@ -447,17 +435,17 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
         block_norms=_block_norms(state),
         wall_time_s=time.perf_counter() - t0,
     )
+    report.descent_rhs = descent_ledger(report, hp.rho)[1]
+    return report
 
 
 def train(arch: ns.Architecture, x: np.ndarray, y: np.ndarray, hp: obj.HyperParams,
-          per_epoch=None, f_rel_tol: float | None = None, adapt: bool = True
-          ) -> tuple[ns.NetworkState, list[EpochReport]]:
+          per_epoch=None, adapt: bool = True) -> tuple[ns.NetworkState, list[EpochReport]]:
     """Run hp.epochs sweeps from a fresh feasible start; returns state and trace.
 
     ``per_epoch(state, report)`` is called after each epoch when given (the
-    CLI uses it to record accuracies). ``f_rel_tol`` optionally stops early
-    once the relative objective decrease falls below it; the default is the
-    fixed epoch budget. ``adapt=False`` pins eps at eps0 for the whole run.
+    CLI uses it to record accuracies). ``adapt=False`` pins eps at eps0 for
+    the whole run.
 
     With ``adapt=True`` the jump down to EPS_FLOOR is taken before the first
     sweep, where a = h(z) and tightening the slab moves no activation, so
@@ -476,8 +464,4 @@ def train(arch: ns.Architecture, x: np.ndarray, y: np.ndarray, hp: obj.HyperPara
         trace.append(report)
         if per_epoch is not None:
             per_epoch(state, report)
-        if f_rel_tol is not None:
-            drop = report.f_before - report.f_after
-            if drop <= f_rel_tol * max(1.0, abs(report.f_before)):
-                break
     return state, trace

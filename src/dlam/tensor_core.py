@@ -1,82 +1,12 @@
-"""Dense float64 matrix kernel: the numeric substrate for the whole package.
+"""Shape conventions and the shape error shared by the whole package.
 
-A matrix here is a 2-D, C-contiguous ``numpy.ndarray`` of float64; samples
-are stored as columns everywhere in the package. All operations are pure
-functions of their inputs. Broadcasting an intercept vector across batch
-columns always goes through :func:`add_col` so it stays explicit.
+A matrix here is a 2-D float64 ``numpy.ndarray``; samples are stored as
+columns everywhere in the package, and intercepts are (n x 1) columns that
+broadcast across the batch. The block arithmetic is plain numpy, which
+already rejects nonconforming operands; this module only names the error
+the package raises when its own inputs do not conform.
 """
-
-from __future__ import annotations
-
-import numpy as np
 
 
 class ShapeError(ValueError):
     """Operand dimensions do not conform."""
-
-
-class InfeasibleIntervalError(ValueError):
-    """A lower bound exceeds the matching upper bound (empty interval)."""
-
-
-def as_matrix(data) -> np.ndarray:
-    """Coerce nested sequences / arrays to a float64 2-D matrix."""
-    m = np.asarray(data, dtype=np.float64)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return np.ascontiguousarray(m)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product; (p x q) @ (q x r) -> (p x r)."""
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product of equally shaped matrices."""
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard: shapes differ, {a.shape} vs {b.shape}")
-    return a * b
-
-
-def hadamard_pow(a: np.ndarray, p: float) -> np.ndarray:
-    """Elementwise power a**p.
-
-    Non-integer exponents require nonnegative entries; a non-finite result
-    (e.g. from (-1)**0.5) is rejected rather than propagated.
-    """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.power(a, p)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"hadamard_pow: non-finite result for exponent {p}")
-    return out
-
-
-def fro_norm(a: np.ndarray) -> float:
-    """Frobenius norm sqrt(sum of squared entries)."""
-    return float(np.linalg.norm(a))
-
-
-def l1_norm(a: np.ndarray) -> float:
-    """Entrywise l1 norm, sum of absolute values."""
-    return float(np.abs(a).sum())
-
-
-def clamp(a: np.ndarray, lo, hi) -> np.ndarray:
-    """Elementwise min(max(a, lo), hi); lo/hi may be scalars, arrays, +-inf."""
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if np.any(lo > hi):
-        raise InfeasibleIntervalError("clamp: lower bound exceeds upper bound")
-    return np.minimum(np.maximum(a, lo), hi)
-
-
-def add_col(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Add a column vector v (n x 1) to every column of a (n x N)."""
-    if v.ndim != 2 or v.shape[1] != 1 or v.shape[0] != a.shape[0]:
-        raise ShapeError(f"add_col: need ({a.shape[0]} x 1) vector, got {v.shape}")
-    return a + v

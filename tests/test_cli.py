@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dlam import cli
@@ -52,6 +54,19 @@ class TestConfigParsing:
             cfg.hidden_sizes()
 
 
+class TestLoadDataset:
+    def test_blobs_test_split_shares_training_clusters(self):
+        train, test = cli.load_dataset(cli.RunConfig(dataset="blobs"))
+        classes = train.classes
+
+        def class_means(ds):
+            return np.stack([ds.x[:, ds.y[c] == 1.0].mean(axis=1) for c in range(classes)])
+
+        dist = np.linalg.norm(class_means(test)[:, None, :] - class_means(train)[None],
+                              axis=2)
+        assert np.array_equal(dist.argmin(axis=1), np.arange(classes))
+
+
 class TestTrainCommand:
     def test_blobs_dlam_run_outputs(self, tmp_path):
         out = tmp_path / "run"
@@ -91,6 +106,24 @@ class TestTrainCommand:
         assert rows[0] == ["epoch", "F", "train_acc", "test_acc", "wall_time_s"]
         assert len(rows) == 5
         assert not (out / "diagnostics.csv").exists()
+
+    def test_backtrack_failure_is_an_error_message(self, tmp_path, capsys):
+        code = cli.main(["train", "--dataset", "blobs", "--max-backtrack", "1",
+                         "--epochs", "2", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "did not majorize after 1 trials" in err
+
+    def test_every_config_key_is_a_flag(self, tmp_path):
+        out = tmp_path / "run"
+        code = cli.main(["train", "--dataset", "blobs", "--hidden", "6", "--epochs", "2",
+                         "--blobs-classes", "3", "--blobs-per-class", "10",
+                         "--blobs-noise", "0.05", "--gamma", "3.0", "--alpha0", "0.01",
+                         "--subset-size", "20", "--out-dir", str(out)])
+        assert code == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert config["gamma"] == 3.0 and config["alpha0"] == 0.01
+        assert config["blobs_classes"] == 3 and config["subset_size"] == 20
 
     def test_determinism_excluding_wall_time(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -134,6 +167,38 @@ class TestScaleCommand:
         a, b = grid(), grid()
         for x, y in zip(a, b):
             assert abs(x - y) / max(x, y) < 0.30
+
+    def test_config_reaches_every_cell(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fake_train(arch, x, y, hp):
+            calls.append((arch, x.shape[1], hp))
+
+        monkeypatch.setattr(cli.opt, "train", fake_train)
+        cfg = cli.RunConfig(dataset="blobs", hidden="5", epochs=3, seed=2,
+                            out_dir=str(tmp_path), blobs_classes=2, blobs_per_class=20,
+                            reg="l1", reg_weight=0.1, gamma=3.5, max_backtrack=7,
+                            activation="tanh", eps0=0.5)
+        cli.scaling_table(cfg, sizes=[10, 40], rhos=[1e-3, 0.5])
+        assert [(n, hp.rho) for _, n, hp in calls] == [(10, 1e-3), (40, 1e-3),
+                                                       (10, 0.5), (40, 0.5)]
+        expect = cfg.hyper_params()
+        for arch, _, hp in calls:
+            assert arch.regularizer is cli.ns.RegKind.L1 and arch.reg_weight == 0.1
+            assert arch.activation == (cli.ns.ActivationKind.TANH,)
+            assert arch.layer_sizes == (cfg.blobs_features, 5, 2)
+            assert dataclasses.replace(hp, rho=expect.rho) == expect
+            assert hp.gamma == 3.5 and hp.max_backtrack == 7 and hp.eps0 == 0.5
+
+    def test_readme_example_flags(self, tmp_path, capsys):
+        # the README's `dlam scale` example, at small sizes
+        code = cli.main(["scale", "--dataset", "blobs", "--blobs-classes", "3",
+                         "--blobs-per-class", "30", "--blobs-features", "12",
+                         "--hidden", "4", "--epochs", "1", "--sizes", "15,30,60",
+                         "--rhos", "1e-4,1e-2,1", "--out", str(tmp_path)])
+        assert code == 0
+        rows = _read_rows(capsys.readouterr().out.strip())
+        assert rows[0] == ["rho", "15", "30", "60"] and len(rows) == 4
 
     def test_scale_via_main(self, tmp_path, capsys):
         code = cli.main(["scale", "--dataset", "blobs", "--hidden", "6",

@@ -126,11 +126,12 @@ class TestBlobs:
         assert np.all(ds.x >= 0.0) and np.all(ds.x <= 1.0)
         assert np.all(ds.y.sum(axis=0) == 1.0)
 
-    def test_flip_fraction_changes_labels_only(self):
-        a = data_io.synth_gaussian_blobs(3, 5, 40, seed=2, flip_fraction=0.0)
-        b = data_io.synth_gaussian_blobs(3, 5, 40, seed=2, flip_fraction=0.3)
-        assert np.array_equal(a.x, b.x)
-        assert not np.array_equal(a.y, b.y)
+    def test_other_split_draws_fresh_samples(self):
+        train = data_io.synth_gaussian_blobs(3, 5, 40, seed=2)
+        test = data_io.synth_gaussian_blobs(3, 5, 40, seed=2, split="test")
+        assert test.split == "test"
+        assert not np.array_equal(train.x, test.x)
+        assert np.array_equal(train.y.sum(axis=1), test.y.sum(axis=1))
 
     def test_validates_counts(self):
         with pytest.raises(ValueError):

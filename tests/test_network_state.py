@@ -5,7 +5,7 @@ import pytest
 
 from dlam import network_state as ns
 from dlam import objective as obj
-from dlam.tensor_core import InfeasibleIntervalError, ShapeError
+from dlam.tensor_core import ShapeError
 from conftest import random_one_hot, small_state
 
 RELU = ns.ActivationKind.RELU
@@ -26,53 +26,52 @@ def test_sigmoid_extreme_inputs_finite():
     assert np.all(np.isfinite(s)) and s[0, 0] == 0.0 and s[0, 1] == 1.0
 
 
-def test_interval_validates():
-    with pytest.raises(InfeasibleIntervalError):
-        ns.Interval(1.0, 0.0)
-    iv = ns.Interval(-math.inf, 2.0)
-    assert iv.contains(-1e9) and not iv.contains(2.1)
+def _invert(kind, a, eps):
+    """slab_z_bounds of one entry: (lo, hi, empty) as Python scalars."""
+    lo, hi, empty = ns.slab_z_bounds(kind, np.array([[float(a)]]), eps)
+    return float(lo[0, 0]), float(hi[0, 0]), bool(empty[0, 0])
 
 
 def test_invert_relu_interior():
-    iv = ns.activation_invert_interval(RELU, 0.5, 0.1)
-    assert iv.lo == pytest.approx(0.4, abs=1e-12)
-    assert iv.hi == pytest.approx(0.6, abs=1e-12)
+    lo, hi, empty = _invert(RELU, 0.5, 0.1)
+    assert not empty
+    assert lo == pytest.approx(0.4, abs=1e-12)
+    assert hi == pytest.approx(0.6, abs=1e-12)
 
 
 def test_invert_relu_unbounded_below():
     # every z <= 0 gives h(z) = 0 inside [-0.05, 0.15]
-    iv = ns.activation_invert_interval(RELU, 0.05, 0.1)
-    assert iv.lo == -math.inf
-    assert iv.hi == pytest.approx(0.15, abs=1e-12)
+    lo, hi, empty = _invert(RELU, 0.05, 0.1)
+    assert not empty
+    assert lo == -math.inf
+    assert hi == pytest.approx(0.15, abs=1e-12)
 
 
 def test_invert_relu_empty():
-    with pytest.raises(InfeasibleIntervalError):
-        ns.activation_invert_interval(RELU, -0.5, 0.1)
+    assert _invert(RELU, -0.5, 0.1)[2]
 
 
 def test_invert_sigmoid_hand_case():
-    iv = ns.activation_invert_interval(SIG, 0.5, 0.1)
+    lo, hi, _ = _invert(SIG, 0.5, 0.1)
     expect = math.log(0.6 / 0.4)
-    assert iv.lo == pytest.approx(-expect, abs=1e-9)
-    assert iv.hi == pytest.approx(expect, abs=1e-9)
-    assert iv.hi == pytest.approx(0.405465, abs=1e-6)
+    assert lo == pytest.approx(-expect, abs=1e-9)
+    assert hi == pytest.approx(expect, abs=1e-9)
+    assert hi == pytest.approx(0.405465, abs=1e-6)
 
 
 def test_invert_sigmoid_saturated_sides():
-    iv = ns.activation_invert_interval(SIG, 0.95, 0.2)   # upper target past range
-    assert iv.hi == math.inf and np.isfinite(iv.lo)
-    iv = ns.activation_invert_interval(SIG, 0.05, 0.2)   # lower target below range
-    assert iv.lo == -math.inf and np.isfinite(iv.hi)
-    with pytest.raises(InfeasibleIntervalError):
-        ns.activation_invert_interval(SIG, 1.5, 0.2)
-    with pytest.raises(InfeasibleIntervalError):
-        ns.activation_invert_interval(TANH, -1.5, 0.2)
+    lo, hi, empty = _invert(SIG, 0.95, 0.2)   # upper target past range
+    assert not empty and hi == math.inf and np.isfinite(lo)
+    lo, hi, empty = _invert(SIG, 0.05, 0.2)   # lower target below range
+    assert not empty and lo == -math.inf and np.isfinite(hi)
+    assert _invert(SIG, 1.5, 0.2)[2]
+    assert _invert(TANH, -1.5, 0.2)[2]
 
 
 def test_invert_requires_positive_eps():
-    with pytest.raises(ValueError):
-        ns.activation_invert_interval(RELU, 0.5, 0.0)
+    for eps in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            ns.slab_z_bounds(RELU, np.array([[0.5]]), eps)
 
 
 def _grid_oracle(kind, a, eps):
@@ -91,19 +90,20 @@ def _grid_oracle(kind, a, eps):
     (TANH, -0.2, 0.15),
 ])
 def test_invert_matches_grid_oracle(kind, a, eps):
-    iv = ns.activation_invert_interval(kind, a, eps)
+    iv_lo, iv_hi, empty = _invert(kind, a, eps)
+    assert not empty
     inside = _grid_oracle(kind, a, eps)
     assert inside.size > 0
-    lo = iv.lo if math.isfinite(iv.lo) else inside.min()
-    hi = iv.hi if math.isfinite(iv.hi) else inside.max()
+    lo = iv_lo if math.isfinite(iv_lo) else inside.min()
+    hi = iv_hi if math.isfinite(iv_hi) else inside.max()
     assert inside.min() >= lo - 1e-3 and inside.max() <= hi + 1e-3
     # the sampled set fills the interval, no gaps at the ends
-    assert abs(inside.min() - lo) < 1e-3 or iv.lo == -math.inf
-    assert abs(inside.max() - hi) < 1e-3 or iv.hi == math.inf
+    assert abs(inside.min() - lo) < 1e-3 or iv_lo == -math.inf
+    assert abs(inside.max() - hi) < 1e-3 or iv_hi == math.inf
 
 
 def test_interval_tightness_property(rng):
-    """Inside the interval h lands in the band; just outside it does not."""
+    """Inside the bounds h lands in the band; just outside it does not."""
     for _ in range(10_000):
         kind = [RELU, SIG, TANH][rng.integers(0, 3)]
         if kind is RELU:
@@ -117,21 +117,23 @@ def test_interval_tightness_property(rng):
         else:
             a = float(rng.uniform(-0.9, 0.9))
             eps = float(rng.uniform(0.01, 0.3))
-        iv = ns.activation_invert_interval(kind, a, eps)
-        lo = iv.lo if math.isfinite(iv.lo) else -5.0
-        hi = iv.hi if math.isfinite(iv.hi) else 5.0
+        iv_lo, iv_hi, empty = _invert(kind, a, eps)
+        assert not empty
+        lo = iv_lo if math.isfinite(iv_lo) else -5.0
+        hi = iv_hi if math.isfinite(iv_hi) else 5.0
         z_in = float(rng.uniform(lo, hi))
         h = float(ns.activation_apply(kind, np.array([[z_in]]))[0, 0])
         assert a - eps - 1e-9 <= h <= a + eps + 1e-9
-        if math.isfinite(iv.hi):
-            h_out = float(ns.activation_apply(kind, np.array([[iv.hi + 1e-3]]))[0, 0])
+        if math.isfinite(iv_hi):
+            h_out = float(ns.activation_apply(kind, np.array([[iv_hi + 1e-3]]))[0, 0])
             assert h_out > a + eps
-        if math.isfinite(iv.lo):
-            h_out = float(ns.activation_apply(kind, np.array([[iv.lo - 1e-3]]))[0, 0])
+        if math.isfinite(iv_lo):
+            h_out = float(ns.activation_apply(kind, np.array([[iv_lo - 1e-3]]))[0, 0])
             assert h_out < a - eps
 
 
 def test_slab_bounds_match_scalar_inversion(rng):
+    """Bounds of a whole matrix equal the bounds of each entry on its own."""
     for kind in (RELU, SIG, TANH):
         a = rng.uniform(-0.5, 1.5, (4, 6)) if kind is RELU else rng.uniform(-0.8, 0.8, (4, 6))
         if kind is SIG:
@@ -139,12 +141,7 @@ def test_slab_bounds_match_scalar_inversion(rng):
         eps = 0.2
         lo, hi, empty = ns.slab_z_bounds(kind, a, eps)
         for idx in np.ndindex(a.shape):
-            if empty[idx]:
-                with pytest.raises(InfeasibleIntervalError):
-                    ns.activation_invert_interval(kind, float(a[idx]), eps)
-            else:
-                iv = ns.activation_invert_interval(kind, float(a[idx]), eps)
-                assert iv.lo == lo[idx] and iv.hi == hi[idx]
+            assert _invert(kind, a[idx], eps) == (lo[idx], hi[idx], empty[idx])
 
 
 def test_architecture_validation():
@@ -174,6 +171,16 @@ def test_initialize_feasible_and_deterministic(rng):
     hp = obj.HyperParams()
     for l in range(arch.num_layers):
         assert obj.penalty_phi(s1.a_prev(l), s1.W[l], s1.b[l], s1.z[l], hp.rho) == 0.0
+
+
+def test_feasibility_residual_measures_slab_violation():
+    state = small_state(seed=4)
+    state.a[0] = state.a[0] + 0.25
+    assert ns.feasibility_residual(state, 0.0) == pytest.approx(0.25, abs=1e-12)
+    assert ns.feasibility_residual(state, 0.1) == pytest.approx(0.15, abs=1e-12)
+    assert ns.feasibility_residual(state, 0.3) == 0.0
+    with pytest.raises(ValueError, match="eps"):
+        ns.feasibility_residual(state, -1e-3)
 
 
 def test_initialize_shape_errors(rng):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dlam import baselines as bl
 from dlam import network_state as ns
 from dlam import objective as obj
 from dlam.tensor_core import ShapeError
@@ -11,6 +12,25 @@ from conftest import central_diff, grid_minimize_1d, random_one_hot, rel_err, sm
 
 def _scalar(v):
     return np.array([[float(v)]])
+
+
+class TestCouplingResidual:
+    def test_hand_case_broadcasts_intercept(self):
+        a_prev = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]])
+        W = np.array([[2.0, -1.0]])
+        b = np.array([[0.5]])
+        z = np.array([[1.0, 1.0, 1.0]])
+        # W a_prev = [2, 3, -3]
+        assert np.array_equal(obj.coupling_residual(a_prev, W, b, z), [[1.5, 2.5, -3.5]])
+        assert np.array_equal(obj.mean_residual(a_prev, W, b, z), [[0.5 + (1.0 + 2.0 - 4.0) / 3]])
+
+    def test_nonconforming_operands_raise(self):
+        with pytest.raises(ValueError):
+            obj.coupling_residual(np.ones((3, 2)), np.ones((1, 2)), np.zeros((1, 1)),
+                                  np.ones((1, 2)))
+        with pytest.raises(ValueError):
+            obj.coupling_residual(np.ones((2, 4)), np.ones((1, 2)), np.zeros((1, 1)),
+                                  np.ones((1, 3)))
 
 
 class TestPenalty:
@@ -95,11 +115,18 @@ class TestRisk:
             assert rel_err(f, g) < 1e-6
 
     def test_one_hot_rejected(self):
-        z = np.zeros((2, 1))
-        with pytest.raises(ValueError):
-            obj.risk_cross_entropy(z, np.array([[0.5], [0.5]]))
-        with pytest.raises(ValueError):
-            obj.risk_cross_entropy(z, np.array([[1.0], [1.0]]))
+        """Labels are checked where they enter: initialize and train_baseline."""
+        arch = ns.Architecture((2, 3, 2))
+        x = np.zeros((2, 1))
+        cfg = bl.BaselineConfig(epochs=1)
+        for y in (np.array([[0.5], [0.5]]), np.array([[1.0], [1.0]])):
+            with pytest.raises(ValueError, match="one-hot"):
+                ns.initialize(arch, x, y)
+            with pytest.raises(ValueError, match="one-hot"):
+                bl.train_baseline(cfg, arch, x, y)
+        # the squared risk takes any real target
+        squared = ns.Architecture((2, 3, 2), risk=ns.RiskKind.SQUARED)
+        ns.initialize(squared, x, np.array([[0.5], [0.5]]))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
