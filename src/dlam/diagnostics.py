@@ -66,6 +66,14 @@ def ck_series(trace, rho: float) -> CkSeries:
     return CkSeries(c=c, k_times_c=k_times_c)
 
 
+def grad_b_layer_error(product: np.ndarray, b: np.ndarray, z_before: np.ndarray,
+                       z_after: np.ndarray, rho: float) -> float:
+    """One layer's term of grad_b_identity_check; ``product`` is W a_prev."""
+    mean_resid = obj.mean_residual(product, b, z_after)
+    predicted = (z_before - z_after).mean(axis=1, keepdims=True)
+    return float(np.max(np.abs(rho * mean_resid - rho * predicted)))
+
+
 def grad_b_identity_check(state_after, z_before, rho: float) -> float:
     """Max deviation of the intercept gradient from rho * mean(z_old - z_new).
 
@@ -76,11 +84,9 @@ def grad_b_identity_check(state_after, z_before, rho: float) -> float:
     """
     worst = 0.0
     for l in range(state_after.num_layers):
-        mean_resid = obj.mean_residual(state_after.a_prev(l), state_after.W[l],
-                                       state_after.b[l], state_after.z[l])
-        predicted = (z_before[l] - state_after.z[l]).mean(axis=1, keepdims=True)
-        err = float(np.max(np.abs(rho * mean_resid - rho * predicted)))
-        worst = max(worst, err)
+        product = state_after.W[l] @ state_after.a_prev(l)
+        worst = max(worst, grad_b_layer_error(product, state_after.b[l], z_before[l],
+                                              state_after.z[l], rho))
     return worst
 
 

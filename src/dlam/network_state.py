@@ -84,17 +84,21 @@ def slab_z_bounds(kind: ActivationKind, a: np.ndarray, eps: float):
         lo = np.where(t_lo > 0.0, t_lo, -np.inf)
         lo = np.where(empty, 0.0, lo)
         return lo, hi, empty
+    # each side's temporaries are released before the other side is built:
+    # this is the peak memory of the hidden z step
     if kind is ActivationKind.SIGMOID:
         empty = (t_hi <= 0.0) | (t_lo >= 1.0)
         cl = np.clip(t_lo, d, 1.0 - d)
-        ch = np.clip(t_hi, d, 1.0 - d)
         lo = np.where(t_lo <= d, -np.inf, np.log(cl) - np.log1p(-cl))
+        del t_lo, cl
+        ch = np.clip(t_hi, d, 1.0 - d)
         hi = np.where(t_hi >= 1.0 - d, np.inf, np.log(ch) - np.log1p(-ch))
     elif kind is ActivationKind.TANH:
         empty = (t_hi <= -1.0) | (t_lo >= 1.0)
         cl = np.clip(t_lo, -1.0 + d, 1.0 - d)
-        ch = np.clip(t_hi, -1.0 + d, 1.0 - d)
         lo = np.where(t_lo <= -1.0 + d, -np.inf, np.arctanh(cl))
+        del t_lo, cl
+        ch = np.clip(t_hi, -1.0 + d, 1.0 - d)
         hi = np.where(t_hi >= 1.0 - d, np.inf, np.arctanh(ch))
     else:
         raise ValueError(f"unknown activation {kind!r}")
@@ -205,8 +209,9 @@ def initialize(arch: Architecture, x: np.ndarray, y: np.ndarray, hp=None,
 
     z = W a_prev + b is computed layer by layer and a = h(z), so every
     penalty term starts at zero and the slab invariant holds for any
-    eps > 0. Deterministic for a fixed seed. Labels must be one-hot for the
-    cross-entropy risk; this is the one place the trainer checks it.
+    eps > 0. Deterministic for a fixed seed. The batch must hold at least
+    one sample and only finite values, and labels must be one-hot for the
+    cross-entropy risk; this is the one place the trainer checks its input.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -218,6 +223,11 @@ def initialize(arch: Architecture, x: np.ndarray, y: np.ndarray, hp=None,
         raise ShapeError(f"y has {y.shape[0]} rows, architecture expects {arch.classes}")
     if x.shape[1] != y.shape[1]:
         raise ShapeError(f"x has {x.shape[1]} columns but y has {y.shape[1]}")
+    if x.shape[1] == 0:
+        raise ValueError("empty batch: x and y have no sample columns")
+    for name, block in (("x", x), ("y", y)):
+        if not np.isfinite(block).all():
+            raise ValueError(f"{name} contains non-finite values (NaN or inf)")
     if arch.risk is RiskKind.CROSS_ENTROPY:
         check_one_hot(y)
     if seed is None:

@@ -66,6 +66,7 @@ class ObjectiveBreakdown:
     penalty_per_layer: list[float]
     feasible: bool
     total: float
+    feasibility_residual: float   # largest slab violation at the eps in force
 
 
 def coupling_residual(a_prev: np.ndarray, W: np.ndarray, b: np.ndarray,
@@ -74,14 +75,14 @@ def coupling_residual(a_prev: np.ndarray, W: np.ndarray, b: np.ndarray,
     return W @ a_prev + b - z
 
 
-def mean_residual(a_prev: np.ndarray, W: np.ndarray, b: np.ndarray,
-                  z: np.ndarray) -> np.ndarray:
+def mean_residual(product: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Per-sample mean of the coupling residual, as a column: b + mean(W a_prev - z).
 
-    The intercept is added after the mean, so this is the shift the exact
-    intercept step removes and what its identity check measures.
+    ``product`` is W a_prev. The intercept is added after the mean, so this
+    is the shift the exact intercept step removes and what its identity
+    check measures.
     """
-    return b + (W @ a_prev - z).mean(axis=1, keepdims=True)
+    return b + (product - z).mean(axis=1, keepdims=True)
 
 
 def penalty_phi(a_prev: np.ndarray, W: np.ndarray, b: np.ndarray, z: np.ndarray,
@@ -208,27 +209,37 @@ def solve_w_subproblem(kind: ns.RegKind, lam: float, W_k: np.ndarray,
     raise ValueError(f"unknown regularizer {kind!r}")
 
 
+def objective_from_residuals(state: ns.NetworkState, hp: HyperParams,
+                             residuals: list[np.ndarray], eps: float) -> ObjectiveBreakdown:
+    """Full objective at the current state, given every layer's coupling residual.
+
+    ``residuals[l]`` must be W_l a_{l-1} + b_l - z_l at the current state. A
+    state violating the eps-slab beyond float slack reports feasible=False
+    and an infinite total instead of raising.
+    """
+    arch = state.arch
+    risk = risk_value(arch.risk, state.z[-1], state.y)
+    reg = sum(regularizer_value(arch.regularizer, arch.reg_weight, W) for W in state.W)
+    penalties = [0.5 * hp.rho * float(np.sum(r * r)) for r in residuals]
+    feas = ns.feasibility_residual(state, eps)
+    feasible = feas <= FEASIBILITY_TOL
+    total = risk + reg + sum(penalties) if feasible else math.inf
+    return ObjectiveBreakdown(risk=risk, reg=reg, penalty_per_layer=penalties,
+                              feasible=feasible, total=total, feasibility_residual=feas)
+
+
 def evaluate_f(state: ns.NetworkState, hp: HyperParams,
                eps: float | None = None) -> ObjectiveBreakdown:
     """Full objective at the current state, broken into its terms.
 
-    ``eps`` is the slab tolerance in force (defaults to hp.eps0); a state
-    violating the slab beyond float slack reports feasible=False and an
-    infinite total instead of raising.
+    ``eps`` is the slab tolerance in force (defaults to hp.eps0). Forms every
+    coupling residual afresh; see objective_from_residuals.
     """
     if eps is None:
         eps = hp.eps0
-    arch = state.arch
-    risk = risk_value(arch.risk, state.z[-1], state.y)
-    reg = sum(regularizer_value(arch.regularizer, arch.reg_weight, W) for W in state.W)
-    penalties = [
-        penalty_phi(state.a_prev(l), state.W[l], state.b[l], state.z[l], hp.rho)
-        for l in range(state.num_layers)
-    ]
-    feasible = ns.feasibility_residual(state, eps) <= FEASIBILITY_TOL
-    total = risk + reg + sum(penalties) if feasible else math.inf
-    return ObjectiveBreakdown(risk=risk, reg=reg, penalty_per_layer=penalties,
-                              feasible=feasible, total=total)
+    residuals = [coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
+                 for l in range(state.num_layers)]
+    return objective_from_residuals(state, hp, residuals, eps)
 
 
 def accuracy_from_logits(logits: np.ndarray, y: np.ndarray) -> float:

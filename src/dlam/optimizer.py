@@ -23,7 +23,7 @@ import numpy as np
 
 from . import network_state as ns
 from . import objective as obj
-from .diagnostics import descent_ledger, grad_b_identity_check
+from .diagnostics import descent_ledger, grad_b_layer_error
 
 
 class BacktrackError(RuntimeError):
@@ -55,14 +55,28 @@ class FistaResult:
 
 @dataclass
 class WarmStart:
-    """Carries each layer's last accepted curvature into the next epoch."""
+    """What one epoch hands the next: curvatures, residuals and the end objective.
+
+    ``theta``/``tau`` are each layer's last accepted curvatures. ``resid[l]``
+    is layer l's coupling residual W_l a_{l-1} + b_l - z_l while none of its
+    operands has moved since it was formed, and None otherwise; run_epoch
+    keeps every slot current through the sweep and the eps re-projection.
+    ``f_end`` is (eps, F) at the end of the last sweep, or None after a
+    re-projection. The slots hold values derived from the state, never the
+    operand arrays themselves, and describe only the state they were formed
+    on: between epochs that state may have blocks replaced, never mutated in
+    place.
+    """
 
     theta: list[float]
     tau: list[float]
+    resid: list[np.ndarray | None]
+    f_end: tuple[float, float] | None = None
 
     @classmethod
     def fresh(cls, num_layers: int, alpha0: float) -> "WarmStart":
-        return cls(theta=[alpha0] * num_layers, tau=[alpha0] * max(num_layers - 1, 0))
+        return cls(theta=[alpha0] * num_layers, tau=[alpha0] * max(num_layers - 1, 0),
+                   resid=[None] * num_layers)
 
 
 @dataclass
@@ -105,7 +119,7 @@ def _sq(delta: np.ndarray) -> float:
 
 
 def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
-             theta0: float | None = None) -> BacktrackResult:
+             theta0: float | None = None, resid: np.ndarray | None = None) -> BacktrackResult:
     """Backtracked majorized step on W at ``layer``; writes the result into state.
 
     The candidate minimizes the quadratic model plus the regularizer in
@@ -115,12 +129,14 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
     phi(cand) = phi(W) + <grad, d> + (rho/2)||d a_prev||^2, which stays
     exact when the residual is near machine zero (a direct phi evaluation
     is cancellation noise there and can stall the loop). Termination is
-    guaranteed once the curvature dominates rho ||a_prev||^2.
+    guaranteed once the curvature dominates rho ||a_prev||^2. ``resid`` is
+    the layer's current coupling residual when the caller already has it.
     """
     arch = state.arch
     a_prev = state.a_prev(layer)
     W_k = state.W[layer]
-    resid = obj.coupling_residual(a_prev, W_k, state.b[layer], state.z[layer])
+    if resid is None:
+        resid = obj.coupling_residual(a_prev, W_k, state.b[layer], state.z[layer])
     phi0 = 0.5 * hp.rho * _sq(resid)
     grad = hp.rho * (resid @ a_prev.T)
     theta = hp.alpha0 if theta0 is None else max(theta0, hp.alpha0)
@@ -144,21 +160,23 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
     return BacktrackResult(theta, cand, trials, base + quad_true, base + quad_model)
 
 
-def update_b(state: ns.NetworkState, layer: int, hp: obj.HyperParams) -> np.ndarray:
+def update_b(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
+             product: np.ndarray | None = None) -> np.ndarray:
     """Exact intercept step b <- b - mean residual; writes into state.
 
     With the curvature pinned to rho, the majorized step equals the exact
     minimizer: the per-sample mean of z - W a_prev. Uses the W already
-    updated this epoch.
+    updated this epoch; ``product`` is W a_prev when the caller already has it.
     """
-    b_new = state.b[layer] - obj.mean_residual(state.a_prev(layer), state.W[layer],
-                                               state.b[layer], state.z[layer])
+    if product is None:
+        product = state.W[layer] @ state.a_prev(layer)
+    b_new = state.b[layer] - obj.mean_residual(product, state.b[layer], state.z[layer])
     state.b[layer] = b_new
     return b_new
 
 
 def update_z_hidden(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
-                    eps: float) -> tuple[np.ndarray, int]:
+                    eps: float, product: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Exact hidden pre-activation step: clip the free step onto the slab box.
 
     The penalty is an exact separable quadratic in z, so the unconstrained
@@ -166,7 +184,9 @@ def update_z_hidden(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
     slab around the current a) yields the exact constrained minimizer.
     Entries whose slab inverts to an empty set are recovered by recentering
     the offending a entry onto h(z) first; returns the recovery count, which
-    stays zero on clean runs.
+    stays zero on clean runs; a recovery moves a, and with it the next
+    layer's coupling residual. ``product`` is W a_prev when the caller
+    already has it.
     """
     arch = state.arch
     kind = arch.activation[layer]
@@ -179,8 +199,9 @@ def update_z_hidden(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
         fixed[empty] = h[empty]
         state.a[layer] = fixed
         lo, hi, empty = ns.slab_z_bounds(kind, fixed, eps)
-    grad = obj.grad_phi_z(state.a_prev(layer), state.W[layer], state.b[layer],
-                          state.z[layer], hp.rho)
+    if product is None:
+        product = state.W[layer] @ state.a_prev(layer)
+    grad = -hp.rho * (product + state.b[layer] - state.z[layer])     # grad_phi_z
     step = state.z[layer] - grad / hp.rho
     z_new = np.clip(step, lo, hi)
     state.z[layer] = z_new
@@ -188,7 +209,8 @@ def update_z_hidden(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
 
 
 def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
-                    record_history: bool = False) -> FistaResult:
+                    record_history: bool = False,
+                    product: np.ndarray | None = None) -> FistaResult:
     """Monotone FISTA on the output-layer composite; writes z_L into state.
 
     Minimizes (rho/2)||z - m||_F^2 + risk(z; y) with m the free quadratic
@@ -196,13 +218,15 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
     to accelerated gradient with step 1/(rho + L_risk). A momentum step that
     would raise the composite value is replaced by a plain gradient step
     from the previous iterate (which cannot increase it) and the momentum is
-    reset, making the recorded objective nonincreasing.
+    reset, making the recorded objective nonincreasing. ``product`` is
+    W_L a_{L-1} when the caller already has it.
     """
     arch = state.arch
     L = state.num_layers
     z_k = state.z[L - 1]
-    grad0 = obj.grad_phi_z(state.a_prev(L - 1), state.W[L - 1], state.b[L - 1],
-                           z_k, hp.rho)
+    if product is None:
+        product = state.W[L - 1] @ state.a_prev(L - 1)
+    grad0 = -hp.rho * (product + state.b[L - 1] - z_k)     # grad_phi_z
     m = z_k - grad0 / hp.rho
     y = state.y
     lip = hp.rho + obj.risk_smoothness(arch.risk, state.n_samples)
@@ -247,21 +271,23 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
 
 
 def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float,
-             tau0: float | None = None) -> BacktrackResult:
+             tau0: float | None = None, resid: np.ndarray | None = None) -> BacktrackResult:
     """Backtracked projected step on a hidden activation; writes into state.
 
     The candidate projects the free quadratic step onto the slab around
     h(z) at this epoch's fresh z, which is the exact minimizer of the
     model-plus-indicator for scalar curvature; the curvature grows by eta
     until the true penalty of the next layer is majorized. Feasibility of
-    the accepted block holds by construction.
+    the accepted block holds by construction. ``resid`` is the next layer's
+    current coupling residual when the caller already has it.
     """
     kind = state.arch.activation[layer]
     a_k = state.a[layer]
     W_next = state.W[layer + 1]
     h = ns.activation_apply(kind, state.z[layer])
     lo, hi = h - eps, h + eps
-    resid = obj.coupling_residual(a_k, W_next, state.b[layer + 1], state.z[layer + 1])
+    if resid is None:
+        resid = obj.coupling_residual(a_k, W_next, state.b[layer + 1], state.z[layer + 1])
     phi0 = 0.5 * hp.rho * _sq(resid)
     grad = hp.rho * (W_next.T @ resid)
     tau = hp.alpha0 if tau0 is None else max(tau0, hp.alpha0)
@@ -311,28 +337,27 @@ def _block_norms(state: ns.NetworkState) -> dict:
     }
 
 
-def _grad_norm_proxy(state: ns.NetworkState, hp: obj.HyperParams) -> float:
+def _grad_norm_proxy(state: ns.NetworkState, hp: obj.HyperParams,
+                     residuals: list[np.ndarray]) -> float:
     """Norm of the computable smooth components of the objective gradient.
 
     Covers the W and b penalty gradients (plus the l2 regularizer term when
     active) and the output pre-activation's penalty-plus-risk gradient. The
     hidden z and a components involve indicator subdifferentials and are
     left out; the ratio of this proxy to the block movement is logged by the
-    diagnostics as the weak form of the subgradient bound.
+    diagnostics as the weak form of the subgradient bound. ``residuals``
+    holds every layer's current coupling residual.
     """
     arch = state.arch
     L = state.num_layers
     total = 0.0
     for l in range(L):
-        a_prev = state.a_prev(l)
-        resid = obj.coupling_residual(a_prev, state.W[l], state.b[l], state.z[l])
-        gw = hp.rho * (resid @ a_prev.T)
+        gw = hp.rho * (residuals[l] @ state.a_prev(l).T)
         if arch.regularizer is ns.RegKind.L2 and arch.reg_weight > 0.0:
             gw = gw + 2.0 * arch.reg_weight * state.W[l]
-        gb = hp.rho * resid.sum(axis=1, keepdims=True)
+        gb = hp.rho * residuals[l].sum(axis=1, keepdims=True)
         total += _sq(gw) + _sq(gb)
-    # resid is the output layer's here
-    gz = -hp.rho * resid + obj.risk_grad(arch.risk, state.z[L - 1], state.y)
+    gz = -hp.rho * residuals[L - 1] + obj.risk_grad(arch.risk, state.z[L - 1], state.y)
     total += _sq(gz)
     return math.sqrt(total)
 
@@ -350,63 +375,95 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     f_after is measured and raises the objective when activations had
     drifted, which is the one step the descent guarantees do not cover.
     ``adapt=False`` keeps eps fixed (the regime the guarantees assume).
+
+    Each layer's coupling residual R_l = W_l a_{l-1} + b_l - z_l and its
+    product W_l a_{l-1} are formed once and reused only while their
+    operands are unchanged, in the operation order of a fresh formation,
+    so reuse changes no bit. The R_l formed after layer l's z step holds to
+    the end of the sweep, where the certificates and f_after read it.
+    ``warm`` carries the residuals and f_after into the next call, which
+    must get the state as this call left it; there layer 0's W step, the a
+    steps and (when eps is unchanged) f_before need no new product.
+    Without ``warm`` the epoch starts from fresh curvatures and residuals.
     """
     if eps is None:
         eps = hp.eps0
     t0 = time.perf_counter()
     L = state.num_layers
-    z_before = list(state.z)
-    f_before = obj.evaluate_f(state, hp, eps).total
+    if warm is None:
+        warm = WarmStart.fresh(L, hp.alpha0)
+    resid = warm.resid
+    if warm.f_end is not None and warm.f_end[0] == eps:
+        f_before = warm.f_end[1]
+    else:
+        for l in range(L):
+            if resid[l] is None:
+                resid[l] = obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l],
+                                                 state.z[l])
+        f_before = obj.objective_from_residuals(state, hp, resid, eps).total
 
     theta, tau = [], []
     dw_sq, db_sq, dz_sq, da_sq = [], [], [], []
     trials_w, trials_a = [], []
     maj_w, maj_a = [], []
     recoveries = 0
+    grad_b_err = 0.0
     fista = None
     for l in range(L):
-        theta0 = warm.theta[l] / hp.gamma if warm is not None else None
+        # R_l is still held only for layer 0; update_a(l - 1) took the others
+        r_w, resid[l] = resid[l], None
         old_w = state.W[l]
-        rw = update_w(state, l, hp, theta0)
+        rw = update_w(state, l, hp, warm.theta[l] / hp.gamma, r_w)
+        del r_w     # each batch-sized temporary goes as soon as it is used: peak memory
         theta.append(rw.accepted_param)
         trials_w.append(rw.trials)
         maj_w.append((rw.phi_value, rw.model_value))
         dw_sq.append(_sq(state.W[l] - old_w))
-        if warm is not None:
-            warm.theta[l] = rw.accepted_param
+        warm.theta[l] = rw.accepted_param
 
+        # W_l and a_{l-1} are final for this sweep from here on
+        product = state.W[l] @ state.a_prev(l)
         old_b = state.b[l]
-        update_b(state, l, hp)
+        update_b(state, l, hp, product)
         db_sq.append(_sq(state.b[l] - old_b))
 
         old_z = state.z[l]
         if l == L - 1:
-            fista = update_z_output(state, hp)
+            fista = update_z_output(state, hp, product=product)
         else:
-            _, rec = update_z_hidden(state, l, hp, eps)
+            # R_{l+1} is taken out before a recovery can move a_l under it
+            r_a, resid[l + 1] = resid[l + 1], None
+            _, rec = update_z_hidden(state, l, hp, eps, product)
             recoveries += rec
         dz_sq.append(_sq(state.z[l] - old_z))
+        # coupling_residual's operation order; current to the end of the sweep
+        resid[l] = product + state.b[l] - state.z[l]
+        grad_b_err = max(grad_b_err, grad_b_layer_error(product, state.b[l], old_z,
+                                                        state.z[l], hp.rho))
+        del product, old_z
 
         if l < L - 1:
-            tau0 = warm.tau[l] / hp.eta if warm is not None else None
             old_a = state.a[l]
-            ra = update_a(state, l, hp, eps, tau0)
+            ra = update_a(state, l, hp, eps, warm.tau[l] / hp.eta, None if rec else r_a)
+            del r_a
             tau.append(ra.accepted_param)
             trials_a.append(ra.trials)
             maj_a.append((ra.phi_value, ra.model_value))
             da_sq.append(_sq(state.a[l] - old_a))
-            if warm is not None:
-                warm.tau[l] = ra.accepted_param
+            warm.tau[l] = ra.accepted_param
 
-    grad_b_err = grad_b_identity_check(state, z_before, hp.rho)
-    grad_proxy = _grad_norm_proxy(state, hp)
-    after = obj.evaluate_f(state, hp, eps)
-    feas = ns.feasibility_residual(state, eps)
+    grad_proxy = _grad_norm_proxy(state, hp, resid)
+    after = obj.objective_from_residuals(state, hp, resid, eps)
     eps_next = adapt_epsilon(eps, after.risk) if adapt else eps
     if eps_next < eps:
         for l in range(L - 1):
             h = ns.activation_apply(state.arch.activation[l], state.z[l])
             state.a[l] = np.clip(state.a[l], h - eps_next, h + eps_next)
+        # the clip moved every a_l, so every R_{l+1} and F
+        resid[1:] = [None] * (L - 1)
+        warm.f_end = None
+    else:
+        warm.f_end = (eps, after.total)
 
     report = EpochReport(
         epoch=epoch,
@@ -427,7 +484,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
         fista_iterations=fista.iterations,
         fista_converged=fista.converged,
         recoveries=recoveries,
-        feasibility_residual=feas,
+        feasibility_residual=after.feasibility_residual,
         grad_b_err=grad_b_err,
         grad_norm_proxy=grad_proxy,
         eps_used=eps,
@@ -444,8 +501,9 @@ def train(arch: ns.Architecture, x: np.ndarray, y: np.ndarray, hp: obj.HyperPara
     """Run hp.epochs sweeps from a fresh feasible start; returns state and trace.
 
     ``per_epoch(state, report)`` is called after each epoch when given (the
-    CLI uses it to record accuracies). ``adapt=False`` pins eps at eps0 for
-    the whole run.
+    CLI uses it to record accuracies); it may read the state but must not
+    mutate its blocks in place, because the next epoch reuses residuals
+    formed from them. ``adapt=False`` pins eps at eps0 for the whole run.
 
     With ``adapt=True`` the jump down to EPS_FLOOR is taken before the first
     sweep, where a = h(z) and tightening the slab moves no activation, so

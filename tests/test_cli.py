@@ -114,6 +114,13 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "did not majorize after 1 trials" in err
 
+    def test_non_finite_input_is_an_error_message(self, tmp_path, capsys):
+        code = cli.main(["train", "--dataset", "blobs", "--blobs-noise", "nan",
+                         "--epochs", "2", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "x contains non-finite values" in err
+
     def test_every_config_key_is_a_flag(self, tmp_path):
         out = tmp_path / "run"
         code = cli.main(["train", "--dataset", "blobs", "--hidden", "6", "--epochs", "2",

@@ -194,6 +194,27 @@ def test_initialize_shape_errors(rng):
         ns.initialize(arch, rng.uniform(0, 1, (3, 5)), random_one_hot(rng, 3, 5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_initialize_rejects_non_finite_input(rng, bad):
+    # squared risk: no one-hot check stands in front of the finiteness check on y
+    arch = ns.Architecture((3, 4, 2), risk=ns.RiskKind.SQUARED)
+    x = rng.uniform(0, 1, (3, 5))
+    y = random_one_hot(rng, 2, 5)
+    x_bad, y_bad = x.copy(), y.copy()
+    x_bad[1, 2] = bad
+    y_bad[0, 3] = bad
+    with pytest.raises(ValueError, match="x contains non-finite values"):
+        ns.initialize(arch, x_bad, y)
+    with pytest.raises(ValueError, match="y contains non-finite values"):
+        ns.initialize(arch, x, y_bad)
+
+
+def test_initialize_rejects_empty_batch():
+    arch = ns.Architecture((3, 4, 2))
+    with pytest.raises(ValueError, match="empty batch"):
+        ns.initialize(arch, np.zeros((3, 0)), np.zeros((2, 0)))
+
+
 def test_checkpoint_round_trip(tmp_path):
     state = small_state(seed=3, scatter=0.3)
     path = str(tmp_path / "state.bin")

@@ -22,7 +22,7 @@ class TestCouplingResidual:
         z = np.array([[1.0, 1.0, 1.0]])
         # W a_prev = [2, 3, -3]
         assert np.array_equal(obj.coupling_residual(a_prev, W, b, z), [[1.5, 2.5, -3.5]])
-        assert np.array_equal(obj.mean_residual(a_prev, W, b, z), [[0.5 + (1.0 + 2.0 - 4.0) / 3]])
+        assert np.array_equal(obj.mean_residual(W @ a_prev, b, z), [[0.5 + (1.0 + 2.0 - 4.0) / 3]])
 
     def test_nonconforming_operands_raise(self):
         with pytest.raises(ValueError):

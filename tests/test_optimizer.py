@@ -1,4 +1,7 @@
+import dataclasses
+import inspect
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -380,3 +383,161 @@ class TestTrain:
         assert all(r.f_after <= r.f_before + 1e-8 for r in trace)
         assert all(r.feasibility_residual <= 1e-12 for r in trace)
         assert sum(r.recoveries for r in trace) == 0
+
+
+BLOCKS = ("update_w", "update_b", "update_z_hidden", "update_z_output", "update_a")
+
+
+def _blobs_problem(epochs):
+    """The criterion-11 config: 12-16-16-3 blobs, rho 0.01, eps0 1.0."""
+    ds = synth_gaussian_blobs(classes=3, d=12, n_per_class=40, seed=11, noise=0.05)
+    hp = obj.HyperParams(rho=0.01, eps0=1.0, epochs=epochs, seed=0)
+    return ns.Architecture((12, 16, 16, 3)), ds.x, ds.y, hp
+
+
+def _shrinking_problem(epochs):
+    """Squared-risk blobs whose eps shrinks at epochs 44 and 83, raising F each time."""
+    ds = synth_gaussian_blobs(classes=3, d=12, n_per_class=10, seed=11, noise=0.05)
+    hp = obj.HyperParams(rho=0.01, eps0=1.0, epochs=epochs, seed=0)
+    return ns.Architecture((12, 16, 16, 3), risk=ns.RiskKind.SQUARED), ds.x, ds.y, hp
+
+
+def _fresh_resid(state, l):
+    return obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
+
+
+@pytest.fixture
+def cache_watch(monkeypatch):
+    """Each residual or product handed to a block update, and after every block
+    update and every epoch each residual the sweep holds, must equal a fresh
+    one byte for byte."""
+    watch = {"warm": None, "compared": 0}
+
+    def same(held, fresh, what):
+        assert held.tobytes() == fresh.tobytes(), what
+        watch["compared"] += 1
+
+    def check(state, where):
+        for l, r in enumerate(watch["warm"].resid):
+            if r is not None:
+                same(r, _fresh_resid(state, l), f"stale R_{l} after {where}")
+
+    def wrap(name, inner):
+        signature = inspect.signature(inner)
+
+        def wrapper(state, *args, **kwargs):
+            given = signature.bind(state, *args, **kwargs).arguments
+            l = given.get("layer", state.num_layers - 1)
+            if given.get("resid") is not None:
+                l_r = l + 1 if name == "update_a" else l
+                same(given["resid"], _fresh_resid(state, l_r), f"stale R_{l_r} into {name}")
+            if given.get("product") is not None:
+                same(given["product"], state.W[l] @ state.a_prev(l), f"stale product into {name}")
+            out = inner(state, *args, **kwargs)
+            check(state, name)
+            return out
+        return wrapper
+
+    for name in BLOCKS:
+        monkeypatch.setattr(opt, name, wrap(name, getattr(opt, name)))
+    run_epoch = opt.run_epoch
+
+    def epoch(state, hp, k, eps=None, warm=None, adapt=True):
+        watch["warm"] = warm
+        report = run_epoch(state, hp, k, eps, warm, adapt)
+        check(state, f"epoch {k}")
+        return report
+
+    monkeypatch.setattr(opt, "run_epoch", epoch)
+    return watch
+
+
+class TestResidualReuse:
+    def test_cache_coherent_on_blobs(self, cache_watch):
+        arch, x, y, hp = _blobs_problem(epochs=20)
+        opt.train(arch, x, y, hp)
+        assert cache_watch["compared"] > 20 * len(BLOCKS)
+
+    def test_cache_coherent_through_epsilon_shrink(self, cache_watch):
+        # the state of test_epsilon_shrink_reprojects_activations
+        state = small_state(seed=12, scatter=0.5, risk=ns.RiskKind.ZERO)
+        hp = obj.HyperParams(rho=0.1, eps0=10.0)
+        warm = opt.WarmStart.fresh(state.num_layers, hp.alpha0)
+        report = opt.run_epoch(state, hp, 0, eps=10.0, warm=warm)
+        assert report.eps_next == 0.01
+        opt.run_epoch(state, hp, 1, eps=report.eps_next, warm=warm)
+        assert cache_watch["compared"] > 0
+
+    def test_cache_coherent_through_recovery(self, cache_watch):
+        # the state of test_empty_interval_recovery_recenters, as a whole sweep
+        state = _scalar_state(W1=1.0, b1=0.0, z1=0.5, a1=-5.0, W2=1.0, b2=0.0, z2=0.5)
+        hp = obj.HyperParams(rho=1.0)
+        warm = opt.WarmStart.fresh(state.num_layers, hp.alpha0)
+        report = opt.run_epoch(state, hp, 0, eps=0.1, warm=warm, adapt=False)
+        assert report.recoveries == 1
+        opt.run_epoch(state, hp, 1, eps=0.1, warm=warm, adapt=False)
+        assert cache_watch["compared"] > 0
+
+    @pytest.mark.parametrize("problem,epochs", [(_blobs_problem, 30),
+                                                (_shrinking_problem, 90)])
+    def test_reuse_changes_no_bit(self, monkeypatch, problem, epochs):
+        arch, x, y, hp = problem(epochs)
+        fresh_f = []     # F right after each epoch, re-projection included
+
+        def after_epoch(state, report):
+            fresh_f.append(obj.evaluate_f(state, hp, report.eps_next).total)
+
+        state, trace = opt.train(arch, x, y, hp, per_epoch=after_epoch)
+        run_epoch = opt.run_epoch
+
+        def forgetful(state, hp, k, eps=None, warm=None, adapt=True):
+            warm.resid = [None] * arch.num_layers
+            warm.f_end = None
+            return run_epoch(state, hp, k, eps, warm, adapt)
+
+        monkeypatch.setattr(opt, "run_epoch", forgetful)
+        state2, trace2 = opt.train(arch, x, y, hp)
+
+        def fields(report):
+            d = dataclasses.asdict(report)
+            del d["wall_time_s"]
+            return {k: repr(v) for k, v in d.items()}
+
+        assert [fields(r) for r in trace] == [fields(r) for r in trace2]
+        for blocks, blocks2 in ((state.W, state2.W), (state.b, state2.b),
+                                (state.z, state2.z), (state.a, state2.a)):
+            assert [v.tobytes() for v in blocks] == [v.tobytes() for v in blocks2]
+        shrinks = 0
+        for k in range(hp.epochs - 1):
+            if trace[k].eps_next == trace[k].eps_used:
+                assert trace[k + 1].f_before == trace[k].f_after
+            else:
+                assert trace[k + 1].f_before == fresh_f[k]
+                shrinks += 1
+        assert shrinks == (2 if problem is _shrinking_problem else 0)
+
+    def test_later_epochs_form_no_duplicate_products(self, monkeypatch):
+        counts = Counter()
+
+        def count(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        count(obj, "evaluate_f")
+        count(ns, "feasibility_residual")
+        count(obj, "coupling_residual")
+        arch, x, y, hp = _blobs_problem(epochs=30)
+        seen = []
+        _, trace = opt.train(arch, x, y, hp, per_epoch=lambda s, r: seen.append(Counter(counts)))
+        assert all(r.eps_next == r.eps_used for r in trace)   # F is carried every epoch
+        for k in range(1, hp.epochs):
+            spent = seen[k] - seen[k - 1]
+            assert spent["evaluate_f"] == 0
+            assert spent["feasibility_residual"] == 1
+            # only update_w's fresh residuals for l >= 1, after update_a moved a_{l-1}
+            assert spent["coupling_residual"] <= arch.num_layers - 1
