@@ -32,7 +32,7 @@ from .network_state import (                                    # noqa: E402
     save_state,
 )
 from .objective import HyperParams, ObjectiveBreakdown, evaluate_f   # noqa: E402
-from .optimizer import EpochReport, adapt_epsilon, run_epoch, train  # noqa: E402
+from .optimizer import EpochReport, run_epoch, train  # noqa: E402
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,6 @@ __all__ = [
     "RegKind",
     "RiskKind",
     "activation_apply",
-    "adapt_epsilon",
     "evaluate_f",
     "feasibility_residual",
     "forward_logits",

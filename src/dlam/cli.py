@@ -364,12 +364,11 @@ def _read_trace(path: str) -> dict:
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: trace is empty")
-    return {
-        "epoch": [int(r["epoch"]) for r in rows],
-        "F": [float(r["F"]) for r in rows],
-        "train_acc": [float(r["train_acc"]) for r in rows],
-        "test_acc": [float(r["test_acc"]) for r in rows],
-    }
+    columns = {"epoch": int, "F": float, "train_acc": float, "test_acc": float}
+    for name in columns:
+        if name not in reader.fieldnames:
+            raise ValueError(f"{path}: missing column {name!r}")
+    return {name: [kind(r[name]) for r in rows] for name, kind in columns.items()}
 
 
 def plot_traces(trace_paths: list[str], labels: list[str], out_dir: str) -> list[Path]:

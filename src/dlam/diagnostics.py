@@ -68,26 +68,17 @@ def ck_series(trace, rho: float) -> CkSeries:
 
 def grad_b_layer_error(product: np.ndarray, b: np.ndarray, z_before: np.ndarray,
                        z_after: np.ndarray, rho: float) -> float:
-    """One layer's term of grad_b_identity_check; ``product`` is W a_prev."""
+    """Max deviation of one layer's intercept gradient from rho * mean(z_old - z_new).
+
+    The intercept step is an exact minimizer, so the post-step penalty
+    gradient with respect to b collapses to the mean pre-activation
+    movement; the returned value is zero up to rounding on a clean epoch.
+    ``product`` is W a_prev after the step. Uses the per-sample mean
+    convention on both sides.
+    """
     mean_resid = obj.mean_residual(product, b, z_after)
     predicted = (z_before - z_after).mean(axis=1, keepdims=True)
     return float(np.max(np.abs(rho * mean_resid - rho * predicted)))
-
-
-def grad_b_identity_check(state_after, z_before, rho: float) -> float:
-    """Max deviation of the intercept gradient from rho * mean(z_old - z_new).
-
-    The intercept step is an exact minimizer, so the post-epoch penalty
-    gradient with respect to b collapses to the mean pre-activation
-    movement; the returned value is zero up to rounding on a clean epoch.
-    Uses the per-sample mean convention on both sides.
-    """
-    worst = 0.0
-    for l in range(state_after.num_layers):
-        product = state_after.W[l] @ state_after.a_prev(l)
-        worst = max(worst, grad_b_layer_error(product, state_after.b[l], z_before[l],
-                                              state_after.z[l], rho))
-    return worst
 
 
 def subgradient_ratio_series(trace) -> list[float]:

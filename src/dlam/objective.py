@@ -31,8 +31,8 @@ class HyperParams:
     """Optimizer knobs. Defaults reproduce the reference experiment setup."""
 
     rho: float = 1e-4          # coupling penalty weight
-    eps0: float = 10.0         # slab tolerance upper bound; a fresh adaptive run
-                               # starts at min(eps0, 0.01) and only shrinks
+    eps0: float = 10.0         # slab tolerance bound; train holds eps at
+                               # min(eps0, 0.01) for the whole run
     gamma: float = 2.0         # curvature growth factor for the W backtracking
     eta: float = 2.0           # curvature growth factor for the a backtracking
     alpha0: float = 1e-3       # smallest curvature tried by either backtracking

@@ -50,7 +50,6 @@ class FistaResult:
     converged: bool
     objective_start: float
     objective_end: float
-    history: list[float] | None = None
 
 
 @dataclass
@@ -60,9 +59,9 @@ class WarmStart:
     ``theta``/``tau`` are each layer's last accepted curvatures. ``resid[l]``
     is layer l's coupling residual W_l a_{l-1} + b_l - z_l while none of its
     operands has moved since it was formed, and None otherwise; run_epoch
-    keeps every slot current through the sweep and the eps re-projection.
-    ``f_end`` is (eps, F) at the end of the last sweep, or None after a
-    re-projection. The slots hold values derived from the state, never the
+    keeps every slot current through the sweep. ``f_end`` is (eps, F) at the
+    end of the last sweep; the next sweep starts from that F when it runs at
+    the same eps. The slots hold values derived from the state, never the
     operand arrays themselves, and describe only the state they were formed
     on: between epochs that state may have blocks replaced, never mutated in
     place.
@@ -105,7 +104,7 @@ class EpochReport:
     grad_b_err: float
     grad_norm_proxy: float
     eps_used: float
-    eps_next: float
+    eps_next: float              # always eps_used: run_epoch never moves eps
     block_norms: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
 
@@ -209,7 +208,6 @@ def update_z_hidden(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
 
 
 def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
-                    record_history: bool = False,
                     product: np.ndarray | None = None) -> FistaResult:
     """Monotone FISTA on the output-layer composite; writes z_L into state.
 
@@ -218,7 +216,7 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
     to accelerated gradient with step 1/(rho + L_risk). A momentum step that
     would raise the composite value is replaced by a plain gradient step
     from the previous iterate (which cannot increase it) and the momentum is
-    reset, making the recorded objective nonincreasing. ``product`` is
+    reset, making the objective nonincreasing over iterates. ``product`` is
     W_L a_{L-1} when the caller already has it.
     """
     arch = state.arch
@@ -244,7 +242,6 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
     t = 1.0
     f_start = value(z_k)
     f_prev = f_start
-    history = [f_start] if record_history else None
     converged = False
     iterations = 0
     for iterations in range(1, hp.fista_iters + 1):
@@ -261,13 +258,11 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
         z_prev = cand
         f_prev = f_cand
         t = t_next
-        if history is not None:
-            history.append(f_cand)
         if diff < hp.fista_tol:
             converged = True
             break
     state.z[L - 1] = z_prev
-    return FistaResult(z_prev, iterations, converged, f_start, f_prev, history)
+    return FistaResult(z_prev, iterations, converged, f_start, f_prev)
 
 
 def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float,
@@ -312,20 +307,8 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
     return BacktrackResult(tau, cand, trials, base + quad_true, base + quad_model)
 
 
-# Tolerance the schedule jumps down to; a fresh adaptive run starts here.
+# Largest slab tolerance train uses: every sweep runs at min(eps0, EPS_FLOOR).
 EPS_FLOOR = 0.01
-
-
-def adapt_epsilon(eps: float, risk: float) -> float:
-    """Slab tolerance schedule: shrink when the tolerance dwarfs the risk.
-
-    Jumps down to EPS_FLOOR (halving below it), otherwise keeps eps. It
-    never grows: regrowing after a paid shrink lets the activations drift
-    off h(z) again, so the next shrink has to clip them back and raises F.
-    """
-    if eps > 10.0 * risk:
-        return min(eps / 2.0, EPS_FLOOR)
-    return eps
 
 
 def _block_norms(state: ns.NetworkState) -> dict:
@@ -363,18 +346,13 @@ def _grad_norm_proxy(state: ns.NetworkState, hp: obj.HyperParams,
 
 
 def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
-              eps: float | None = None, warm: WarmStart | None = None,
-              adapt: bool = True) -> EpochReport:
-    """One full sweep: per layer W, b, z, then a; adapt eps afterwards.
+              eps: float, warm: WarmStart | None = None) -> EpochReport:
+    """One full sweep at slab tolerance ``eps``: per layer W, b, z, then a.
 
     The update order is fixed; the descent ledger assumes each block sees
-    the freshest upstream values. ``eps_next`` comes from adapt_epsilon,
-    which never grows eps. When it shrinks, every hidden activation is
-    clipped back into the new slab before the next epoch so the
-    feasibility invariant survives; that re-projection happens after
-    f_after is measured and raises the objective when activations had
-    drifted, which is the one step the descent guarantees do not cover.
-    ``adapt=False`` keeps eps fixed (the regime the guarantees assume).
+    the freshest upstream values. Every step keeps the state inside the
+    eps-slab and none moves eps, so the report's ``eps_next`` equals
+    ``eps_used`` and f_after describes the state this call leaves.
 
     Each layer's coupling residual R_l = W_l a_{l-1} + b_l - z_l and its
     product W_l a_{l-1} are formed once and reused only while their
@@ -386,8 +364,6 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     steps and (when eps is unchanged) f_before need no new product.
     Without ``warm`` the epoch starts from fresh curvatures and residuals.
     """
-    if eps is None:
-        eps = hp.eps0
     t0 = time.perf_counter()
     L = state.num_layers
     if warm is None:
@@ -454,16 +430,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
 
     grad_proxy = _grad_norm_proxy(state, hp, resid)
     after = obj.objective_from_residuals(state, hp, resid, eps)
-    eps_next = adapt_epsilon(eps, after.risk) if adapt else eps
-    if eps_next < eps:
-        for l in range(L - 1):
-            h = ns.activation_apply(state.arch.activation[l], state.z[l])
-            state.a[l] = np.clip(state.a[l], h - eps_next, h + eps_next)
-        # the clip moved every a_l, so every R_{l+1} and F
-        resid[1:] = [None] * (L - 1)
-        warm.f_end = None
-    else:
-        warm.f_end = (eps, after.total)
+    warm.f_end = (eps, after.total)
 
     report = EpochReport(
         epoch=epoch,
@@ -488,7 +455,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
         grad_b_err=grad_b_err,
         grad_norm_proxy=grad_proxy,
         eps_used=eps,
-        eps_next=eps_next,
+        eps_next=eps,
         block_norms=_block_norms(state),
         wall_time_s=time.perf_counter() - t0,
     )
@@ -497,28 +464,24 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
 
 
 def train(arch: ns.Architecture, x: np.ndarray, y: np.ndarray, hp: obj.HyperParams,
-          per_epoch=None, adapt: bool = True) -> tuple[ns.NetworkState, list[EpochReport]]:
+          per_epoch=None) -> tuple[ns.NetworkState, list[EpochReport]]:
     """Run hp.epochs sweeps from a fresh feasible start; returns state and trace.
 
     ``per_epoch(state, report)`` is called after each epoch when given (the
     CLI uses it to record accuracies); it may read the state but must not
     mutate its blocks in place, because the next epoch reuses residuals
-    formed from them. ``adapt=False`` pins eps at eps0 for the whole run.
+    formed from them.
 
-    With ``adapt=True`` the jump down to EPS_FLOOR is taken before the first
-    sweep, where a = h(z) and tightening the slab moves no activation, so
-    eps starts at min(eps0, EPS_FLOOR) and only shrinks from there.
+    Every sweep runs at the one slab tolerance min(eps0, EPS_FLOOR): the
+    descent guarantees hold for a fixed eps, so F never rises from one
+    epoch to the next.
     """
     state = ns.initialize(arch, x, y, hp)
     warm = WarmStart.fresh(arch.num_layers, hp.alpha0)
-    eps = hp.eps0
-    if adapt:
-        # feasibility_residual at eps=0 is max|a - h(z)|: never cut below it
-        eps = min(eps, max(EPS_FLOOR, ns.feasibility_residual(state, 0.0)))
+    eps = min(hp.eps0, EPS_FLOOR)
     trace: list[EpochReport] = []
     for k in range(hp.epochs):
-        report = run_epoch(state, hp, k, eps, warm, adapt=adapt)
-        eps = report.eps_next
+        report = run_epoch(state, hp, k, eps, warm)
         trace.append(report)
         if per_epoch is not None:
             per_epoch(state, report)

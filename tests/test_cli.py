@@ -255,3 +255,14 @@ class TestPlotCommand:
         code = cli.main(["plot", "--in", str(trace), "--labels", "run",
                          "--out", str(tmp_path / "plots")])
         assert code == 0
+
+    def test_missing_column_is_an_error_message(self, tmp_path, capsys):
+        # diagnostics.csv is a per-epoch table too, but holds no accuracies
+        assert cli.main(["train", *BLOBS_ARGS, "--out", str(tmp_path / "run")]) == 0
+        diagnostics = tmp_path / "run" / "diagnostics.csv"
+        capsys.readouterr()
+        code = cli.main(["plot", "--in", str(diagnostics), "--out", str(tmp_path / "p")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {diagnostics}: missing column 'train_acc'\n"
+        assert not (tmp_path / "p" / "objective.svg").exists()

@@ -4,8 +4,10 @@ import math
 import pytest
 
 from dlam import diagnostics as diag
+from dlam import network_state as ns
 from dlam import objective as obj
 from dlam import optimizer as opt
+from dlam.data_io import synth_gaussian_blobs
 from conftest import small_state
 
 
@@ -81,7 +83,7 @@ class TestCkSeries:
     def test_trend_decays_under_fixed_eps(self):
         state = small_state(seed=22, scatter=0.5, sizes=(4, 6, 5, 3), n=12)
         hp = obj.HyperParams(rho=0.05, epochs=60, seed=2)
-        _, trace = opt.train(state.arch, state.x, state.y, hp, adapt=False)
+        _, trace = opt.train(state.arch, state.x, state.y, hp)
         series = diag.ck_series(trace, hp.rho)
         k_hi, k_lo = 59, 5
         assert (k_hi + 1) * series.c[k_hi] < (k_lo + 1) * series.c[k_lo]
@@ -91,11 +93,21 @@ class TestCkSeries:
             diag.ck_series([], rho=1.0)
 
 
+def grad_b_identity_check(state_after, z_before, rho: float) -> float:
+    """Fresh-recompute oracle for EpochReport.grad_b_err: every product formed anew."""
+    worst = 0.0
+    for l in range(state_after.num_layers):
+        product = state_after.W[l] @ state_after.a_prev(l)
+        worst = max(worst, diag.grad_b_layer_error(product, state_after.b[l], z_before[l],
+                                                   state_after.z[l], rho))
+    return worst
+
+
 class TestGradBIdentity:
     def test_stationary_state_exactly_zero(self):
         state = small_state(seed=23)
         z_before = list(state.z)
-        assert diag.grad_b_identity_check(state, z_before, rho=0.5) == 0.0
+        assert grad_b_identity_check(state, z_before, rho=0.5) == 0.0
 
     def test_clean_epochs_below_threshold(self):
         state = small_state(seed=24, scatter=0.5, sizes=(4, 6, 5, 3), n=12)
@@ -110,17 +122,28 @@ class TestGradBIdentity:
         opt.run_epoch(state, hp, 0, eps=1.0)
         # rebuild the pre-update z for the check and then poison b
         z_pre = z_before
-        err_clean = diag.grad_b_identity_check(state, z_pre, hp.rho)
+        err_clean = grad_b_identity_check(state, z_pre, hp.rho)
         state.b[1] = state.b[1] + 1e-3
-        err_poisoned = diag.grad_b_identity_check(state, z_pre, hp.rho)
+        err_poisoned = grad_b_identity_check(state, z_pre, hp.rho)
         assert err_poisoned == pytest.approx(err_clean + hp.rho * 1e-3, rel=1e-6)
+
+    def test_recorded_error_equals_fresh_oracle(self):
+        # run_epoch takes each layer's term from its cached product mid-sweep
+        ds = synth_gaussian_blobs(classes=3, d=12, n_per_class=40, seed=11, noise=0.05)
+        hp = obj.HyperParams(rho=0.01, seed=0)
+        state = ns.initialize(ns.Architecture((12, 16, 16, 3)), ds.x, ds.y, hp)
+        warm = opt.WarmStart.fresh(state.num_layers, hp.alpha0)
+        for k in range(50):
+            z_before = list(state.z)
+            report = opt.run_epoch(state, hp, k, 0.01, warm)
+            assert report.grad_b_err == grad_b_identity_check(state, z_before, hp.rho)
 
 
 class TestSubgradientRatio:
     def test_logged_series_finite_on_runs(self):
         state = small_state(seed=31, scatter=0.5, sizes=(4, 6, 5, 3), n=12)
         hp = obj.HyperParams(rho=0.05, epochs=30, seed=2)
-        _, trace = opt.train(state.arch, state.x, state.y, hp, adapt=False)
+        _, trace = opt.train(state.arch, state.x, state.y, hp)
         ratios = diag.subgradient_ratio_series(trace)
         assert len(ratios) == len(trace)
         assert all(math.isfinite(r) and r >= 0.0 for r in ratios)
@@ -143,7 +166,7 @@ class TestBoundedness:
     def test_monotone_run_flagged_true(self):
         state = small_state(seed=26, scatter=0.4, sizes=(4, 5, 3), n=10)
         hp = obj.HyperParams(rho=0.05, epochs=20, seed=5)
-        _, trace = opt.train(state.arch, state.x, state.y, hp, adapt=False)
+        _, trace = opt.train(state.arch, state.x, state.y, hp)
         rec = diag.boundedness_record(trace)
         assert rec.f_monotone
         assert rec.f_min == min(r.f_after for r in trace)

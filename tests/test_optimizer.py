@@ -198,15 +198,20 @@ class TestUpdateZOutput:
         assert state.z[1][0, 0] == pytest.approx(expect, abs=1e-8)
 
     def test_inner_objective_nonincreasing_cross_entropy(self):
+        # the k-iteration run is the k-step prefix of any longer one, so the end
+        # values of fresh runs with budgets 1..K are the iterates' objectives
         for seed in range(50):
-            state = small_state(seed=seed, scatter=1.0)
-            hp = obj.HyperParams(rho=float(np.random.default_rng(seed).uniform(1e-4, 1.0)),
-                                 fista_iters=40)
-            res = opt.update_z_output(state, hp, record_history=True)
-            hist = res.history
-            for prev, cur in zip(hist, hist[1:]):
+            rho = float(np.random.default_rng(seed).uniform(1e-4, 1.0))
+            ends = []
+            for k in range(1, 41):
+                state = small_state(seed=seed, scatter=1.0)
+                res = opt.update_z_output(state, obj.HyperParams(rho=rho, fista_iters=k))
+                assert res.objective_end <= res.objective_start
+                ends.append(res.objective_end)
+                if res.converged:
+                    break
+            for prev, cur in zip(ends, ends[1:]):
                 assert cur <= prev + 1e-12 * max(1.0, abs(prev))
-            assert res.objective_end <= res.objective_start
 
     def test_nonconverged_flagged(self):
         state = small_state(seed=6, scatter=1.0, sizes=(3, 4, 3, 2), n=4)
@@ -250,21 +255,6 @@ class TestUpdateA:
             assert np.all(state.a[l] <= h + 1.0 + 1e-12)
 
 
-class TestAdaptEpsilon:
-    def test_never_grows(self):
-        assert opt.adapt_epsilon(10.0, 200.0) == 10.0
-        assert opt.adapt_epsilon(0.01, 2.0) == 0.01
-
-    def test_shrink_branch_jumps_to_floor(self):
-        assert opt.adapt_epsilon(10.0, 0.5) == 0.01
-
-    def test_dead_zone(self):
-        assert opt.adapt_epsilon(1.0, 5.0) == 1.0
-
-    def test_halving_below_floor(self):
-        assert opt.adapt_epsilon(0.004, 1e-9) == 0.002
-
-
 class TestRunEpoch:
     def test_objective_never_increases_within_epoch(self):
         for seed in range(6):
@@ -292,21 +282,27 @@ class TestRunEpoch:
             eps = report.eps_next
 
     def test_epsilon_shrink_reprojects_activations(self):
-        # zero risk forces the shrink branch every epoch
+        # a caller tightens eps between sweeps; the sweep at the new eps moves
+        # every a_l back into the narrower slab and hands back the eps it got
         state = small_state(seed=12, scatter=0.5, risk=ns.RiskKind.ZERO)
         hp = obj.HyperParams(rho=0.1, eps0=10.0)
-        report = opt.run_epoch(state, hp, 0, eps=10.0)
-        assert report.eps_next == 0.01
-        assert ns.feasibility_residual(state, report.eps_next) == 0.0
-        report = opt.run_epoch(state, hp, 1, eps=report.eps_next)
-        assert report.eps_next == 0.005
+        opt.run_epoch(state, hp, 0, eps=10.0)
+        assert ns.feasibility_residual(state, 0.01) > 0.0
+        report = opt.run_epoch(state, hp, 1, eps=0.01)
+        assert report.eps_used == report.eps_next == 0.01
+        assert report.feasibility_residual == 0.0
+        assert ns.feasibility_residual(state, 0.01) == 0.0
+        report = opt.run_epoch(state, hp, 2, eps=0.01)
         assert report.recoveries == 0
+        assert report.f_after <= report.f_before
 
     def test_fixed_eps_skips_adaptation(self):
+        # zero risk is far below eps/10; run_epoch still hands back the eps it got
         state = small_state(seed=12, scatter=0.5, risk=ns.RiskKind.ZERO)
         hp = obj.HyperParams(rho=0.1)
-        report = opt.run_epoch(state, hp, 0, eps=10.0, adapt=False)
-        assert report.eps_next == 10.0
+        report = opt.run_epoch(state, hp, 0, eps=10.0)
+        assert report.eps_used == report.eps_next == 10.0
+        assert ns.feasibility_residual(state, 10.0) == 0.0
 
     def test_grad_b_identity_recorded_small(self):
         state = small_state(seed=13, scatter=0.4)
@@ -337,7 +333,7 @@ class TestTrain:
         state_args = dict(sizes=(4, 6, 5, 3), n=10)
         s = small_state(seed=20, **state_args)
         hp = obj.HyperParams(rho=0.01, eps0=1.0, epochs=40, seed=3)
-        _, trace = opt.train(s.arch, s.x, s.y, hp, adapt=False)
+        _, trace = opt.train(s.arch, s.x, s.y, hp)
         fs = [r.f_after for r in trace]
         assert all(b <= a + 1e-8 for a, b in zip(fs, fs[1:]))
         assert all(r.f_after <= r.f_before + 1e-8 for r in trace)
@@ -347,16 +343,16 @@ class TestTrain:
         s = small_state(seed=21, sizes=(4, 6, 5, 3), n=10)
         hp = obj.HyperParams(rho=0.01, eps0=eps0, epochs=3, seed=3)
         _, trace = opt.train(s.arch, s.x, s.y, hp)
-        assert trace[0].eps_used == min(eps0, 0.01)
+        assert all(r.eps_used == r.eps_next == min(eps0, 0.01) for r in trace)
 
     def test_adaptive_schedule_monotone_on_blobs(self):
-        # the criterion-11 config; regrowing eps after a paid shrink would let
-        # the activations drift, and the next shrink's re-projection raise F
+        # the criterion-11 config; moving eps between sweeps would have to clip
+        # the activations into the new slab, which is no descent step
         ds = synth_gaussian_blobs(classes=3, d=12, n_per_class=40, seed=11, noise=0.05)
         arch = ns.Architecture((12, 16, 16, 3))
         hp = obj.HyperParams(rho=0.01, eps0=1.0, epochs=150, seed=0)
         _, trace = opt.train(arch, ds.x, ds.y, hp)
-        assert all(r.eps_next <= r.eps_used for r in trace)
+        assert all(r.eps_next == r.eps_used for r in trace)
         fs = [r.f_after for r in trace]
         assert all(b <= a + 1e-8 for a, b in zip(fs, fs[1:]))
 
@@ -396,7 +392,11 @@ def _blobs_problem(epochs):
 
 
 def _shrinking_problem(epochs):
-    """Squared-risk blobs whose eps shrinks at epochs 44 and 83, raising F each time."""
+    """Squared-risk blobs whose risk falls under eps/10 by epoch 44.
+
+    A schedule that tightened eps there by clipping the activations into the
+    narrower slab raised F at epochs 44 and 83; a fixed eps must not.
+    """
     ds = synth_gaussian_blobs(classes=3, d=12, n_per_class=10, seed=11, noise=0.05)
     hp = obj.HyperParams(rho=0.01, eps0=1.0, epochs=epochs, seed=0)
     return ns.Architecture((12, 16, 16, 3), risk=ns.RiskKind.SQUARED), ds.x, ds.y, hp
@@ -442,9 +442,9 @@ def cache_watch(monkeypatch):
         monkeypatch.setattr(opt, name, wrap(name, getattr(opt, name)))
     run_epoch = opt.run_epoch
 
-    def epoch(state, hp, k, eps=None, warm=None, adapt=True):
+    def epoch(state, hp, k, eps, warm=None):
         watch["warm"] = warm
-        report = run_epoch(state, hp, k, eps, warm, adapt)
+        report = run_epoch(state, hp, k, eps, warm)
         check(state, f"epoch {k}")
         return report
 
@@ -459,41 +459,60 @@ class TestResidualReuse:
         assert cache_watch["compared"] > 20 * len(BLOCKS)
 
     def test_cache_coherent_through_epsilon_shrink(self, cache_watch):
-        # the state of test_epsilon_shrink_reprojects_activations
+        # the state of test_epsilon_shrink_reprojects_activations; the F carried
+        # from the eps-10 sweep must not stand in for F at the tighter eps
         state = small_state(seed=12, scatter=0.5, risk=ns.RiskKind.ZERO)
         hp = obj.HyperParams(rho=0.1, eps0=10.0)
         warm = opt.WarmStart.fresh(state.num_layers, hp.alpha0)
         report = opt.run_epoch(state, hp, 0, eps=10.0, warm=warm)
-        assert report.eps_next == 0.01
-        opt.run_epoch(state, hp, 1, eps=report.eps_next, warm=warm)
-        assert cache_watch["compared"] > 0
+        f_tight = obj.evaluate_f(state, hp, 0.01).total
+        assert f_tight != report.f_after
+        report = opt.run_epoch(state, hp, 1, eps=0.01, warm=warm)
+        assert report.f_before == f_tight
+        f_carried = report.f_after
+        report = opt.run_epoch(state, hp, 2, eps=0.01, warm=warm)
+        assert report.f_before == f_carried
+        assert cache_watch["compared"] > 3 * len(BLOCKS)
+
+    def test_zero_risk_run_holds_eps_and_carries_f(self, cache_watch):
+        # zero risk sits far below eps/10, where a risk-driven schedule would
+        # tighten the slab; eps stays put and each epoch starts from the last F
+        state = small_state(seed=12, scatter=0.5, risk=ns.RiskKind.ZERO)
+        hp = obj.HyperParams(rho=0.1, eps0=10.0)
+        warm = opt.WarmStart.fresh(state.num_layers, hp.alpha0)
+        trace = []
+        for k in range(5):
+            report = opt.run_epoch(state, hp, k, eps=10.0, warm=warm)
+            assert report.eps_used == report.eps_next == 10.0
+            assert report.f_after == obj.evaluate_f(state, hp, 10.0).total
+            assert report.recoveries == 0
+            trace.append(report)
+        for prev, cur in zip(trace, trace[1:]):
+            assert cur.f_before == prev.f_after
+            assert cur.f_after <= cur.f_before + 1e-12
+        assert cache_watch["compared"] > 5 * len(BLOCKS)
 
     def test_cache_coherent_through_recovery(self, cache_watch):
         # the state of test_empty_interval_recovery_recenters, as a whole sweep
         state = _scalar_state(W1=1.0, b1=0.0, z1=0.5, a1=-5.0, W2=1.0, b2=0.0, z2=0.5)
         hp = obj.HyperParams(rho=1.0)
         warm = opt.WarmStart.fresh(state.num_layers, hp.alpha0)
-        report = opt.run_epoch(state, hp, 0, eps=0.1, warm=warm, adapt=False)
+        report = opt.run_epoch(state, hp, 0, eps=0.1, warm=warm)
         assert report.recoveries == 1
-        opt.run_epoch(state, hp, 1, eps=0.1, warm=warm, adapt=False)
+        opt.run_epoch(state, hp, 1, eps=0.1, warm=warm)
         assert cache_watch["compared"] > 0
 
     @pytest.mark.parametrize("problem,epochs", [(_blobs_problem, 30),
                                                 (_shrinking_problem, 90)])
     def test_reuse_changes_no_bit(self, monkeypatch, problem, epochs):
         arch, x, y, hp = problem(epochs)
-        fresh_f = []     # F right after each epoch, re-projection included
-
-        def after_epoch(state, report):
-            fresh_f.append(obj.evaluate_f(state, hp, report.eps_next).total)
-
-        state, trace = opt.train(arch, x, y, hp, per_epoch=after_epoch)
+        state, trace = opt.train(arch, x, y, hp)
         run_epoch = opt.run_epoch
 
-        def forgetful(state, hp, k, eps=None, warm=None, adapt=True):
+        def forgetful(state, hp, k, eps, warm=None):
             warm.resid = [None] * arch.num_layers
             warm.f_end = None
-            return run_epoch(state, hp, k, eps, warm, adapt)
+            return run_epoch(state, hp, k, eps, warm)
 
         monkeypatch.setattr(opt, "run_epoch", forgetful)
         state2, trace2 = opt.train(arch, x, y, hp)
@@ -507,14 +526,11 @@ class TestResidualReuse:
         for blocks, blocks2 in ((state.W, state2.W), (state.b, state2.b),
                                 (state.z, state2.z), (state.a, state2.a)):
             assert [v.tobytes() for v in blocks] == [v.tobytes() for v in blocks2]
-        shrinks = 0
-        for k in range(hp.epochs - 1):
-            if trace[k].eps_next == trace[k].eps_used:
-                assert trace[k + 1].f_before == trace[k].f_after
-            else:
-                assert trace[k + 1].f_before == fresh_f[k]
-                shrinks += 1
-        assert shrinks == (2 if problem is _shrinking_problem else 0)
+        # one eps for the whole run, and each epoch starts where the last ended
+        assert all(r.eps_next == r.eps_used == trace[0].eps_used for r in trace)
+        for prev, cur in zip(trace, trace[1:]):
+            assert cur.f_before == prev.f_after
+            assert cur.f_after <= prev.f_after
 
     def test_later_epochs_form_no_duplicate_products(self, monkeypatch):
         counts = Counter()
