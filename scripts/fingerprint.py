@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per training run, to show that a change moves no bit.
+
+    python scripts/fingerprint.py                      # all five runs
+    python scripts/fingerprint.py --runs tanh-l1-blobs
+
+Each run trains from a fixed seed with ``dlam.train`` and hashes the final
+W, b, z and a bytes together with every ``EpochReport`` field except
+``wall_time_s``. Run it at two commits of a source checkout (it imports the
+package from that checkout's ``src/``) and compare the lines: equal hashes
+mean bit-identical training. Hashes depend on the numpy build and its BLAS,
+so compare them on one machine only; the BLAS pools are pinned to one
+thread unless the environment already sets them.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+if __name__ == "__main__":
+    # before numpy loads: the BLAS pool size is read once, at import
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np                   # noqa: E402
+
+from dlam import network_state as ns   # noqa: E402
+from dlam import objective as obj      # noqa: E402
+from dlam import optimizer as opt      # noqa: E402
+from dlam.data_io import synth_gaussian_blobs   # noqa: E402
+
+ACT = ns.ActivationKind
+BLOBS = dict(classes=3, d=12, n_per_class=40, seed=11, noise=0.05)   # criterion 11
+
+# name -> (architecture, dataset arguments, hyperparameters)
+RUNS = {
+    # the acceptance protocol on its surrogate-5k data, and its sigmoid variant
+    "repro-5k": (ns.Architecture((196, 100, 100, 10)),
+                 dict(classes=10, d=196, n_per_class=500, seed=7, noise=0.25),
+                 obj.HyperParams(rho=1e-4, eps0=10.0, epochs=30, seed=0)),
+    "sigmoid-net": (ns.Architecture((196, 100, 100, 10), activation=ACT.SIGMOID),
+                    dict(classes=10, d=196, n_per_class=200, seed=7, noise=0.25),
+                    obj.HyperParams(rho=1e-4, eps0=10.0, epochs=30, seed=0)),
+    # a risk that falls under eps/10, where an eps schedule would act
+    "squared-blobs": (ns.Architecture((12, 16, 16, 3), risk=ns.RiskKind.SQUARED),
+                      dict(BLOBS, n_per_class=10),
+                      obj.HyperParams(rho=0.01, eps0=1.0, epochs=300, seed=0)),
+    "tanh-l1-blobs": (ns.Architecture((12, 16, 16, 3), activation=ACT.TANH,
+                                      regularizer=ns.RegKind.L1, reg_weight=1e-3),
+                      BLOBS, obj.HyperParams(rho=0.01, eps0=1.0, epochs=100, seed=0)),
+    "sigmoid-l2-blobs": (ns.Architecture((12, 16, 16, 3), activation=ACT.SIGMOID,
+                                         regularizer=ns.RegKind.L2, reg_weight=1e-3),
+                         BLOBS, obj.HyperParams(rho=0.01, eps0=1.0, epochs=100, seed=0)),
+}
+
+
+def fingerprint(state: ns.NetworkState, trace) -> str:
+    """SHA-256 of the final blocks' bytes and every report field but wall time."""
+    digest = hashlib.sha256()
+    for report in trace:
+        fields = dataclasses.asdict(report)
+        del fields["wall_time_s"]
+        digest.update(repr(fields).encode())     # repr round-trips every float
+    for blocks in (state.W, state.b, state.z, state.a):
+        for block in blocks:
+            digest.update(np.ascontiguousarray(block, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def run(name: str) -> str:
+    arch, data, hp = RUNS[name]
+    ds = synth_gaussian_blobs(**data)
+    return fingerprint(*opt.train(arch, ds.x, ds.y, hp))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--runs", nargs="+", choices=list(RUNS), default=list(RUNS))
+    args = parser.parse_args(argv)
+    for name in args.runs:
+        print(f"{run(name)}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -437,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
             for path in plot_traces(args.traces, labels, args.out_dir):
                 print(path)
             return 0
-    except (ValueError, OSError, opt.BacktrackError) as exc:
+    except (ValueError, OSError, opt.BacktrackError, opt.NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -66,18 +66,19 @@ def ck_series(trace, rho: float) -> CkSeries:
     return CkSeries(c=c, k_times_c=k_times_c)
 
 
-def grad_b_layer_error(product: np.ndarray, b: np.ndarray, z_before: np.ndarray,
-                       z_after: np.ndarray, rho: float) -> float:
+def grad_b_layer_error(product: np.ndarray, b: np.ndarray, z: np.ndarray,
+                       dz: np.ndarray, rho: float) -> float:
     """Max deviation of one layer's intercept gradient from rho * mean(z_old - z_new).
 
     The intercept step is an exact minimizer, so the post-step penalty
     gradient with respect to b collapses to the mean pre-activation
     movement; the returned value is zero up to rounding on a clean epoch.
-    ``product`` is W a_prev after the step. Uses the per-sample mean
-    convention on both sides.
+    ``product`` is W a_prev after the step, ``z`` the pre-activation after
+    it and ``dz`` its movement z_new - z_old (negating it is exact). Uses
+    the per-sample mean convention on both sides.
     """
-    mean_resid = obj.mean_residual(product, b, z_after)
-    predicted = (z_before - z_after).mean(axis=1, keepdims=True)
+    mean_resid = obj.mean_residual(product, b, z)
+    predicted = -dz.mean(axis=1, keepdims=True)
     return float(np.max(np.abs(rho * mean_resid - rho * predicted)))
 
 

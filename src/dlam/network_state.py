@@ -51,13 +51,17 @@ def activation_apply(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
     if kind is ActivationKind.RELU:
         return np.maximum(0.0, z)
     if kind is ActivationKind.SIGMOID:
-        # split by sign to avoid overflow in exp
-        out = np.empty_like(z, dtype=np.float64)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        # 1/(1+e) where z >= 0 and e/(1+e) below, with e = exp(-|z|) <= 1 so
+        # exp cannot overflow; the same bits as splitting z by sign, built
+        # in place without boolean indexing
+        e = np.abs(z, dtype=np.float64)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        d = 1.0 + e
+        np.divide(e, d, out=e)
+        np.divide(1.0, d, out=d)
+        np.copyto(e, d, where=z >= 0)
+        return e
     if kind is ActivationKind.TANH:
         return np.tanh(z)
     raise ValueError(f"unknown activation {kind!r}")
@@ -80,10 +84,10 @@ def slab_z_bounds(kind: ActivationKind, a: np.ndarray, eps: float):
     d = SATURATION_GUARD
     if kind is ActivationKind.RELU:
         empty = t_hi < 0.0
-        hi = np.where(empty, 0.0, t_hi)
         lo = np.where(t_lo > 0.0, t_lo, -np.inf)
-        lo = np.where(empty, 0.0, lo)
-        return lo, hi, empty
+        if not empty.any():
+            return lo, t_hi, empty
+        return np.where(empty, 0.0, lo), np.where(empty, 0.0, t_hi), empty
     # each side's temporaries are released before the other side is built:
     # this is the peak memory of the hidden z step
     if kind is ActivationKind.SIGMOID:

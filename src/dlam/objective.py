@@ -210,18 +210,18 @@ def solve_w_subproblem(kind: ns.RegKind, lam: float, W_k: np.ndarray,
 
 
 def objective_from_residuals(state: ns.NetworkState, hp: HyperParams,
-                             residuals: list[np.ndarray], eps: float) -> ObjectiveBreakdown:
+                             residuals: list[np.ndarray], feas: float) -> ObjectiveBreakdown:
     """Full objective at the current state, given every layer's coupling residual.
 
-    ``residuals[l]`` must be W_l a_{l-1} + b_l - z_l at the current state. A
-    state violating the eps-slab beyond float slack reports feasible=False
-    and an infinite total instead of raising.
+    ``residuals[l]`` must be W_l a_{l-1} + b_l - z_l at the current state and
+    ``feas`` its largest slab violation, ns.feasibility_residual at the eps
+    in force. A state violating the slab beyond float slack reports
+    feasible=False and an infinite total instead of raising.
     """
     arch = state.arch
     risk = risk_value(arch.risk, state.z[-1], state.y)
     reg = sum(regularizer_value(arch.regularizer, arch.reg_weight, W) for W in state.W)
     penalties = [0.5 * hp.rho * float(np.sum(r * r)) for r in residuals]
-    feas = ns.feasibility_residual(state, eps)
     feasible = feas <= FEASIBILITY_TOL
     total = risk + reg + sum(penalties) if feasible else math.inf
     return ObjectiveBreakdown(risk=risk, reg=reg, penalty_per_layer=penalties,
@@ -239,7 +239,7 @@ def evaluate_f(state: ns.NetworkState, hp: HyperParams,
         eps = hp.eps0
     residuals = [coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
                  for l in range(state.num_layers)]
-    return objective_from_residuals(state, hp, residuals, eps)
+    return objective_from_residuals(state, hp, residuals, ns.feasibility_residual(state, eps))
 
 
 def accuracy_from_logits(logits: np.ndarray, y: np.ndarray) -> float:

@@ -34,6 +34,22 @@ class BacktrackError(RuntimeError):
         self.last_param = last_param
 
 
+class NonFiniteError(ArithmeticError):
+    """A NaN or inf reached the objective; names the epoch, layer and block.
+
+    The block updates raise it with their layer, and run_epoch adds the epoch.
+    """
+
+    def __init__(self, block: str, layer: int | None = None, epoch: int | None = None):
+        super().__init__(block, layer, epoch)
+        self.block, self.layer, self.epoch = block, layer, epoch
+
+    def __str__(self) -> str:
+        where = (("epoch", self.epoch), ("layer", self.layer))
+        at = ", ".join(f"{name} {v}" for name, v in where if v is not None)
+        return f"NaN or inf in the {self.block} at {at}"
+
+
 @dataclass
 class BacktrackResult:
     accepted_param: float        # curvature theta (W step) or tau (a step)
@@ -41,6 +57,8 @@ class BacktrackResult:
     trials: int
     phi_value: float             # true penalty at the accepted candidate
     model_value: float           # majorizer at the accepted candidate
+    move_sq: float               # squared Frobenius norm of the accepted step
+    slab_violation: float = 0.0  # a step: largest slab violation of the accepted block
 
 
 @dataclass
@@ -59,9 +77,11 @@ class WarmStart:
     ``theta``/``tau`` are each layer's last accepted curvatures. ``resid[l]``
     is layer l's coupling residual W_l a_{l-1} + b_l - z_l while none of its
     operands has moved since it was formed, and None otherwise; run_epoch
-    keeps every slot current through the sweep. ``f_end`` is (eps, F) at the
-    end of the last sweep; the next sweep starts from that F when it runs at
-    the same eps. The slots hold values derived from the state, never the
+    keeps every slot current through the sweep. ``grad_w0`` is layer 0's
+    penalty gradient rho R_0 x^T formed from ``resid[0]``, held only while
+    that slot is and cleared with it. ``f_end`` is (eps, F) at the end of
+    the last sweep; the next sweep starts from that F when it runs at the
+    same eps. The slots hold values derived from the state, never the
     operand arrays themselves, and describe only the state they were formed
     on: between epochs that state may have blocks replaced, never mutated in
     place.
@@ -70,6 +90,7 @@ class WarmStart:
     theta: list[float]
     tau: list[float]
     resid: list[np.ndarray | None]
+    grad_w0: np.ndarray | None = None
     f_end: tuple[float, float] | None = None
 
     @classmethod
@@ -118,7 +139,8 @@ def _sq(delta: np.ndarray) -> float:
 
 
 def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
-             theta0: float | None = None, resid: np.ndarray | None = None) -> BacktrackResult:
+             theta0: float | None = None, resid: np.ndarray | None = None,
+             grad: np.ndarray | None = None) -> BacktrackResult:
     """Backtracked majorized step on W at ``layer``; writes the result into state.
 
     The candidate minimizes the quadratic model plus the regularizer in
@@ -129,22 +151,30 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
     exact when the residual is near machine zero (a direct phi evaluation
     is cancellation noise there and can stall the loop). Termination is
     guaranteed once the curvature dominates rho ||a_prev||^2. ``resid`` is
-    the layer's current coupling residual when the caller already has it.
+    the layer's current coupling residual when the caller already has it,
+    and ``grad`` the penalty gradient rho resid a_prev^T formed from that
+    residual; without ``resid`` it is ignored. Raises NonFiniteError when
+    the penalty is NaN or inf: every operand of the step enters it.
     """
     arch = state.arch
     a_prev = state.a_prev(layer)
     W_k = state.W[layer]
     if resid is None:
         resid = obj.coupling_residual(a_prev, W_k, state.b[layer], state.z[layer])
+        grad = None
     phi0 = 0.5 * hp.rho * _sq(resid)
-    grad = hp.rho * (resid @ a_prev.T)
+    if not math.isfinite(phi0):
+        raise NonFiniteError("W update", layer)
+    if grad is None:
+        grad = hp.rho * (resid @ a_prev.T)
     theta = hp.alpha0 if theta0 is None else max(theta0, hp.alpha0)
     trials = 1
     while True:
         cand = obj.solve_w_subproblem(arch.regularizer, arch.reg_weight, W_k, grad, theta)
         d = cand - W_k
         quad_true = 0.5 * hp.rho * float(np.sum((d @ a_prev) ** 2))
-        quad_model = 0.5 * theta * float(np.sum(d * d))
+        move_sq = _sq(d)
+        quad_model = 0.5 * theta * move_sq
         if quad_true <= quad_model:
             break
         if trials >= hp.max_backtrack:
@@ -156,7 +186,7 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
         trials += 1
     state.W[layer] = cand
     base = _expand_at(phi0, grad, d)
-    return BacktrackResult(theta, cand, trials, base + quad_true, base + quad_model)
+    return BacktrackResult(theta, cand, trials, base + quad_true, base + quad_model, move_sq)
 
 
 def update_b(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
@@ -273,8 +303,11 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
     h(z) at this epoch's fresh z, which is the exact minimizer of the
     model-plus-indicator for scalar curvature; the curvature grows by eta
     until the true penalty of the next layer is majorized. Feasibility of
-    the accepted block holds by construction. ``resid`` is the next layer's
-    current coupling residual when the caller already has it.
+    the accepted block holds by construction, and the result measures it
+    against the slab it was projected onto, as ns.feasibility_residual
+    would. ``resid`` is the next layer's current coupling residual when the
+    caller already has it. Raises NonFiniteError when the penalty or a
+    trial step is NaN or inf, which no curvature repairs.
     """
     kind = state.arch.activation[layer]
     a_k = state.a[layer]
@@ -284,6 +317,8 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
     if resid is None:
         resid = obj.coupling_residual(a_k, W_next, state.b[layer + 1], state.z[layer + 1])
     phi0 = 0.5 * hp.rho * _sq(resid)
+    if not math.isfinite(phi0):
+        raise NonFiniteError("a update", layer)
     grad = hp.rho * (W_next.T @ resid)
     tau = hp.alpha0 if tau0 is None else max(tau0, hp.alpha0)
     trials = 1
@@ -292,9 +327,12 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
         d = cand - a_k
         # exact quadratic expansion, see update_w
         quad_true = 0.5 * hp.rho * float(np.sum((W_next @ d) ** 2))
-        quad_model = 0.5 * tau * float(np.sum(d * d))
+        move_sq = _sq(d)
+        quad_model = 0.5 * tau * move_sq
         if quad_true <= quad_model:
             break
+        if math.isnan(quad_true):       # a NaN in h(z), which phi0 does not see
+            raise NonFiniteError("a update", layer)
         if trials >= hp.max_backtrack:
             raise BacktrackError(
                 f"a update at layer {layer} did not majorize after {trials} trials",
@@ -304,7 +342,13 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
         trials += 1
     state.a[layer] = cand
     base = _expand_at(phi0, grad, d)
-    return BacktrackResult(tau, cand, trials, base + quad_true, base + quad_model)
+    # the trial temporaries go before the violation is formed: peak memory
+    del grad, d, h
+    viol = np.clip(cand, lo, hi, out=lo)
+    np.subtract(cand, viol, out=viol)
+    np.abs(viol, out=viol)
+    return BacktrackResult(tau, cand, trials, base + quad_true, base + quad_model, move_sq,
+                           float(np.max(viol, initial=0.0)))
 
 
 # Largest slab tolerance train uses: every sweep runs at min(eps0, EPS_FLOOR).
@@ -320,22 +364,26 @@ def _block_norms(state: ns.NetworkState) -> dict:
     }
 
 
-def _grad_norm_proxy(state: ns.NetworkState, hp: obj.HyperParams,
-                     residuals: list[np.ndarray]) -> float:
+def _grad_norm_proxy(state: ns.NetworkState, hp: obj.HyperParams, warm: WarmStart) -> float:
     """Norm of the computable smooth components of the objective gradient.
 
     Covers the W and b penalty gradients (plus the l2 regularizer term when
     active) and the output pre-activation's penalty-plus-risk gradient. The
     hidden z and a components involve indicator subdifferentials and are
     left out; the ratio of this proxy to the block movement is logged by the
-    diagnostics as the weak form of the subgradient bound. ``residuals``
-    holds every layer's current coupling residual.
+    diagnostics as the weak form of the subgradient bound. ``warm.resid``
+    holds every layer's current coupling residual; layer 0's penalty
+    gradient, which is the next sweep's first W gradient, is left in
+    ``warm.grad_w0``.
     """
     arch = state.arch
     L = state.num_layers
+    residuals = warm.resid
     total = 0.0
     for l in range(L):
         gw = hp.rho * (residuals[l] @ state.a_prev(l).T)
+        if l == 0:
+            warm.grad_w0 = gw
         if arch.regularizer is ns.RegKind.L2 and arch.reg_weight > 0.0:
             gw = gw + 2.0 * arch.reg_weight * state.W[l]
         gb = hp.rho * residuals[l].sum(axis=1, keepdims=True)
@@ -358,11 +406,19 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     product W_l a_{l-1} are formed once and reused only while their
     operands are unchanged, in the operation order of a fresh formation,
     so reuse changes no bit. The R_l formed after layer l's z step holds to
-    the end of the sweep, where the certificates and f_after read it.
-    ``warm`` carries the residuals and f_after into the next call, which
-    must get the state as this call left it; there layer 0's W step, the a
-    steps and (when eps is unchanged) f_before need no new product.
-    Without ``warm`` the epoch starts from fresh curvatures and residuals.
+    the end of the sweep, where the certificates and f_after read it. The
+    other certificates are by-products of the blocks: dw_sq and da_sq are
+    the squared steps the majorization tests formed, dz_sq and the grad-b
+    term share one z difference, and the feasibility residual is the a
+    steps' own slab violation.
+
+    ``warm`` carries the residuals, the proxy's layer-0 W gradient and
+    f_after into the next call, which must get the state as this call left
+    it; there layer 0's W step, the a steps and (when eps is unchanged)
+    f_before need no new product. Without ``warm`` the epoch starts from
+    fresh curvatures and residuals. A NaN or inf in a block's penalty or
+    trial step, in f_after or in the proxy raises NonFiniteError naming
+    the epoch (and the layer and block where it is known).
     """
     t0 = time.perf_counter()
     L = state.num_layers
@@ -376,7 +432,8 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
             if resid[l] is None:
                 resid[l] = obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l],
                                                  state.z[l])
-        f_before = obj.objective_from_residuals(state, hp, resid, eps).total
+        f_before = obj.objective_from_residuals(state, hp, resid,
+                                                ns.feasibility_residual(state, eps)).total
 
     theta, tau = [], []
     dw_sq, db_sq, dz_sq, da_sq = [], [], [], []
@@ -384,52 +441,65 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     maj_w, maj_a = [], []
     recoveries = 0
     grad_b_err = 0.0
+    feas = 0.0
     fista = None
-    for l in range(L):
-        # R_l is still held only for layer 0; update_a(l - 1) took the others
-        r_w, resid[l] = resid[l], None
-        old_w = state.W[l]
-        rw = update_w(state, l, hp, warm.theta[l] / hp.gamma, r_w)
-        del r_w     # each batch-sized temporary goes as soon as it is used: peak memory
-        theta.append(rw.accepted_param)
-        trials_w.append(rw.trials)
-        maj_w.append((rw.phi_value, rw.model_value))
-        dw_sq.append(_sq(state.W[l] - old_w))
-        warm.theta[l] = rw.accepted_param
+    try:
+        for l in range(L):
+            # R_l is still held only for layer 0; update_a(l - 1) took the others.
+            # The carried W gradient goes with R_0 (the slot is empty after layer 0).
+            r_w, resid[l] = resid[l], None
+            g_w, warm.grad_w0 = warm.grad_w0, None
+            rw = update_w(state, l, hp, warm.theta[l] / hp.gamma, r_w, g_w)
+            del r_w, g_w    # batch-sized temporaries go as soon as they are used: peak memory
+            theta.append(rw.accepted_param)
+            trials_w.append(rw.trials)
+            maj_w.append((rw.phi_value, rw.model_value))
+            dw_sq.append(rw.move_sq)
+            warm.theta[l] = rw.accepted_param
 
-        # W_l and a_{l-1} are final for this sweep from here on
-        product = state.W[l] @ state.a_prev(l)
-        old_b = state.b[l]
-        update_b(state, l, hp, product)
-        db_sq.append(_sq(state.b[l] - old_b))
+            # W_l and a_{l-1} are final for this sweep from here on
+            product = state.W[l] @ state.a_prev(l)
+            old_b = state.b[l]
+            update_b(state, l, hp, product)
+            db_sq.append(_sq(state.b[l] - old_b))
 
-        old_z = state.z[l]
-        if l == L - 1:
-            fista = update_z_output(state, hp, product=product)
-        else:
-            # R_{l+1} is taken out before a recovery can move a_l under it
-            r_a, resid[l + 1] = resid[l + 1], None
-            _, rec = update_z_hidden(state, l, hp, eps, product)
-            recoveries += rec
-        dz_sq.append(_sq(state.z[l] - old_z))
-        # coupling_residual's operation order; current to the end of the sweep
-        resid[l] = product + state.b[l] - state.z[l]
-        grad_b_err = max(grad_b_err, grad_b_layer_error(product, state.b[l], old_z,
-                                                        state.z[l], hp.rho))
-        del product, old_z
+            old_z = state.z[l]
+            if l == L - 1:
+                fista = update_z_output(state, hp, product=product)
+            else:
+                # R_{l+1} is taken out before a recovery can move a_l under it
+                r_a, resid[l + 1] = resid[l + 1], None
+                _, rec = update_z_hidden(state, l, hp, eps, product)
+                recoveries += rec
+            dz = state.z[l] - old_z
+            del old_z
+            dz_sq.append(_sq(dz))
+            # coupling_residual's operation order; current to the end of the sweep
+            resid[l] = product + state.b[l] - state.z[l]
+            grad_b_err = max(grad_b_err, grad_b_layer_error(product, state.b[l], state.z[l],
+                                                            dz, hp.rho))
+            del product, dz
 
-        if l < L - 1:
-            old_a = state.a[l]
-            ra = update_a(state, l, hp, eps, warm.tau[l] / hp.eta, None if rec else r_a)
-            del r_a
-            tau.append(ra.accepted_param)
-            trials_a.append(ra.trials)
-            maj_a.append((ra.phi_value, ra.model_value))
-            da_sq.append(_sq(state.a[l] - old_a))
-            warm.tau[l] = ra.accepted_param
+            if l < L - 1:
+                # z_l is final, so the accepted a_l's slab violation is layer l's
+                # feasibility residual
+                ra = update_a(state, l, hp, eps, warm.tau[l] / hp.eta, None if rec else r_a)
+                del r_a
+                tau.append(ra.accepted_param)
+                trials_a.append(ra.trials)
+                maj_a.append((ra.phi_value, ra.model_value))
+                da_sq.append(ra.move_sq)
+                feas = max(feas, ra.slab_violation)
+                warm.tau[l] = ra.accepted_param
+    except NonFiniteError as err:
+        err.epoch = epoch
+        raise
 
-    grad_proxy = _grad_norm_proxy(state, hp, resid)
-    after = obj.objective_from_residuals(state, hp, resid, eps)
+    grad_proxy = _grad_norm_proxy(state, hp, warm)
+    after = obj.objective_from_residuals(state, hp, resid, feas)
+    for what, value in (("objective", after.total), ("gradient proxy", grad_proxy)):
+        if not math.isfinite(value):
+            raise NonFiniteError(what, epoch=epoch)
     warm.f_end = (eps, after.total)
 
     report = EpochReport(

@@ -67,6 +67,39 @@ def small_state(seed: int = 0, sizes=(3, 4, 3, 2), n: int = 5,
     return state
 
 
+def grad_b_identity_check(state_after, z_before, rho: float) -> float:
+    """Fresh-recompute oracle for EpochReport.grad_b_err: every product formed anew.
+
+    Takes the movement as z_before - z_after, where grad_b_layer_error
+    negates z_after - z_before; the two must agree bit for bit.
+    """
+    worst = 0.0
+    for l in range(state_after.num_layers):
+        z = state_after.z[l]
+        product = state_after.W[l] @ state_after.a_prev(l)
+        mean_resid = obj.mean_residual(product, state_after.b[l], z)
+        predicted = (z_before[l] - z).mean(axis=1, keepdims=True)
+        worst = max(worst, float(np.max(np.abs(rho * mean_resid - rho * predicted))))
+    return worst
+
+
+def nan_before_epoch(run_epoch, at_epoch: int):
+    """run_epoch that puts a NaN into z_0 before sweep ``at_epoch``.
+
+    The block is replaced, not mutated, and what the warm start derived
+    from it (R_0 and its W gradient) is dropped, as a caller that changes
+    the state between sweeps must.
+    """
+    def poisoned(state, hp, k, eps, warm=None):
+        if k == at_epoch:
+            z = state.z[0].copy()
+            z[0, 0] = np.nan
+            state.z[0] = z
+            warm.resid[0] = warm.grad_w0 = None
+        return run_epoch(state, hp, k, eps, warm)
+    return poisoned
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

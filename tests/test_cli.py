@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from dlam import cli
+from dlam import optimizer as opt
+from conftest import nan_before_epoch
 
 
 def _read_rows(path):
@@ -120,6 +122,13 @@ class TestTrainCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "x contains non-finite values" in err
+
+    def test_nan_mid_run_is_an_error_message(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(opt, "run_epoch", nan_before_epoch(opt.run_epoch, 3))
+        code = cli.main(["train", *BLOBS_ARGS, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: NaN or inf in the W update at epoch 3, layer 0\n"
 
     def test_every_config_key_is_a_flag(self, tmp_path):
         out = tmp_path / "run"

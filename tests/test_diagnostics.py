@@ -8,7 +8,7 @@ from dlam import network_state as ns
 from dlam import objective as obj
 from dlam import optimizer as opt
 from dlam.data_io import synth_gaussian_blobs
-from conftest import small_state
+from conftest import grad_b_identity_check, small_state
 
 
 def _report(f_before=1.0, f_after=0.9, theta=(2.0,), dw=(0.01,), db=(0.0,),
@@ -91,16 +91,6 @@ class TestCkSeries:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             diag.ck_series([], rho=1.0)
-
-
-def grad_b_identity_check(state_after, z_before, rho: float) -> float:
-    """Fresh-recompute oracle for EpochReport.grad_b_err: every product formed anew."""
-    worst = 0.0
-    for l in range(state_after.num_layers):
-        product = state_after.W[l] @ state_after.a_prev(l)
-        worst = max(worst, diag.grad_b_layer_error(product, state_after.b[l], z_before[l],
-                                                   state_after.z[l], rho))
-    return worst
 
 
 class TestGradBIdentity:

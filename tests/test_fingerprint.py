@@ -1,0 +1,43 @@
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "fingerprint.py"
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("fingerprint", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_two_calls_give_the_same_hash(capsys):
+    fp = _load_script()
+    for _ in range(2):
+        assert fp.main(["--runs", "tanh-l1-blobs"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1]
+    digest, name = lines[0].split()
+    assert name == "tanh-l1-blobs" and len(digest) == 64
+
+
+def test_hash_covers_state_and_reports_but_not_wall_time():
+    fp = _load_script()
+    arch, data, hp = fp.RUNS["tanh-l1-blobs"]
+    ds = fp.synth_gaussian_blobs(**data)
+    state, trace = fp.opt.train(arch, ds.x, ds.y, dataclasses.replace(hp, epochs=3))
+    base = fp.fingerprint(state, trace)
+    trace[1].wall_time_s += 1.0
+    assert fp.fingerprint(state, trace) == base
+    kept = trace[1].grad_b_err
+    trace[1].grad_b_err = float(np.nextafter(kept, 1.0))
+    assert fp.fingerprint(state, trace) != base
+    trace[1].grad_b_err = kept
+    assert fp.fingerprint(state, trace) == base
+    a = state.a[0].copy()
+    a[0, 0] = np.nextafter(a[0, 0], np.inf)
+    state.a[0] = a
+    assert fp.fingerprint(state, trace) != base

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dlam import network_state as ns
 from dlam import objective as obj
@@ -142,6 +145,73 @@ def test_slab_bounds_match_scalar_inversion(rng):
         lo, hi, empty = ns.slab_z_bounds(kind, a, eps)
         for idx in np.ndindex(a.shape):
             assert _invert(kind, a[idx], eps) == (lo[idx], hi[idx], empty[idx])
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 9))
+
+
+def _sigmoid_sign_split(z):
+    """The boolean-mask sigmoid activation_apply used to compute: the oracle."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _relu_bounds_where(a, eps):
+    """slab_z_bounds' ReLU branch with its np.where passes always taken: the oracle."""
+    t_lo, t_hi = a - eps, a + eps
+    empty = t_hi < 0.0
+    hi = np.where(empty, 0.0, t_hi)
+    lo = np.where(t_lo > 0.0, t_lo, -np.inf)
+    lo = np.where(empty, 0.0, lo)
+    return lo, hi, empty
+
+
+@PROPERTY
+@given(arrays(np.float64, SHAPES,
+              elements=st.floats(-40.0, 40.0) | st.floats(allow_nan=False)))
+def test_sigmoid_equals_sign_split_formula(z):
+    # every finite value, both zeros and both infinities, byte for byte
+    assert ns.activation_apply(SIG, z).tobytes() == _sigmoid_sign_split(z).tobytes()
+
+
+@pytest.mark.parametrize("with_empty", [False, True])
+@PROPERTY
+@given(a=arrays(np.float64, SHAPES, elements=st.floats(-3.0, 3.0)),
+       eps=st.floats(1e-6, 2.0))
+def test_relu_bounds_equal_where_path(with_empty, a, eps):
+    a = np.maximum(a, -eps)              # a + eps >= 0: no entry is empty
+    if with_empty:
+        a[0, 0] = -eps - 1.0
+    got = ns.slab_z_bounds(RELU, a, eps)
+    assert bool(got[2].any()) == with_empty
+    for g, w in zip(got, _relu_bounds_where(a, eps)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@PROPERTY
+@given(kind=st.sampled_from([RELU, SIG, TANH]), a=st.floats(-1.5, 3.0),
+       eps=st.floats(1e-3, 1.0), z=st.floats(-40.0, 40.0))
+def test_interval_holds_exactly_the_feasible_z(kind, a, eps, z):
+    # |h(z) - a| <= eps inside [lo, hi] and > eps outside it, up to the rounding
+    # of h, of the inversion and of the saturation guard
+    tol = 1e-12
+    lo, hi, empty = _invert(kind, a, eps)
+
+    def gap(v):
+        return abs(float(ns.activation_apply(kind, np.array([[v]]))[0, 0]) - a) - eps
+
+    if empty:
+        assert gap(z) > -tol
+        return
+    assert gap(z) <= tol if lo <= z <= hi else gap(z) > -tol
+    for edge in (lo, hi):
+        if math.isfinite(edge):
+            assert gap(edge) <= tol
 
 
 def test_architecture_validation():

@@ -10,7 +10,8 @@ from dlam import network_state as ns
 from dlam import objective as obj
 from dlam import optimizer as opt
 from dlam.data_io import one_hot, synth_gaussian_blobs
-from conftest import grid_minimize_1d, random_one_hot, small_state
+from conftest import (grad_b_identity_check, grid_minimize_1d, nan_before_epoch,
+                      random_one_hot, small_state)
 
 
 def _scalar(v):
@@ -83,6 +84,13 @@ class TestUpdateW:
             after = (obj.penalty_phi(a_prev, state.W[l], b, z, hp.rho)
                      + obj.regularizer_value(reg, lam, state.W[l]))
             assert after <= before + 1e-10
+
+    def test_gradient_without_its_residual_is_ignored(self):
+        state, twin = small_state(seed=2, scatter=0.5), small_state(seed=2, scatter=0.5)
+        hp = obj.HyperParams(rho=0.3)
+        opt.update_w(state, 1, hp)
+        opt.update_w(twin, 1, hp, grad=np.full_like(twin.W[1], np.nan))
+        assert state.W[1].tobytes() == twin.W[1].tobytes()
 
     def test_budget_exhaustion_raises_with_param(self):
         state = small_state(seed=2, scatter=0.5)
@@ -408,10 +416,10 @@ def _fresh_resid(state, l):
 
 @pytest.fixture
 def cache_watch(monkeypatch):
-    """Each residual or product handed to a block update, and after every block
-    update and every epoch each residual the sweep holds, must equal a fresh
-    one byte for byte."""
-    watch = {"warm": None, "compared": 0}
+    """Each residual, product or W gradient handed to a block update, and after
+    every block update and every epoch each residual the sweep holds, must
+    equal a fresh one byte for byte."""
+    watch = {"warm": None, "compared": 0, "grads": 0}
 
     def same(held, fresh, what):
         assert held.tobytes() == fresh.tobytes(), what
@@ -433,6 +441,10 @@ def cache_watch(monkeypatch):
                 same(given["resid"], _fresh_resid(state, l_r), f"stale R_{l_r} into {name}")
             if given.get("product") is not None:
                 same(given["product"], state.W[l] @ state.a_prev(l), f"stale product into {name}")
+            if given.get("grad") is not None:
+                fresh = given["hp"].rho * (_fresh_resid(state, l) @ state.a_prev(l).T)
+                same(given["grad"], fresh, f"stale W gradient into {name}")
+                watch["grads"] += 1
             out = inner(state, *args, **kwargs)
             check(state, name)
             return out
@@ -457,6 +469,8 @@ class TestResidualReuse:
         arch, x, y, hp = _blobs_problem(epochs=20)
         opt.train(arch, x, y, hp)
         assert cache_watch["compared"] > 20 * len(BLOCKS)
+        # every epoch after the first takes layer 0's W gradient from the proxy
+        assert cache_watch["grads"] == 19
 
     def test_cache_coherent_through_epsilon_shrink(self, cache_watch):
         # the state of test_epsilon_shrink_reprojects_activations; the F carried
@@ -511,6 +525,7 @@ class TestResidualReuse:
 
         def forgetful(state, hp, k, eps, warm=None):
             warm.resid = [None] * arch.num_layers
+            warm.grad_w0 = None
             warm.f_end = None
             return run_epoch(state, hp, k, eps, warm)
 
@@ -546,6 +561,7 @@ class TestResidualReuse:
 
         count(obj, "evaluate_f")
         count(ns, "feasibility_residual")
+        count(ns, "activation_apply")
         count(obj, "coupling_residual")
         arch, x, y, hp = _blobs_problem(epochs=30)
         seen = []
@@ -554,6 +570,97 @@ class TestResidualReuse:
         for k in range(1, hp.epochs):
             spent = seen[k] - seen[k - 1]
             assert spent["evaluate_f"] == 0
-            assert spent["feasibility_residual"] == 1
+            # the a steps measure the slab and form the only h(z_l) of the sweep
+            assert spent["feasibility_residual"] == 0
+            assert spent["activation_apply"] == arch.num_layers - 1
             # only update_w's fresh residuals for l >= 1, after update_a moved a_{l-1}
             assert spent["coupling_residual"] <= arch.num_layers - 1
+
+
+def _sq(v):
+    return float(np.sum(v * v))
+
+
+def _proxy_oracle(state, hp):
+    """EpochReport.grad_norm_proxy with every residual and gradient formed anew."""
+    arch = state.arch
+    L = state.num_layers
+    total = 0.0
+    for l in range(L):
+        operands = (state.a_prev(l), state.W[l], state.b[l], state.z[l], hp.rho)
+        gw = obj.grad_phi_w(*operands)
+        if arch.regularizer is ns.RegKind.L2 and arch.reg_weight > 0.0:
+            gw = gw + 2.0 * arch.reg_weight * state.W[l]
+        total += _sq(gw) + _sq(obj.grad_phi_b(*operands))
+    gz = (obj.grad_phi_z(*operands)
+          + obj.risk_grad(arch.risk, state.z[L - 1], state.y))
+    return math.sqrt(total + _sq(gz))
+
+
+class TestCertificatesExact:
+    """The certificates a sweep takes from its blocks' by-products equal the same
+    quantities recomputed from the states before and after the epoch."""
+
+    @pytest.mark.parametrize("activation,reg,lam,epochs", [
+        (ns.ActivationKind.RELU, ns.RegKind.NONE, 0.0, 20),         # criterion 11
+        (ns.ActivationKind.SIGMOID, ns.RegKind.L2, 1e-3, 10)])
+    def test_certificates_equal_fresh_recompute(self, activation, reg, lam, epochs):
+        _, x, y, hp = _blobs_problem(epochs)
+        arch = ns.Architecture((12, 16, 16, 3), activation=activation, regularizer=reg,
+                               reg_weight=lam)
+        state = ns.initialize(arch, x, y, hp)
+        warm = opt.WarmStart.fresh(arch.num_layers, hp.alpha0)
+        eps = min(hp.eps0, opt.EPS_FLOOR)
+        for k in range(epochs):
+            before = {name: list(getattr(state, name)) for name in "Wbza"}
+            report = opt.run_epoch(state, hp, k, eps, warm)
+            assert report.recoveries == 0      # a recovery moves a_l ahead of its step
+            for name, moved in (("W", report.dw_sq), ("b", report.db_sq),
+                                ("z", report.dz_sq), ("a", report.da_sq)):
+                fresh = [_sq(new - old) for new, old in zip(getattr(state, name), before[name])]
+                assert moved == fresh, name
+            assert report.grad_b_err == grad_b_identity_check(state, before["z"], hp.rho)
+            assert report.feasibility_residual == ns.feasibility_residual(state, eps)
+            assert report.f_after == obj.evaluate_f(state, hp, eps).total
+            assert report.grad_norm_proxy == _proxy_oracle(state, hp)
+            fresh_grad = obj.grad_phi_w(state.x, state.W[0], state.b[0], state.z[0], hp.rho)
+            assert warm.grad_w0.tobytes() == fresh_grad.tobytes()
+
+
+class TestNonFinite:
+    def test_nan_mid_run_names_epoch_layer_and_block(self, monkeypatch):
+        monkeypatch.setattr(opt, "run_epoch", nan_before_epoch(opt.run_epoch, 3))
+        arch, x, y, hp = _blobs_problem(epochs=6)
+        done = []
+        with pytest.raises(opt.NonFiniteError) as err:
+            opt.train(arch, x, y, hp, per_epoch=lambda s, r: done.append(r.epoch))
+        assert done == [0, 1, 2]
+        assert (err.value.epoch, err.value.layer, err.value.block) == (3, 0, "W update")
+        assert str(err.value) == "NaN or inf in the W update at epoch 3, layer 0"
+
+    def test_nan_activation_fails_on_first_trial(self):
+        # h(z) enters only the a step's trials; no curvature repairs a NaN there
+        state = small_state(seed=7)
+        z = state.z[0].copy()
+        z[0, 0] = np.nan
+        state.z[0] = z
+        with pytest.raises(opt.NonFiniteError) as err:
+            opt.update_a(state, 0, obj.HyperParams(), eps=0.5)
+        assert (err.value.epoch, err.value.layer, err.value.block) == (None, 0, "a update")
+
+    def test_nan_objective_ends_the_epoch(self, monkeypatch):
+        update = opt.update_z_output
+
+        def poisoned(state, hp, product=None):
+            result = update(state, hp, product)
+            z = state.z[-1].copy()
+            z[0, 0] = np.nan
+            state.z[-1] = z
+            return result
+
+        monkeypatch.setattr(opt, "update_z_output", poisoned)
+        state = small_state(seed=13, scatter=0.4)
+        with pytest.raises(opt.NonFiniteError) as err:
+            opt.run_epoch(state, obj.HyperParams(rho=0.2), 4, eps=1.0)
+        assert (err.value.epoch, err.value.layer, err.value.block) == (4, None, "objective")
+        assert str(err.value) == "NaN or inf in the objective at epoch 4"
