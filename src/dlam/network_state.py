@@ -259,7 +259,8 @@ def feasibility_residual(state: NetworkState, eps: float) -> float:
     for l in range(state.num_layers - 1):
         h = activation_apply(state.arch.activation[l], state.z[l])
         clipped = np.clip(state.a[l], h - eps, h + eps)
-        worst = max(worst, float(np.max(np.abs(state.a[l] - clipped), initial=0.0)))
+        # np.maximum, unlike max(), keeps a NaN: a NaN entry must not read as feasible
+        worst = float(np.maximum(worst, np.max(np.abs(state.a[l] - clipped), initial=0.0)))
     return worst
 
 
@@ -280,8 +281,8 @@ def save_state(state: NetworkState, path: str) -> None:
     Layout: u32 magic 0x4D414C44, u32 version, u32 number of layer sizes,
     u32 batch size N, then the layer sizes as u32, then float64 row-major
     blocks in layer order W_1, b_1, z_1, a_1, ..., W_L, b_L, z_L (the output
-    layer has no activation block). Used for resume and inspection only; the
-    architecture choices and the data batch are not stored.
+    layer has no activation block). Used for inspection only (train cannot
+    resume from it); the architecture choices and the data batch are not stored.
     """
     sizes = state.arch.layer_sizes
     with open(path, "wb") as f:

@@ -228,15 +228,12 @@ def objective_from_residuals(state: ns.NetworkState, hp: HyperParams,
                               feasible=feasible, total=total, feasibility_residual=feas)
 
 
-def evaluate_f(state: ns.NetworkState, hp: HyperParams,
-               eps: float | None = None) -> ObjectiveBreakdown:
+def evaluate_f(state: ns.NetworkState, hp: HyperParams, eps: float) -> ObjectiveBreakdown:
     """Full objective at the current state, broken into its terms.
 
-    ``eps`` is the slab tolerance in force (defaults to hp.eps0). Forms every
-    coupling residual afresh; see objective_from_residuals.
+    ``eps`` is the slab tolerance in force. Forms every coupling residual
+    afresh; see objective_from_residuals.
     """
-    if eps is None:
-        eps = hp.eps0
     residuals = [coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
                  for l in range(state.num_layers)]
     return objective_from_residuals(state, hp, residuals, ns.feasibility_residual(state, eps))

@@ -53,7 +53,6 @@ class NonFiniteError(ArithmeticError):
 @dataclass
 class BacktrackResult:
     accepted_param: float        # curvature theta (W step) or tau (a step)
-    updated_block: np.ndarray
     trials: int
     phi_value: float             # true penalty at the accepted candidate
     model_value: float           # majorizer at the accepted candidate
@@ -63,7 +62,6 @@ class BacktrackResult:
 
 @dataclass
 class FistaResult:
-    z: np.ndarray
     iterations: int
     converged: bool
     objective_start: float
@@ -130,12 +128,55 @@ class EpochReport:
     wall_time_s: float = 0.0
 
 
-def _expand_at(phi0: float, grad: np.ndarray, d: np.ndarray) -> float:
-    return phi0 + float(np.sum(grad * d))
-
-
 def _sq(delta: np.ndarray) -> float:
     return float(np.sum(delta * delta))
+
+
+def _majorized_step(block: str, layer: int, hp: obj.HyperParams, current: np.ndarray,
+                    phi0: float, grad: np.ndarray, param0: float | None, growth: float,
+                    candidate, image) -> tuple[np.ndarray, BacktrackResult]:
+    """Backtracked quadratic-majorizer step, shared by the W and a blocks.
+
+    ``candidate(param)`` minimizes the block's model at curvature ``param``;
+    ``image(d)`` is the change a step d makes to the coupling residual, so
+    the penalty at the candidate is exactly phi0 + <grad, d> +
+    (rho/2)||image(d)||^2. The curvature starts at max(param0, alpha0) and
+    grows by ``growth`` until that last term is at most (param/2)||d||^2,
+    which holds once it dominates rho||image||^2. Testing the expansion
+    stays exact where a direct phi evaluation is cancellation noise and can
+    stall the loop. Returns the accepted candidate and its record; raises
+    NonFiniteError for a non-finite phi0 or a NaN trial, which no curvature
+    repairs, and BacktrackError after hp.max_backtrack trials.
+    """
+    if not math.isfinite(phi0):
+        raise NonFiniteError(f"{block} update", layer)
+    param = hp.alpha0 if param0 is None else max(param0, hp.alpha0)
+    trials = 1
+    while True:
+        cand = candidate(param)
+        d = cand - current
+        quad_true = 0.5 * hp.rho * float(np.sum(image(d) ** 2))
+        move_sq = _sq(d)
+        quad_model = 0.5 * param * move_sq
+        if quad_true <= quad_model:
+            break
+        if math.isnan(quad_true):
+            raise NonFiniteError(f"{block} update", layer)
+        if trials >= hp.max_backtrack:
+            raise BacktrackError(
+                f"{block} update at layer {layer} did not majorize after {trials} trials", param)
+        param *= growth
+        trials += 1
+    base = phi0 + float(np.sum(grad * d))
+    return cand, BacktrackResult(param, trials, base + quad_true, base + quad_model, move_sq)
+
+
+def _free_z_step(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
+                 product: np.ndarray) -> np.ndarray:
+    """Free minimizer z - grad_phi_z / rho of the penalty in z; ``product`` is W a_prev."""
+    z = state.z[layer]
+    grad = -hp.rho * (product + state.b[layer] - z)     # grad_phi_z
+    return z - grad / hp.rho
 
 
 def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
@@ -144,17 +185,12 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
     """Backtracked majorized step on W at ``layer``; writes the result into state.
 
     The candidate minimizes the quadratic model plus the regularizer in
-    closed form; the curvature grows by gamma until the true penalty no
-    longer exceeds the model at the candidate. The penalty is exactly
-    quadratic in W, so the comparison is evaluated through its expansion
-    phi(cand) = phi(W) + <grad, d> + (rho/2)||d a_prev||^2, which stays
-    exact when the residual is near machine zero (a direct phi evaluation
-    is cancellation noise there and can stall the loop). Termination is
-    guaranteed once the curvature dominates rho ||a_prev||^2. ``resid`` is
-    the layer's current coupling residual when the caller already has it,
-    and ``grad`` the penalty gradient rho resid a_prev^T formed from that
-    residual; without ``resid`` it is ignored. Raises NonFiniteError when
-    the penalty is NaN or inf: every operand of the step enters it.
+    closed form; the curvature grows by gamma (_majorized_step, image
+    d a_prev). ``resid`` is the layer's current coupling residual when the
+    caller already has it, and ``grad`` the penalty gradient
+    rho resid a_prev^T formed from that residual; without ``resid`` it is
+    ignored. Raises NonFiniteError when the penalty is NaN or inf: every
+    operand of the step enters it.
     """
     arch = state.arch
     a_prev = state.a_prev(layer)
@@ -163,49 +199,27 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
         resid = obj.coupling_residual(a_prev, W_k, state.b[layer], state.z[layer])
         grad = None
     phi0 = 0.5 * hp.rho * _sq(resid)
-    if not math.isfinite(phi0):
-        raise NonFiniteError("W update", layer)
     if grad is None:
         grad = hp.rho * (resid @ a_prev.T)
-    theta = hp.alpha0 if theta0 is None else max(theta0, hp.alpha0)
-    trials = 1
-    while True:
-        cand = obj.solve_w_subproblem(arch.regularizer, arch.reg_weight, W_k, grad, theta)
-        d = cand - W_k
-        quad_true = 0.5 * hp.rho * float(np.sum((d @ a_prev) ** 2))
-        move_sq = _sq(d)
-        quad_model = 0.5 * theta * move_sq
-        if quad_true <= quad_model:
-            break
-        if trials >= hp.max_backtrack:
-            raise BacktrackError(
-                f"W update at layer {layer} did not majorize after {trials} trials",
-                theta,
-            )
-        theta *= hp.gamma
-        trials += 1
-    state.W[layer] = cand
-    base = _expand_at(phi0, grad, d)
-    return BacktrackResult(theta, cand, trials, base + quad_true, base + quad_model, move_sq)
+    state.W[layer], result = _majorized_step(
+        "W", layer, hp, W_k, phi0, grad, theta0, hp.gamma,
+        lambda theta: obj.solve_w_subproblem(arch.regularizer, arch.reg_weight, W_k, grad, theta),
+        lambda d: d @ a_prev)
+    return result
 
 
-def update_b(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
-             product: np.ndarray | None = None) -> np.ndarray:
+def update_b(state: ns.NetworkState, layer: int, product: np.ndarray) -> None:
     """Exact intercept step b <- b - mean residual; writes into state.
 
     With the curvature pinned to rho, the majorized step equals the exact
-    minimizer: the per-sample mean of z - W a_prev. Uses the W already
-    updated this epoch; ``product`` is W a_prev when the caller already has it.
+    minimizer: the per-sample mean of z - W a_prev. ``product`` is W a_prev
+    with the W already updated this epoch.
     """
-    if product is None:
-        product = state.W[layer] @ state.a_prev(layer)
-    b_new = state.b[layer] - obj.mean_residual(product, state.b[layer], state.z[layer])
-    state.b[layer] = b_new
-    return b_new
+    state.b[layer] = state.b[layer] - obj.mean_residual(product, state.b[layer], state.z[layer])
 
 
 def update_z_hidden(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
-                    eps: float, product: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+                    eps: float, product: np.ndarray) -> int:
     """Exact hidden pre-activation step: clip the free step onto the slab box.
 
     The penalty is an exact separable quadratic in z, so the unconstrained
@@ -214,11 +228,9 @@ def update_z_hidden(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
     Entries whose slab inverts to an empty set are recovered by recentering
     the offending a entry onto h(z) first; returns the recovery count, which
     stays zero on clean runs; a recovery moves a, and with it the next
-    layer's coupling residual. ``product`` is W a_prev when the caller
-    already has it.
+    layer's coupling residual. ``product`` is W a_prev.
     """
-    arch = state.arch
-    kind = arch.activation[layer]
+    kind = state.arch.activation[layer]
     a_k = state.a[layer]
     lo, hi, empty = ns.slab_z_bounds(kind, a_k, eps)
     recoveries = int(empty.sum())
@@ -228,17 +240,12 @@ def update_z_hidden(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
         fixed[empty] = h[empty]
         state.a[layer] = fixed
         lo, hi, empty = ns.slab_z_bounds(kind, fixed, eps)
-    if product is None:
-        product = state.W[layer] @ state.a_prev(layer)
-    grad = -hp.rho * (product + state.b[layer] - state.z[layer])     # grad_phi_z
-    step = state.z[layer] - grad / hp.rho
-    z_new = np.clip(step, lo, hi)
-    state.z[layer] = z_new
-    return z_new, recoveries
+    state.z[layer] = np.clip(_free_z_step(state, layer, hp, product), lo, hi)
+    return recoveries
 
 
 def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
-                    product: np.ndarray | None = None) -> FistaResult:
+                    product: np.ndarray) -> FistaResult:
     """Monotone FISTA on the output-layer composite; writes z_L into state.
 
     Minimizes (rho/2)||z - m||_F^2 + risk(z; y) with m the free quadratic
@@ -247,15 +254,12 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
     would raise the composite value is replaced by a plain gradient step
     from the previous iterate (which cannot increase it) and the momentum is
     reset, making the objective nonincreasing over iterates. ``product`` is
-    W_L a_{L-1} when the caller already has it.
+    W_L a_{L-1}.
     """
     arch = state.arch
     L = state.num_layers
     z_k = state.z[L - 1]
-    if product is None:
-        product = state.W[L - 1] @ state.a_prev(L - 1)
-    grad0 = -hp.rho * (product + state.b[L - 1] - z_k)     # grad_phi_z
-    m = z_k - grad0 / hp.rho
+    m = _free_z_step(state, L - 1, hp, product)
     y = state.y
     lip = hp.rho + obj.risk_smoothness(arch.risk, state.n_samples)
     step = 1.0 / lip
@@ -292,7 +296,7 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
             converged = True
             break
     state.z[L - 1] = z_prev
-    return FistaResult(z_prev, iterations, converged, f_start, f_prev)
+    return FistaResult(iterations, converged, f_start, f_prev)
 
 
 def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float,
@@ -302,12 +306,12 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
     The candidate projects the free quadratic step onto the slab around
     h(z) at this epoch's fresh z, which is the exact minimizer of the
     model-plus-indicator for scalar curvature; the curvature grows by eta
-    until the true penalty of the next layer is majorized. Feasibility of
-    the accepted block holds by construction, and the result measures it
-    against the slab it was projected onto, as ns.feasibility_residual
-    would. ``resid`` is the next layer's current coupling residual when the
-    caller already has it. Raises NonFiniteError when the penalty or a
-    trial step is NaN or inf, which no curvature repairs.
+    (_majorized_step, image W_next d). Feasibility of the accepted block
+    holds by construction, and the result measures it against the slab it
+    was projected onto, as ns.feasibility_residual would. ``resid`` is the
+    next layer's current coupling residual when the caller already has it.
+    Raises NonFiniteError when the penalty or a trial step is NaN or inf; a
+    NaN in h(z) reaches only the trials.
     """
     kind = state.arch.activation[layer]
     a_k = state.a[layer]
@@ -317,38 +321,19 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
     if resid is None:
         resid = obj.coupling_residual(a_k, W_next, state.b[layer + 1], state.z[layer + 1])
     phi0 = 0.5 * hp.rho * _sq(resid)
-    if not math.isfinite(phi0):
-        raise NonFiniteError("a update", layer)
     grad = hp.rho * (W_next.T @ resid)
-    tau = hp.alpha0 if tau0 is None else max(tau0, hp.alpha0)
-    trials = 1
-    while True:
-        cand = np.clip(a_k - grad / tau, lo, hi)
-        d = cand - a_k
-        # exact quadratic expansion, see update_w
-        quad_true = 0.5 * hp.rho * float(np.sum((W_next @ d) ** 2))
-        move_sq = _sq(d)
-        quad_model = 0.5 * tau * move_sq
-        if quad_true <= quad_model:
-            break
-        if math.isnan(quad_true):       # a NaN in h(z), which phi0 does not see
-            raise NonFiniteError("a update", layer)
-        if trials >= hp.max_backtrack:
-            raise BacktrackError(
-                f"a update at layer {layer} did not majorize after {trials} trials",
-                tau,
-            )
-        tau *= hp.eta
-        trials += 1
+    cand, result = _majorized_step(
+        "a", layer, hp, a_k, phi0, grad, tau0, hp.eta,
+        lambda tau: np.clip(a_k - grad / tau, lo, hi),
+        lambda d: W_next @ d)
     state.a[layer] = cand
-    base = _expand_at(phi0, grad, d)
     # the trial temporaries go before the violation is formed: peak memory
-    del grad, d, h
+    del grad, h
     viol = np.clip(cand, lo, hi, out=lo)
     np.subtract(cand, viol, out=viol)
     np.abs(viol, out=viol)
-    return BacktrackResult(tau, cand, trials, base + quad_true, base + quad_model, move_sq,
-                           float(np.max(viol, initial=0.0)))
+    result.slab_violation = float(np.max(viol, initial=0.0))
+    return result
 
 
 # Largest slab tolerance train uses: every sweep runs at min(eps0, EPS_FLOOR).
@@ -428,12 +413,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     if warm.f_end is not None and warm.f_end[0] == eps:
         f_before = warm.f_end[1]
     else:
-        for l in range(L):
-            if resid[l] is None:
-                resid[l] = obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l],
-                                                 state.z[l])
-        f_before = obj.objective_from_residuals(state, hp, resid,
-                                                ns.feasibility_residual(state, eps)).total
+        f_before = obj.evaluate_f(state, hp, eps).total
 
     theta, tau = [], []
     dw_sq, db_sq, dz_sq, da_sq = [], [], [], []
@@ -460,16 +440,16 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
             # W_l and a_{l-1} are final for this sweep from here on
             product = state.W[l] @ state.a_prev(l)
             old_b = state.b[l]
-            update_b(state, l, hp, product)
+            update_b(state, l, product)
             db_sq.append(_sq(state.b[l] - old_b))
 
             old_z = state.z[l]
             if l == L - 1:
-                fista = update_z_output(state, hp, product=product)
+                fista = update_z_output(state, hp, product)
             else:
                 # R_{l+1} is taken out before a recovery can move a_l under it
                 r_a, resid[l + 1] = resid[l + 1], None
-                _, rec = update_z_hidden(state, l, hp, eps, product)
+                rec = update_z_hidden(state, l, hp, eps, product)
                 recoveries += rec
             dz = state.z[l] - old_z
             del old_z
@@ -489,7 +469,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
                 trials_a.append(ra.trials)
                 maj_a.append((ra.phi_value, ra.model_value))
                 da_sq.append(ra.move_sq)
-                feas = max(feas, ra.slab_violation)
+                feas = float(np.maximum(feas, ra.slab_violation))   # a NaN propagates
                 warm.tau[l] = ra.accepted_param
     except NonFiniteError as err:
         err.epoch = epoch

@@ -253,6 +253,18 @@ def test_feasibility_residual_measures_slab_violation():
         ns.feasibility_residual(state, -1e-3)
 
 
+def test_nan_activation_reads_infeasible():
+    # a NaN entry is no slab member; folding the layers must not drop it
+    state = small_state(seed=7)
+    a = state.a[0].copy()
+    a[0, 0] = np.nan
+    state.a[0] = a
+    assert math.isnan(ns.feasibility_residual(state, 0.5))
+    out = obj.evaluate_f(state, obj.HyperParams(), eps=0.5)
+    assert not out.feasible
+    assert out.total == math.inf
+
+
 def test_initialize_shape_errors(rng):
     arch = ns.Architecture((3, 4, 2))
     y = random_one_hot(rng, 2, 5)

@@ -208,7 +208,7 @@ class TestEvaluateF:
     def test_fresh_state_penalties_zero(self):
         state = small_state(seed=4, reg=ns.RegKind.L2, lam=0.2)
         hp = obj.HyperParams()
-        out = obj.evaluate_f(state, hp)
+        out = obj.evaluate_f(state, hp, eps=0.01)
         assert all(p == 0.0 for p in out.penalty_per_layer)
         assert out.feasible
         assert out.total == pytest.approx(out.risk + out.reg, rel=1e-14)

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlam import network_state as ns
 from dlam import objective as obj
@@ -29,6 +31,10 @@ def _scalar_state(W1, b1, z1, a1, W2, b2, z2, x=1.0, y=None,
     state.z = [_scalar(z1), _scalar(z2)]
     state.a = [_scalar(a1)]
     return state
+
+
+def _product(state, l):
+    return state.W[l] @ state.a_prev(l)
 
 
 class TestUpdateW:
@@ -95,7 +101,8 @@ class TestUpdateW:
     def test_budget_exhaustion_raises_with_param(self):
         state = small_state(seed=2, scatter=0.5)
         hp = obj.HyperParams(rho=1.0, alpha0=1e-12, max_backtrack=2)
-        with pytest.raises(opt.BacktrackError) as err:
+        with pytest.raises(opt.BacktrackError,
+                           match="^W update at layer 0 did not majorize after 2 trials$") as err:
             opt.update_w(state, 0, hp)
         assert err.value.last_param > 1e-12
 
@@ -104,14 +111,14 @@ class TestUpdateB:
     def test_zero_residual_unchanged(self):
         state = small_state(seed=3)
         before = state.b[1]
-        opt.update_b(state, 1, obj.HyperParams())
+        opt.update_b(state, 1, _product(state, 1))
         assert np.array_equal(state.b[1], before)
 
     def test_scalar_hand_case(self):
-        # rho=2, b=1, W*a=1, z=4: grad = 2(1+1-4) = -4, b <- 1 - (-4)/2 = 3,
+        # b=1, W*a=1, z=4: the mean residual is 1+1-4 = -2, so b <- 1 - (-2) = 3,
         # which equals the closed form z - W*a for one sample
         state = _scalar_state(W1=1.0, b1=1.0, z1=4.0, a1=4.0, W2=1.0, b2=0.0, z2=4.0)
-        opt.update_b(state, 0, obj.HyperParams(rho=2.0))
+        opt.update_b(state, 0, _product(state, 0))
         assert state.b[0][0, 0] == pytest.approx(3.0, abs=1e-14)
 
     def test_penalty_never_increases(self):
@@ -121,7 +128,7 @@ class TestUpdateB:
             l = seed % state.num_layers
             a_prev, W, z = state.a_prev(l), state.W[l], state.z[l]
             before = obj.penalty_phi(a_prev, W, state.b[l], z, hp.rho)
-            opt.update_b(state, l, hp)
+            opt.update_b(state, l, _product(state, l))
             after = obj.penalty_phi(a_prev, W, state.b[l], z, hp.rho)
             assert after <= before + 1e-12
 
@@ -132,9 +139,9 @@ class TestUpdateZHidden:
         hp = obj.HyperParams(rho=0.5)
         expect = state.z[0] - obj.grad_phi_z(state.x, state.W[0], state.b[0],
                                              state.z[0], hp.rho) / hp.rho
-        z_new, recoveries = opt.update_z_hidden(state, 0, hp, eps=50.0)
+        recoveries = opt.update_z_hidden(state, 0, hp, 50.0, _product(state, 0))
         assert recoveries == 0
-        assert np.allclose(z_new, expect, atol=1e-12)
+        assert np.allclose(state.z[0], expect, atol=1e-12)
 
     def test_relu_clip_hand_case(self):
         # slab around a=0.5 with eps=0.1 inverts to [0.4, 0.6]; the free step
@@ -143,9 +150,9 @@ class TestUpdateZHidden:
                               x=1.0)
         hp = obj.HyperParams(rho=1.0)
         # free step goes to W*x + b = 1.0
-        z_new, recoveries = opt.update_z_hidden(state, 0, hp, eps=0.1)
+        recoveries = opt.update_z_hidden(state, 0, hp, 0.1, _product(state, 0))
         assert recoveries == 0
-        assert z_new[0, 0] == pytest.approx(0.6, abs=1e-12)
+        assert state.z[0][0, 0] == pytest.approx(0.6, abs=1e-12)
 
     def test_beats_random_feasible_perturbations(self, rng):
         """Exact minimizer of the quadratic model plus slab indicator."""
@@ -162,7 +169,8 @@ class TestUpdateZHidden:
             grad = obj.grad_phi_z(state.x, state.W[0], state.b[0], state.z[0], hp.rho)
             lo, hi, _ = ns.slab_z_bounds(ns.ActivationKind.RELU,
                                          np.array([[a_val]]), eps)
-            z_new, _ = opt.update_z_hidden(state, 0, hp, eps=eps)
+            opt.update_z_hidden(state, 0, hp, eps, _product(state, 0))
+            z_new = state.z[0]
 
             def model_value(z):
                 return grad[0, 0] * (z - z_k) + 0.5 * hp.rho * (z - z_k) ** 2
@@ -178,7 +186,7 @@ class TestUpdateZHidden:
         # recenters that entry of a onto h(z) and counts it
         state = _scalar_state(W1=1.0, b1=0.0, z1=0.5, a1=-5.0, W2=1.0, b2=0.0, z2=0.5)
         hp = obj.HyperParams(rho=1.0)
-        z_new, recoveries = opt.update_z_hidden(state, 0, hp, eps=0.1)
+        recoveries = opt.update_z_hidden(state, 0, hp, 0.1, _product(state, 0))
         assert recoveries == 1
         assert state.a[0][0, 0] == 0.5   # recentered onto h(z_k)
 
@@ -191,7 +199,7 @@ class TestUpdateZOutput:
         expect = state.z[L - 1] - obj.grad_phi_z(state.a_prev(L - 1), state.W[L - 1],
                                                  state.b[L - 1], state.z[L - 1],
                                                  hp.rho) / hp.rho
-        res = opt.update_z_output(state, hp)
+        res = opt.update_z_output(state, hp, _product(state, L - 1))
         assert res.converged
         assert np.allclose(state.z[L - 1], expect, atol=1e-9)
 
@@ -201,7 +209,7 @@ class TestUpdateZOutput:
                               y=3.0, risk=ns.RiskKind.SQUARED)
         hp = obj.HyperParams(rho=1.0, fista_iters=500, fista_tol=1e-14)
         m = 2.0 * 1.0 + 0.5
-        opt.update_z_output(state, hp)
+        opt.update_z_output(state, hp, _product(state, 1))
         expect = (hp.rho * m + 3.0) / (hp.rho + 1.0)
         assert state.z[1][0, 0] == pytest.approx(expect, abs=1e-8)
 
@@ -213,7 +221,8 @@ class TestUpdateZOutput:
             ends = []
             for k in range(1, 41):
                 state = small_state(seed=seed, scatter=1.0)
-                res = opt.update_z_output(state, obj.HyperParams(rho=rho, fista_iters=k))
+                res = opt.update_z_output(state, obj.HyperParams(rho=rho, fista_iters=k),
+                                          _product(state, state.num_layers - 1))
                 assert res.objective_end <= res.objective_start
                 ends.append(res.objective_end)
                 if res.converged:
@@ -224,7 +233,7 @@ class TestUpdateZOutput:
     def test_nonconverged_flagged(self):
         state = small_state(seed=6, scatter=1.0, sizes=(3, 4, 3, 2), n=4)
         hp = obj.HyperParams(rho=1e-4, fista_iters=3, fista_tol=1e-14)
-        res = opt.update_z_output(state, hp)
+        res = opt.update_z_output(state, hp, _product(state, state.num_layers - 1))
         assert not res.converged
         assert res.iterations == 3
 
@@ -261,6 +270,69 @@ class TestUpdateA:
             h = ns.activation_apply(state.arch.activation[l], state.z[l])
             assert np.all(state.a[l] >= h - 1.0 - 1e-12)
             assert np.all(state.a[l] <= h + 1.0 + 1e-12)
+
+
+def _w_block(state, l, hp):
+    """update_w's backtracking inputs, formed afresh: (current, candidate, image)."""
+    arch, a_prev, W_k = state.arch, state.a_prev(l), state.W[l]
+    grad = obj.grad_phi_w(a_prev, W_k, state.b[l], state.z[l], hp.rho)
+    return (W_k, lambda p: obj.solve_w_subproblem(arch.regularizer, arch.reg_weight, W_k,
+                                                  grad, p),
+            lambda d: d @ a_prev)
+
+
+def _a_block(state, l, hp, eps):
+    """update_a's backtracking inputs, formed afresh: (current, candidate, image)."""
+    a_k, W_next = state.a[l], state.W[l + 1]
+    grad = obj.grad_phi_a(a_k, W_next, state.b[l + 1], state.z[l + 1], hp.rho)
+    h = ns.activation_apply(state.arch.activation[l], state.z[l])
+    return a_k, lambda p: np.clip(a_k - grad / p, h - eps, h + eps), lambda d: W_next @ d
+
+
+class TestMajorizedStep:
+    """The one backtracking routine, through both blocks: the accepted curvature is
+    the first of max(param0, alpha0) * growth^k that majorizes at its own candidate."""
+
+    @pytest.mark.parametrize("block", ["W", "a"])
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 200), scatter=st.floats(0.05, 1.0),
+           rho=st.floats(1e-3, 4.0), growth=st.floats(1.5, 4.0),
+           param0=st.none() | st.floats(1e-5, 10.0),
+           reg=st.sampled_from([ns.RegKind.NONE, ns.RegKind.L2, ns.RegKind.L1]),
+           activation=st.sampled_from(list(ns.ActivationKind)))
+    def test_accepts_first_majorizing_curvature(self, block, seed, scatter, rho, growth,
+                                                param0, reg, activation):
+        state = small_state(seed=seed, scatter=scatter, reg=reg, lam=0.05,
+                            activation=activation)
+        hp = obj.HyperParams(rho=rho, gamma=growth, eta=growth)
+        eps = 1.0
+        if block == "W":
+            l = seed % state.num_layers
+            current, candidate, image = _w_block(state, l, hp)
+            res = opt.update_w(state, l, hp, theta0=param0)
+        else:
+            l = seed % (state.num_layers - 1)
+            current, candidate, image = _a_block(state, l, hp, eps)
+            res = opt.update_a(state, l, hp, eps, tau0=param0)
+
+        def majorizes(p):
+            d = candidate(p) - current
+            return 0.5 * rho * float(np.sum(image(d) ** 2)) <= 0.5 * p * float(np.sum(d * d))
+
+        param = hp.alpha0 if param0 is None else max(param0, hp.alpha0)
+        for _ in range(res.trials - 1):
+            assert not majorizes(param)
+            param *= growth
+        assert res.accepted_param == param
+        assert majorizes(param)
+
+    def test_a_budget_exhaustion_raises_with_param(self):
+        state = small_state(seed=2, scatter=0.5)
+        hp = obj.HyperParams(rho=1.0, alpha0=1e-12, max_backtrack=2)
+        with pytest.raises(opt.BacktrackError,
+                           match="^a update at layer 0 did not majorize after 2 trials$") as err:
+            opt.update_a(state, 0, hp, eps=1.0)
+        assert err.value.last_param == 2e-12
 
 
 class TestRunEpoch:
@@ -651,7 +723,7 @@ class TestNonFinite:
     def test_nan_objective_ends_the_epoch(self, monkeypatch):
         update = opt.update_z_output
 
-        def poisoned(state, hp, product=None):
+        def poisoned(state, hp, product):
             result = update(state, hp, product)
             z = state.z[-1].copy()
             z[0, 0] = np.nan
