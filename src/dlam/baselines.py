@@ -34,10 +34,10 @@ class BaselineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
-        if self.adagrad_eps <= 0 or self.adadelta_eps <= 0:
-            raise ValueError("epsilons must be > 0")
+        if not 0 <= self.lr < np.inf:
+            raise ValueError("lr must be finite and >= 0")
+        if not (0 < self.adagrad_eps < np.inf and 0 < self.adadelta_eps < np.inf):
+            raise ValueError("epsilons must be finite and > 0")
         if not 0.0 < self.adadelta_rho < 1.0:
             raise ValueError("adadelta_rho must be in (0, 1)")
 

@@ -78,6 +78,14 @@ class RunConfig:
             ns.RegKind(self.reg)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if self.subset_size < 0 or self.train_count < 0:
+            raise ConfigError("subset_size and train_count must be >= 0")
+        # the dataclasses check their own fields; build them before any data loads
+        self.architecture(1, 1)
+        if self.optimizer == "dlam":
+            self.hyper_params()
+        else:
+            self.baseline_config()
 
     def hidden_sizes(self) -> list[int]:
         try:

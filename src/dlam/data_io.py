@@ -154,7 +154,7 @@ def synth_gaussian_blobs(classes: int, d: int, n_per_class: int, seed: int,
 
 def take_subset(ds: Dataset, n: int, seed: int) -> Dataset:
     """First n samples after a seeded shuffle."""
-    if n > ds.n_samples:
+    if not 0 <= n <= ds.n_samples:
         raise ValueError(f"requested {n} samples, dataset has {ds.n_samples}")
     perm = np.random.default_rng(seed).permutation(ds.n_samples)[:n]
     return Dataset(x=ds.x[:, perm].copy(), y=ds.y[:, perm].copy(),

@@ -88,24 +88,21 @@ def slab_z_bounds(kind: ActivationKind, a: np.ndarray, eps: float):
         if not empty.any():
             return lo, t_hi, empty
         return np.where(empty, 0.0, lo), np.where(empty, 0.0, t_hi), empty
-    # each side's temporaries are released before the other side is built:
-    # this is the peak memory of the hidden z step
+    # the range (floor, 1) of the activation and its inverse on that range
     if kind is ActivationKind.SIGMOID:
-        empty = (t_hi <= 0.0) | (t_lo >= 1.0)
-        cl = np.clip(t_lo, d, 1.0 - d)
-        lo = np.where(t_lo <= d, -np.inf, np.log(cl) - np.log1p(-cl))
-        del t_lo, cl
-        ch = np.clip(t_hi, d, 1.0 - d)
-        hi = np.where(t_hi >= 1.0 - d, np.inf, np.log(ch) - np.log1p(-ch))
+        floor, inverse = 0.0, lambda c: np.log(c) - np.log1p(-c)
     elif kind is ActivationKind.TANH:
-        empty = (t_hi <= -1.0) | (t_lo >= 1.0)
-        cl = np.clip(t_lo, -1.0 + d, 1.0 - d)
-        lo = np.where(t_lo <= -1.0 + d, -np.inf, np.arctanh(cl))
-        del t_lo, cl
-        ch = np.clip(t_hi, -1.0 + d, 1.0 - d)
-        hi = np.where(t_hi >= 1.0 - d, np.inf, np.arctanh(ch))
+        floor, inverse = -1.0, np.arctanh
     else:
         raise ValueError(f"unknown activation {kind!r}")
+    # each side's temporaries are released before the other side is built:
+    # this is the peak memory of the hidden z step
+    empty = (t_hi <= floor) | (t_lo >= 1.0)
+    cl = np.clip(t_lo, floor + d, 1.0 - d)
+    lo = np.where(t_lo <= floor + d, -np.inf, inverse(cl))
+    del t_lo, cl
+    ch = np.clip(t_hi, floor + d, 1.0 - d)
+    hi = np.where(t_hi >= 1.0 - d, np.inf, inverse(ch))
     lo = np.where(empty, 0.0, lo)
     hi = np.where(empty, 0.0, hi)
     return lo, hi, empty
@@ -144,8 +141,8 @@ class Architecture:
                 f"need one activation per hidden layer ({self.num_layers - 1}), got {len(act)}"
             )
         object.__setattr__(self, "activation", act)
-        if self.reg_weight < 0:
-            raise ValueError("reg_weight must be >= 0")
+        if not 0 <= self.reg_weight < np.inf:
+            raise ValueError("reg_weight must be finite and >= 0")
 
     @property
     def num_layers(self) -> int:

@@ -43,18 +43,18 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be > 0")
-        if self.eps0 <= 0:
-            raise ValueError("eps0 must be > 0")
-        if self.gamma <= 1 or self.eta <= 1:
-            raise ValueError("gamma and eta must be > 1")
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be > 0")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be finite and > 0")
+        if not 0 < self.eps0 < math.inf:
+            raise ValueError("eps0 must be finite and > 0")
+        if not (1 < self.gamma < math.inf and 1 < self.eta < math.inf):
+            raise ValueError("gamma and eta must be finite and > 1")
+        if not 0 < self.alpha0 < math.inf:
+            raise ValueError("alpha0 must be finite and > 0")
         if self.fista_iters < 1 or self.max_backtrack < 1:
             raise ValueError("iteration budgets must be >= 1")
-        if self.fista_tol <= 0:
-            raise ValueError("fista_tol must be > 0")
+        if not 0 < self.fista_tol < math.inf:
+            raise ValueError("fista_tol must be finite and > 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 

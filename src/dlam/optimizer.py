@@ -75,7 +75,7 @@ class WarmStart:
     ``theta``/``tau`` are each layer's last accepted curvatures. ``resid[l]``
     is layer l's coupling residual W_l a_{l-1} + b_l - z_l while none of its
     operands has moved since it was formed, and None otherwise; run_epoch
-    keeps every slot current through the sweep. ``grad_w0`` is layer 0's
+    fills the empty ones and leaves every slot current. ``grad_w0`` is layer 0's
     penalty gradient rho R_0 x^T formed from ``resid[0]``, held only while
     that slot is and cleared with it. ``f_end`` is (eps, F) at the end of
     the last sweep; the next sweep starts from that F when it runs at the
@@ -133,7 +133,7 @@ def _sq(delta: np.ndarray) -> float:
 
 
 def _majorized_step(block: str, layer: int, hp: obj.HyperParams, current: np.ndarray,
-                    phi0: float, grad: np.ndarray, param0: float | None, growth: float,
+                    phi0: float, grad: np.ndarray, param0: float, growth: float,
                     candidate, image) -> tuple[np.ndarray, BacktrackResult]:
     """Backtracked quadratic-majorizer step, shared by the W and a blocks.
 
@@ -150,7 +150,7 @@ def _majorized_step(block: str, layer: int, hp: obj.HyperParams, current: np.nda
     """
     if not math.isfinite(phi0):
         raise NonFiniteError(f"{block} update", layer)
-    param = hp.alpha0 if param0 is None else max(param0, hp.alpha0)
+    param = max(param0, hp.alpha0)
     trials = 1
     while True:
         cand = candidate(param)
@@ -179,25 +179,21 @@ def _free_z_step(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
     return z - grad / hp.rho
 
 
-def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
-             theta0: float | None = None, resid: np.ndarray | None = None,
-             grad: np.ndarray | None = None) -> BacktrackResult:
+def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, theta0: float,
+             resid: np.ndarray, grad: np.ndarray | None = None) -> BacktrackResult:
     """Backtracked majorized step on W at ``layer``; writes the result into state.
 
     The candidate minimizes the quadratic model plus the regularizer in
-    closed form; the curvature grows by gamma (_majorized_step, image
-    d a_prev). ``resid`` is the layer's current coupling residual when the
-    caller already has it, and ``grad`` the penalty gradient
-    rho resid a_prev^T formed from that residual; without ``resid`` it is
-    ignored. Raises NonFiniteError when the penalty is NaN or inf: every
-    operand of the step enters it.
+    closed form; the curvature starts at max(theta0, alpha0) and grows by
+    gamma (_majorized_step, image d a_prev). ``resid`` is the layer's
+    current coupling residual W a_prev + b - z, and ``grad`` the penalty
+    gradient rho resid a_prev^T when the caller already formed it from
+    that residual. Raises NonFiniteError when the penalty is NaN or inf:
+    every operand of the step enters it.
     """
     arch = state.arch
     a_prev = state.a_prev(layer)
     W_k = state.W[layer]
-    if resid is None:
-        resid = obj.coupling_residual(a_prev, W_k, state.b[layer], state.z[layer])
-        grad = None
     phi0 = 0.5 * hp.rho * _sq(resid)
     if grad is None:
         grad = hp.rho * (resid @ a_prev.T)
@@ -300,26 +296,25 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
 
 
 def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float,
-             tau0: float | None = None, resid: np.ndarray | None = None) -> BacktrackResult:
+             tau0: float, resid: np.ndarray) -> BacktrackResult:
     """Backtracked projected step on a hidden activation; writes into state.
 
     The candidate projects the free quadratic step onto the slab around
     h(z) at this epoch's fresh z, which is the exact minimizer of the
-    model-plus-indicator for scalar curvature; the curvature grows by eta
-    (_majorized_step, image W_next d). Feasibility of the accepted block
-    holds by construction, and the result measures it against the slab it
-    was projected onto, as ns.feasibility_residual would. ``resid`` is the
-    next layer's current coupling residual when the caller already has it.
-    Raises NonFiniteError when the penalty or a trial step is NaN or inf; a
-    NaN in h(z) reaches only the trials.
+    model-plus-indicator for scalar curvature; the curvature starts at
+    max(tau0, alpha0) and grows by eta (_majorized_step, image W_next d).
+    Feasibility of the accepted block holds by construction, and the result
+    measures it against the slab it was projected onto, as
+    ns.feasibility_residual would. ``resid`` is the next layer's current
+    coupling residual W_next a + b_next - z_next. Raises NonFiniteError
+    when the penalty or a trial step is NaN or inf; a NaN in h(z) reaches
+    only the trials.
     """
     kind = state.arch.activation[layer]
     a_k = state.a[layer]
     W_next = state.W[layer + 1]
     h = ns.activation_apply(kind, state.z[layer])
     lo, hi = h - eps, h + eps
-    if resid is None:
-        resid = obj.coupling_residual(a_k, W_next, state.b[layer + 1], state.z[layer + 1])
     phi0 = 0.5 * hp.rho * _sq(resid)
     grad = hp.rho * (W_next.T @ resid)
     cand, result = _majorized_step(
@@ -387,20 +382,20 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     eps-slab and none moves eps, so the report's ``eps_next`` equals
     ``eps_used`` and f_after describes the state this call leaves.
 
-    Each layer's coupling residual R_l = W_l a_{l-1} + b_l - z_l and its
-    product W_l a_{l-1} are formed once and reused only while their
-    operands are unchanged, in the operation order of a fresh formation,
-    so reuse changes no bit. The R_l formed after layer l's z step holds to
-    the end of the sweep, where the certificates and f_after read it. The
-    other certificates are by-products of the blocks: dw_sq and da_sq are
-    the squared steps the majorization tests formed, dz_sq and the grad-b
-    term share one z difference, and the feasibility residual is the a
-    steps' own slab violation.
+    The sweep forms every coupling residual R_l = W_l a_{l-1} + b_l - z_l
+    and hands each W and a step the one it steps on; it reuses one only
+    while its operands are unchanged, in the operation order of a fresh
+    formation, so reuse changes no bit. The R_l formed after layer l's z
+    step holds to the end of the sweep, where the certificates and f_after
+    read it. The other certificates are by-products of the blocks: dw_sq
+    and da_sq are the squared steps the majorization tests formed, dz_sq
+    and the grad-b term share one z difference, and the feasibility
+    residual is the a steps' own slab violation.
 
     ``warm`` carries the residuals, the proxy's layer-0 W gradient and
     f_after into the next call, which must get the state as this call left
-    it; there layer 0's W step, the a steps and (when eps is unchanged)
-    f_before need no new product. Without ``warm`` the epoch starts from
+    it; there only R_l for l >= 1 is formed anew, and f_before is the
+    carried F when eps is unchanged. Without ``warm`` the epoch starts from
     fresh curvatures and residuals. A NaN or inf in a block's penalty or
     trial step, in f_after or in the proxy raises NonFiniteError naming
     the epoch (and the layer and block where it is known).
@@ -410,32 +405,32 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     if warm is None:
         warm = WarmStart.fresh(L, hp.alpha0)
     resid = warm.resid
+    if resid[0] is None:        # the carried W gradient was formed from R_0
+        warm.grad_w0 = None
+    for l in range(L):
+        if resid[l] is None:
+            resid[l] = obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
     if warm.f_end is not None and warm.f_end[0] == eps:
         f_before = warm.f_end[1]
     else:
-        f_before = obj.evaluate_f(state, hp, eps).total
+        f_before = obj.objective_from_residuals(state, hp, resid,
+                                                ns.feasibility_residual(state, eps)).total
 
-    theta, tau = [], []
-    dw_sq, db_sq, dz_sq, da_sq = [], [], [], []
-    trials_w, trials_a = [], []
-    maj_w, maj_a = [], []
+    w_steps, a_steps = [], []       # one BacktrackResult per W and a step
+    db_sq, dz_sq = [], []
     recoveries = 0
     grad_b_err = 0.0
-    feas = 0.0
-    fista = None
     try:
         for l in range(L):
-            # R_l is still held only for layer 0; update_a(l - 1) took the others.
+            # the slot is empty for l >= 1: update_a(l - 1) took R_l and moved a_{l-1}.
             # The carried W gradient goes with R_0 (the slot is empty after layer 0).
             r_w, resid[l] = resid[l], None
+            if r_w is None:
+                r_w = obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
             g_w, warm.grad_w0 = warm.grad_w0, None
-            rw = update_w(state, l, hp, warm.theta[l] / hp.gamma, r_w, g_w)
+            w_steps.append(update_w(state, l, hp, warm.theta[l] / hp.gamma, r_w, g_w))
             del r_w, g_w    # batch-sized temporaries go as soon as they are used: peak memory
-            theta.append(rw.accepted_param)
-            trials_w.append(rw.trials)
-            maj_w.append((rw.phi_value, rw.model_value))
-            dw_sq.append(rw.move_sq)
-            warm.theta[l] = rw.accepted_param
+            warm.theta[l] = w_steps[-1].accepted_param
 
             # W_l and a_{l-1} are final for this sweep from here on
             product = state.W[l] @ state.a_prev(l)
@@ -461,20 +456,19 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
             del product, dz
 
             if l < L - 1:
+                if rec:     # the recovery moved a_l under R_{l+1}
+                    r_a = obj.coupling_residual(state.a[l], state.W[l + 1], state.b[l + 1],
+                                                state.z[l + 1])
                 # z_l is final, so the accepted a_l's slab violation is layer l's
                 # feasibility residual
-                ra = update_a(state, l, hp, eps, warm.tau[l] / hp.eta, None if rec else r_a)
+                a_steps.append(update_a(state, l, hp, eps, warm.tau[l] / hp.eta, r_a))
                 del r_a
-                tau.append(ra.accepted_param)
-                trials_a.append(ra.trials)
-                maj_a.append((ra.phi_value, ra.model_value))
-                da_sq.append(ra.move_sq)
-                feas = float(np.maximum(feas, ra.slab_violation))   # a NaN propagates
-                warm.tau[l] = ra.accepted_param
+                warm.tau[l] = a_steps[-1].accepted_param
     except NonFiniteError as err:
         err.epoch = epoch
         raise
 
+    feas = float(np.max([s.slab_violation for s in a_steps], initial=0.0))   # a NaN propagates
     grad_proxy = _grad_norm_proxy(state, hp, warm)
     after = obj.objective_from_residuals(state, hp, resid, feas)
     for what, value in (("objective", after.total), ("gradient proxy", grad_proxy)):
@@ -487,17 +481,17 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
         f_before=f_before,
         f_after=after.total,
         risk=after.risk,
-        theta=theta,
-        tau=tau,
-        dw_sq=dw_sq,
+        theta=[s.accepted_param for s in w_steps],
+        tau=[s.accepted_param for s in a_steps],
+        dw_sq=[s.move_sq for s in w_steps],
         db_sq=db_sq,
         dz_sq=dz_sq,
-        da_sq=da_sq,
+        da_sq=[s.move_sq for s in a_steps],
         descent_rhs=math.nan,   # filled in from the movement below
-        trials_w=trials_w,
-        trials_a=trials_a,
-        majorization_w=maj_w,
-        majorization_a=maj_a,
+        trials_w=[s.trials for s in w_steps],
+        trials_a=[s.trials for s in a_steps],
+        majorization_w=[(s.phi_value, s.model_value) for s in w_steps],
+        majorization_a=[(s.phi_value, s.model_value) for s in a_steps],
         fista_iterations=fista.iterations,
         fista_converged=fista.converged,
         recoveries=recoveries,

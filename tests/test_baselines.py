@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,12 @@ class TestTrainBaseline:
             bl.BaselineConfig(lr=-1.0)
         with pytest.raises(ValueError):
             bl.BaselineConfig(adadelta_rho=1.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["lr", "adagrad_eps", "adadelta_eps"])
+    def test_config_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            bl.BaselineConfig(**{name: value})
 
 
 class TestLearningRateSelection:

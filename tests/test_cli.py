@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dlam import baselines as bl
 from dlam import cli
+from dlam import objective as obj
 from dlam import optimizer as opt
 from conftest import nan_before_epoch
 
@@ -54,6 +56,18 @@ class TestConfigParsing:
         cfg = cli.RunConfig(dataset="blobs", hidden="10,x")
         with pytest.raises(cli.ConfigError, match="hidden"):
             cfg.hidden_sizes()
+
+    @pytest.mark.parametrize("key", ["subset_size", "train_count"])
+    def test_negative_sample_counts_rejected(self, key):
+        cfg = cli.RunConfig(dataset="blobs", **{key: -5})
+        with pytest.raises(cli.ConfigError, match="must be >= 0"):
+            cfg.validate()
+
+    def test_defaults_match_the_dataclasses(self):
+        assert cli.RunConfig().hyper_params() == obj.HyperParams()
+        # the config's lr 0 asks for the grid search; every other default is shared
+        bcfg = cli.RunConfig(optimizer="sgd").baseline_config()
+        assert dataclasses.replace(bcfg, lr=bl.BaselineConfig.lr) == bl.BaselineConfig()
 
 
 class TestLoadDataset:
@@ -122,6 +136,20 @@ class TestTrainCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "x contains non-finite values" in err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--optimizer", "sgd", "--lr", "nan"], "lr must be finite and >= 0"),
+        (["--optimizer", "adagrad", "--adagrad-eps", "nan"], "epsilons must be finite and > 0"),
+        (["--rho", "nan"], "rho must be finite and > 0"),
+        (["--reg-weight", "inf"], "reg_weight must be finite and >= 0"),
+        (["--subset", "-5"], "subset_size and train_count must be >= 0")])
+    def test_bad_value_is_an_error_before_data_loads(self, tmp_path, capsys, monkeypatch,
+                                                      flags, message):
+        monkeypatch.setattr(cli, "load_dataset", lambda cfg: pytest.fail("data loaded"))
+        code = cli.main(["train", "--dataset", "blobs", "--hidden", "8", "--epochs", "3",
+                         *flags, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_nan_mid_run_is_an_error_message(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(opt, "run_epoch", nan_before_epoch(opt.run_epoch, 3))

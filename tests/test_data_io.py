@@ -151,6 +151,11 @@ class TestSubset:
         with pytest.raises(ValueError):
             data_io.take_subset(ds, 11, seed=0)
 
+    def test_negative_rejected(self):
+        ds = data_io.synth_gaussian_blobs(2, 3, 5, seed=3)
+        with pytest.raises(ValueError, match="requested -3 samples"):
+            data_io.take_subset(ds, -3, seed=0)
+
 
 class TestOneHot:
     def test_basic(self):

@@ -226,6 +226,12 @@ def test_architecture_validation():
     assert arch.num_layers == 2 and arch.features == 4 and arch.classes == 2
 
 
+@pytest.mark.parametrize("lam", [-0.1, math.nan, math.inf])
+def test_architecture_rejects_bad_reg_weight(lam):
+    with pytest.raises(ValueError, match="reg_weight must be finite and >= 0"):
+        ns.Architecture((4, 3, 2), reg_weight=lam)
+
+
 def test_initialize_feasible_and_deterministic(rng):
     arch = ns.Architecture((3, 5, 4, 2))
     x = rng.uniform(0, 1, (3, 7))

@@ -262,6 +262,12 @@ class TestEvaluateF:
         with pytest.raises(ValueError):
             obj.HyperParams(eps0=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["rho", "eps0", "gamma", "eta", "alpha0", "fista_tol"])
+    def test_hyperparams_reject_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name}.* must be finite"):
+            obj.HyperParams(**{name: value})
+
 
 def test_accuracy_from_logits():
     logits = np.array([[2.0, 0.0], [1.0, 3.0]])

@@ -37,11 +37,27 @@ def _product(state, l):
     return state.W[l] @ state.a_prev(l)
 
 
+def _fresh_resid(state, l):
+    return obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
+
+
+def _update_w(state, l, hp, theta0=None):
+    """update_w on layer l's freshly formed residual; theta0 defaults to alpha0."""
+    return opt.update_w(state, l, hp, hp.alpha0 if theta0 is None else theta0,
+                        _fresh_resid(state, l))
+
+
+def _update_a(state, l, hp, eps, tau0=None):
+    """update_a on layer l+1's freshly formed residual; tau0 defaults to alpha0."""
+    return opt.update_a(state, l, hp, eps, hp.alpha0 if tau0 is None else tau0,
+                        _fresh_resid(state, l + 1))
+
+
 class TestUpdateW:
     def test_stationary_block_unchanged(self):
         state = small_state(seed=1)
         before = state.W[0]
-        res = opt.update_w(state, 0, obj.HyperParams())
+        res = _update_w(state, 0, obj.HyperParams())
         assert res.trials == 1
         assert np.array_equal(state.W[0], before)
 
@@ -50,7 +66,7 @@ class TestUpdateW:
         # so theta0 at the curvature accepts immediately with the exact step
         state = _scalar_state(W1=1.0, b1=0.0, z1=0.0, a1=0.0, W2=1.0, b2=0.0, z2=0.0)
         hp = obj.HyperParams(rho=1.0)
-        res = opt.update_w(state, 0, hp, theta0=1.0)
+        res = _update_w(state, 0, hp, theta0=1.0)
         def phi(w):
             return 0.5 * (0.0 - w * 1.0 - 0.0) ** 2
         expect = grid_minimize_1d(phi, -2.0, 2.0)
@@ -64,7 +80,7 @@ class TestUpdateW:
             l = int(rng.integers(0, state.num_layers))
             W_before = state.W[l]
             a_prev, b, z = state.a_prev(l), state.b[l], state.z[l]
-            res = opt.update_w(state, l, hp)
+            res = _update_w(state, l, hp)
             assert res.phi_value <= res.model_value
             # recompute both sides through the exact quadratic expansion
             d = state.W[l] - W_before
@@ -86,24 +102,17 @@ class TestUpdateW:
             a_prev, b, z = state.a_prev(l), state.b[l], state.z[l]
             before = (obj.penalty_phi(a_prev, state.W[l], b, z, hp.rho)
                       + obj.regularizer_value(reg, lam, state.W[l]))
-            opt.update_w(state, l, hp)
+            _update_w(state, l, hp)
             after = (obj.penalty_phi(a_prev, state.W[l], b, z, hp.rho)
                      + obj.regularizer_value(reg, lam, state.W[l]))
             assert after <= before + 1e-10
-
-    def test_gradient_without_its_residual_is_ignored(self):
-        state, twin = small_state(seed=2, scatter=0.5), small_state(seed=2, scatter=0.5)
-        hp = obj.HyperParams(rho=0.3)
-        opt.update_w(state, 1, hp)
-        opt.update_w(twin, 1, hp, grad=np.full_like(twin.W[1], np.nan))
-        assert state.W[1].tobytes() == twin.W[1].tobytes()
 
     def test_budget_exhaustion_raises_with_param(self):
         state = small_state(seed=2, scatter=0.5)
         hp = obj.HyperParams(rho=1.0, alpha0=1e-12, max_backtrack=2)
         with pytest.raises(opt.BacktrackError,
                            match="^W update at layer 0 did not majorize after 2 trials$") as err:
-            opt.update_w(state, 0, hp)
+            _update_w(state, 0, hp)
         assert err.value.last_param > 1e-12
 
 
@@ -242,7 +251,7 @@ class TestUpdateA:
     def test_stationary_feasible_unchanged(self):
         state = small_state(seed=7)
         before = state.a[0]
-        res = opt.update_a(state, 0, obj.HyperParams(), eps=0.5)
+        res = _update_a(state, 0, obj.HyperParams(), eps=0.5)
         assert res.trials == 1
         assert np.array_equal(state.a[0], before)
 
@@ -251,7 +260,7 @@ class TestUpdateA:
         # grad = rho*W2*(W2*a + b2 - z2) = 1*1*(0.5 - 0.9) = -0.4 and tau=1
         state = _scalar_state(W1=1.0, b1=0.0, z1=0.5, a1=0.5, W2=1.0, b2=0.0, z2=0.9)
         hp = obj.HyperParams(rho=1.0)
-        res = opt.update_a(state, 0, hp, eps=0.1, tau0=1.0)
+        res = _update_a(state, 0, hp, eps=0.1, tau0=1.0)
         assert state.a[0][0, 0] == pytest.approx(0.6, abs=1e-12)
         assert res.phi_value <= res.model_value
 
@@ -262,7 +271,7 @@ class TestUpdateA:
             l = seed % (state.num_layers - 1)
             W2, b2, z2 = state.W[l + 1], state.b[l + 1], state.z[l + 1]
             before = obj.penalty_phi(state.a[l], W2, b2, z2, hp.rho)
-            res = opt.update_a(state, l, hp, eps=1.0)
+            res = _update_a(state, l, hp, eps=1.0)
             after = obj.penalty_phi(state.a[l], W2, b2, z2, hp.rho)
             assert after <= before + 1e-10
             assert res.phi_value <= res.model_value
@@ -297,7 +306,7 @@ class TestMajorizedStep:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 200), scatter=st.floats(0.05, 1.0),
            rho=st.floats(1e-3, 4.0), growth=st.floats(1.5, 4.0),
-           param0=st.none() | st.floats(1e-5, 10.0),
+           param0=st.floats(1e-5, 10.0),
            reg=st.sampled_from([ns.RegKind.NONE, ns.RegKind.L2, ns.RegKind.L1]),
            activation=st.sampled_from(list(ns.ActivationKind)))
     def test_accepts_first_majorizing_curvature(self, block, seed, scatter, rho, growth,
@@ -309,17 +318,17 @@ class TestMajorizedStep:
         if block == "W":
             l = seed % state.num_layers
             current, candidate, image = _w_block(state, l, hp)
-            res = opt.update_w(state, l, hp, theta0=param0)
+            res = _update_w(state, l, hp, theta0=param0)
         else:
             l = seed % (state.num_layers - 1)
             current, candidate, image = _a_block(state, l, hp, eps)
-            res = opt.update_a(state, l, hp, eps, tau0=param0)
+            res = _update_a(state, l, hp, eps, tau0=param0)
 
         def majorizes(p):
             d = candidate(p) - current
             return 0.5 * rho * float(np.sum(image(d) ** 2)) <= 0.5 * p * float(np.sum(d * d))
 
-        param = hp.alpha0 if param0 is None else max(param0, hp.alpha0)
+        param = max(param0, hp.alpha0)
         for _ in range(res.trials - 1):
             assert not majorizes(param)
             param *= growth
@@ -331,7 +340,7 @@ class TestMajorizedStep:
         hp = obj.HyperParams(rho=1.0, alpha0=1e-12, max_backtrack=2)
         with pytest.raises(opt.BacktrackError,
                            match="^a update at layer 0 did not majorize after 2 trials$") as err:
-            opt.update_a(state, 0, hp, eps=1.0)
+            _update_a(state, 0, hp, eps=1.0)
         assert err.value.last_param == 2e-12
 
 
@@ -482,8 +491,26 @@ def _shrinking_problem(epochs):
     return ns.Architecture((12, 16, 16, 3), risk=ns.RiskKind.SQUARED), ds.x, ds.y, hp
 
 
-def _fresh_resid(state, l):
-    return obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
+def _calls_per_epoch(monkeypatch, targets, epochs):
+    """Calls of each (module, name) in ``targets`` per epoch of a train() run on
+    the blobs problem; epoch 0's include the set-up before the first sweep."""
+    counts = Counter()
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in targets:
+        count(module, name)
+    arch, x, y, hp = _blobs_problem(epochs)
+    seen = [Counter()]
+    _, trace = opt.train(arch, x, y, hp, per_epoch=lambda s, r: seen.append(Counter(counts)))
+    return arch, trace, [after - before for before, after in zip(seen, seen[1:])]
 
 
 @pytest.fixture
@@ -578,6 +605,20 @@ class TestResidualReuse:
             assert cur.f_after <= cur.f_before + 1e-12
         assert cache_watch["compared"] > 5 * len(BLOCKS)
 
+    def test_gradient_without_its_residual_is_dropped(self):
+        # a caller that clears R_0 between sweeps but leaves its W gradient
+        arch, x, y, hp = _blobs_problem(epochs=2)
+        runs = []
+        for stale in (False, True):
+            state = ns.initialize(arch, x, y, hp)
+            warm = opt.WarmStart.fresh(arch.num_layers, hp.alpha0)
+            opt.run_epoch(state, hp, 0, 0.01, warm)
+            warm.resid[0] = None
+            warm.grad_w0 = np.full_like(state.W[0], np.nan) if stale else None
+            report = opt.run_epoch(state, hp, 1, 0.01, warm)
+            runs.append((report.f_after, [W.tobytes() for W in state.W]))
+        assert runs[0] == runs[1]
+
     def test_cache_coherent_through_recovery(self, cache_watch):
         # the state of test_empty_interval_recovery_recenters, as a whole sweep
         state = _scalar_state(W1=1.0, b1=0.0, z1=0.5, a1=-5.0, W2=1.0, b2=0.0, z2=0.5)
@@ -620,34 +661,29 @@ class TestResidualReuse:
             assert cur.f_after <= prev.f_after
 
     def test_later_epochs_form_no_duplicate_products(self, monkeypatch):
-        counts = Counter()
-
-        def count(module, name):
-            inner = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return inner(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        count(obj, "evaluate_f")
-        count(ns, "feasibility_residual")
-        count(ns, "activation_apply")
-        count(obj, "coupling_residual")
-        arch, x, y, hp = _blobs_problem(epochs=30)
-        seen = []
-        _, trace = opt.train(arch, x, y, hp, per_epoch=lambda s, r: seen.append(Counter(counts)))
+        arch, trace, spent = _calls_per_epoch(monkeypatch, [
+            (obj, "evaluate_f"), (ns, "feasibility_residual"), (ns, "activation_apply"),
+            (obj, "coupling_residual")], epochs=30)
         assert all(r.eps_next == r.eps_used for r in trace)   # F is carried every epoch
-        for k in range(1, hp.epochs):
-            spent = seen[k] - seen[k - 1]
-            assert spent["evaluate_f"] == 0
+        for k in range(1, len(trace)):
+            assert spent[k]["evaluate_f"] == 0
             # the a steps measure the slab and form the only h(z_l) of the sweep
-            assert spent["feasibility_residual"] == 0
-            assert spent["activation_apply"] == arch.num_layers - 1
-            # only update_w's fresh residuals for l >= 1, after update_a moved a_{l-1}
-            assert spent["coupling_residual"] <= arch.num_layers - 1
+            assert spent[k]["feasibility_residual"] == 0
+            assert spent[k]["activation_apply"] == arch.num_layers - 1
+            # only R_l for l >= 1, after update_a(l - 1) moved a_{l-1}
+            assert spent[k]["coupling_residual"] <= arch.num_layers - 1
 
+    def test_sweep_forms_each_residual_once(self, monkeypatch):
+        # a fresh start forms every R_l once, for f_before and the blocks alike,
+        # and R_l for l >= 1 once more after update_a(l - 1); no block forms one
+        arch, trace, spent = _calls_per_epoch(monkeypatch, [
+            (obj, "evaluate_f"), (obj, "coupling_residual")], epochs=5)
+        L = arch.num_layers
+        assert spent[0]["evaluate_f"] == 0
+        assert spent[0]["coupling_residual"] <= 2 * L - 1
+        for k in range(1, len(trace)):
+            assert spent[k]["evaluate_f"] == 0
+            assert spent[k]["coupling_residual"] <= L - 1
 
 def _sq(v):
     return float(np.sum(v * v))
@@ -717,7 +753,7 @@ class TestNonFinite:
         z[0, 0] = np.nan
         state.z[0] = z
         with pytest.raises(opt.NonFiniteError) as err:
-            opt.update_a(state, 0, obj.HyperParams(), eps=0.5)
+            _update_a(state, 0, obj.HyperParams(), eps=0.5)
         assert (err.value.epoch, err.value.layer, err.value.block) == (None, 0, "a update")
 
     def test_nan_objective_ends_the_epoch(self, monkeypatch):
