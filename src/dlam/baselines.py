@@ -59,14 +59,8 @@ def backprop_grads(arch: ns.Architecture, W: list[np.ndarray], b: list[np.ndarra
                    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Exact gradients of the mean cross-entropy w.r.t. every W_l and b_l."""
     L = arch.num_layers
-    zs, acts = [], [x]
-    cur = x
-    for l in range(L):
-        z = W[l] @ cur + b[l]
-        zs.append(z)
-        if l < L - 1:
-            cur = ns.activation_apply(arch.activation[l], z)
-            acts.append(cur)
+    zs, hidden = ns.forward_pass(arch, W, b, x)
+    acts = [x] + hidden
     delta = obj.grad_risk_cross_entropy(zs[-1], y)
     dW = [None] * L
     db = [None] * L
@@ -83,8 +77,9 @@ def train_baseline(cfg: BaselineConfig, arch: ns.Architecture, x: np.ndarray,
                    ) -> tuple[list[np.ndarray], list[np.ndarray], list[dict]]:
     """Full-batch training loop; returns (W, b, trace of per-epoch records).
 
-    ``y`` must be one-hot; it is checked once here, not on every epoch.
+    ``x`` must be finite and ``y`` one-hot; both are checked here, not per epoch.
     """
+    ns.check_finite(x=x)
     ns.check_one_hot(y)
     W, b = ns.he_init(arch, cfg.seed)
     params = W + b

@@ -80,6 +80,8 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         if self.subset_size < 0 or self.train_count < 0:
             raise ConfigError("subset_size and train_count must be >= 0")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         # the dataclasses check their own fields; build them before any data loads
         self.architecture(1, 1)
         if self.optimizer == "dlam":
@@ -281,7 +283,9 @@ def run(cfg: RunConfig) -> int:
 
 
 def scaling_table(cfg: RunConfig, sizes: list[int], rhos: list[float]) -> Path:
-    """Mean per-epoch wall time over a sample-size x rho grid; writes a CSV."""
+    """Mean per-epoch wall time of the dlam trainer over a size x rho grid; writes a CSV."""
+    if cfg.optimizer != "dlam":
+        raise ConfigError(f"scale times the dlam trainer only, not {cfg.optimizer!r}")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = load_dataset(cfg)[0]

@@ -136,6 +136,8 @@ def synth_gaussian_blobs(classes: int, d: int, n_per_class: int, seed: int,
     """
     if classes < 1 or d < 1 or n_per_class < 1:
         raise ValueError("classes, d and n_per_class must all be >= 1")
+    if not 0 <= noise < np.inf:
+        raise ValueError(f"blobs noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     means = rng.uniform(0.15, 0.85, size=(classes, d))
     if split != "train":

@@ -193,6 +193,13 @@ def check_one_hot(y: np.ndarray) -> None:
         raise ValueError("labels must be one-hot columns")
 
 
+def check_finite(**blocks: np.ndarray) -> None:
+    """Every named block must hold only finite values."""
+    for name, block in blocks.items():
+        if not np.isfinite(block).all():
+            raise ValueError(f"{name} contains non-finite values (NaN or inf)")
+
+
 def he_init(arch: Architecture, seed: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gaussian weights with std sqrt(2 / fan_in) and zero intercepts."""
     rng = np.random.default_rng(seed)
@@ -226,23 +233,19 @@ def initialize(arch: Architecture, x: np.ndarray, y: np.ndarray, hp=None,
         raise ShapeError(f"x has {x.shape[1]} columns but y has {y.shape[1]}")
     if x.shape[1] == 0:
         raise ValueError("empty batch: x and y have no sample columns")
-    for name, block in (("x", x), ("y", y)):
-        if not np.isfinite(block).all():
-            raise ValueError(f"{name} contains non-finite values (NaN or inf)")
+    check_finite(x=x, y=y)
     if arch.risk is RiskKind.CROSS_ENTROPY:
         check_one_hot(y)
     if seed is None:
         seed = getattr(hp, "seed", 0) if hp is not None else 0
     W, b = he_init(arch, seed)
-    state = NetworkState(arch=arch, x=x, y=y, W=W, b=b)
-    cur = x
-    for l in range(arch.num_layers):
-        z = W[l] @ cur + b[l]
-        state.z.append(z)
-        if l < arch.num_layers - 1:
-            cur = activation_apply(arch.activation[l], z)
-            state.a.append(cur)
-    return state
+    return NetworkState(arch, x, y, W, b, *forward_pass(arch, W, b, x))
+
+
+def slab_violation(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """||a - clip(a, lo, hi)||_inf, NaN for a NaN entry; overwrites ``lo`` (peak memory)."""
+    np.clip(a, lo, hi, out=lo)
+    return float(np.max(np.abs(np.subtract(a, lo, out=lo), out=lo), initial=0.0))
 
 
 def feasibility_residual(state: NetworkState, eps: float) -> float:
@@ -255,21 +258,26 @@ def feasibility_residual(state: NetworkState, eps: float) -> float:
     worst = 0.0
     for l in range(state.num_layers - 1):
         h = activation_apply(state.arch.activation[l], state.z[l])
-        clipped = np.clip(state.a[l], h - eps, h + eps)
         # np.maximum, unlike max(), keeps a NaN: a NaN entry must not read as feasible
-        worst = float(np.maximum(worst, np.max(np.abs(state.a[l] - clipped), initial=0.0)))
+        worst = float(np.maximum(worst, slab_violation(state.a[l], h - eps, h + eps)))
     return worst
+
+
+def forward_pass(arch: Architecture, W: list[np.ndarray], b: list[np.ndarray],
+                 x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Plain feedforward pass from x; returns every z_l and every hidden a_l = h(z_l)."""
+    zs, hidden = [], []
+    for l in range(arch.num_layers):
+        zs.append(W[l] @ (hidden[-1] if hidden else x) + b[l])
+        if l < arch.num_layers - 1:
+            hidden.append(activation_apply(arch.activation[l], zs[-1]))
+    return zs, hidden
 
 
 def forward_logits(arch: Architecture, W: list[np.ndarray], b: list[np.ndarray],
                    x: np.ndarray) -> np.ndarray:
     """Plain feedforward pass; returns the output-layer pre-activations."""
-    cur = x
-    for l in range(arch.num_layers):
-        cur = W[l] @ cur + b[l]
-        if l < arch.num_layers - 1:
-            cur = activation_apply(arch.activation[l], cur)
-    return cur
+    return forward_pass(arch, W, b, x)[0][-1]
 
 
 def save_state(state: NetworkState, path: str) -> None:

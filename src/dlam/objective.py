@@ -9,6 +9,11 @@ pre-activation to the affine image of its input, and the indicator is 0 when
 every hidden activation sits inside its eps-slab and +inf otherwise. Risk is
 averaged over batch columns so rho does not have to scale with batch size;
 the penalty sums over columns.
+
+phi_l depends on the blocks only through R_l = W_l a_{l-1} + b_l - z_l, and
+this module holds the one copy of each formula on R: ``residual``, ``penalty``
+and its block gradients ``grad_w/b/z/a``. ``penalty_phi`` and ``grad_phi_*``
+compose them with ``coupling_residual`` for callers holding only the blocks.
 """
 
 from __future__ import annotations
@@ -69,10 +74,15 @@ class ObjectiveBreakdown:
     feasibility_residual: float   # largest slab violation at the eps in force
 
 
+def residual(product: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """product + b 1^T - z with ``product`` = W a_prev: the coupling residual R."""
+    return product + b - z
+
+
 def coupling_residual(a_prev: np.ndarray, W: np.ndarray, b: np.ndarray,
                       z: np.ndarray) -> np.ndarray:
     """W a_prev + b 1^T - z, the residual every coupling term is built on."""
-    return W @ a_prev + b - z
+    return residual(W @ a_prev, b, z)
 
 
 def mean_residual(product: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -85,35 +95,50 @@ def mean_residual(product: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarr
     return b + (product - z).mean(axis=1, keepdims=True)
 
 
+def penalty(R: np.ndarray, rho: float) -> float:
+    """phi = (rho/2) ||R||_F^2 for a coupling residual R."""
+    return 0.5 * rho * float(np.sum(R * R))
+
+
+def grad_w(R: np.ndarray, a_prev: np.ndarray, rho: float) -> np.ndarray:
+    """d phi / d W = rho R a_prev^T."""
+    return rho * (R @ a_prev.T)
+
+
+def grad_b(R: np.ndarray, rho: float) -> np.ndarray:
+    """d phi / d b = rho rowsum(R): b is shared by every batch column."""
+    return rho * R.sum(axis=1, keepdims=True)
+
+
+def grad_z(R: np.ndarray, rho: float) -> np.ndarray:
+    """d phi / d z = -rho R."""
+    return -rho * R
+
+
+def grad_a(R: np.ndarray, W_next: np.ndarray, rho: float) -> np.ndarray:
+    """d phi_next / d a = rho W_next^T R_next, R_next the next layer's residual."""
+    return rho * (W_next.T @ R)
+
+
 def penalty_phi(a_prev: np.ndarray, W: np.ndarray, b: np.ndarray, z: np.ndarray,
                 rho: float) -> float:
-    """(rho/2) ||z - W a_prev - b 1^T||_F^2."""
-    resid = coupling_residual(a_prev, W, b, z)
-    return 0.5 * rho * float(np.sum(resid * resid))
+    return penalty(coupling_residual(a_prev, W, b, z), rho)
 
 
 def grad_phi_w(a_prev, W, b, z, rho) -> np.ndarray:
-    """rho (W a_prev + b 1^T - z) a_prev^T."""
-    return rho * (coupling_residual(a_prev, W, b, z) @ a_prev.T)
+    return grad_w(coupling_residual(a_prev, W, b, z), a_prev, rho)
 
 
 def grad_phi_b(a_prev, W, b, z, rho) -> np.ndarray:
-    """Column vector rho * rowsum(b 1^T + W a_prev - z).
-
-    Summed over batch columns, which is what finite differences of
-    penalty_phi with respect to the shared intercept produce.
-    """
-    return rho * coupling_residual(a_prev, W, b, z).sum(axis=1, keepdims=True)
+    return grad_b(coupling_residual(a_prev, W, b, z), rho)
 
 
 def grad_phi_z(a_prev, W, b, z, rho) -> np.ndarray:
-    """rho (z - W a_prev - b 1^T)."""
-    return -rho * coupling_residual(a_prev, W, b, z)
+    return grad_z(coupling_residual(a_prev, W, b, z), rho)
 
 
 def grad_phi_a(a, W_next, b_next, z_next, rho) -> np.ndarray:
-    """rho W_next^T (W_next a + b_next 1^T - z_next)."""
-    return rho * (W_next.T @ coupling_residual(a, W_next, b_next, z_next))
+    return grad_a(coupling_residual(a, W_next, b_next, z_next), W_next, rho)
 
 
 def softmax_columns(z: np.ndarray) -> np.ndarray:
@@ -221,7 +246,7 @@ def objective_from_residuals(state: ns.NetworkState, hp: HyperParams,
     arch = state.arch
     risk = risk_value(arch.risk, state.z[-1], state.y)
     reg = sum(regularizer_value(arch.regularizer, arch.reg_weight, W) for W in state.W)
-    penalties = [0.5 * hp.rho * float(np.sum(r * r)) for r in residuals]
+    penalties = [penalty(r, hp.rho) for r in residuals]
     feasible = feas <= FEASIBILITY_TOL
     total = risk + reg + sum(penalties) if feasible else math.inf
     return ObjectiveBreakdown(risk=risk, reg=reg, penalty_per_layer=penalties,

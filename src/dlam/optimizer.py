@@ -155,6 +155,8 @@ def _majorized_step(block: str, layer: int, hp: obj.HyperParams, current: np.nda
     while True:
         cand = candidate(param)
         d = cand - current
+        # obj.penalty inline: numpy squares the fresh image in place here, where
+        # penalty's R * R would allocate a second block-sized array (peak memory)
         quad_true = 0.5 * hp.rho * float(np.sum(image(d) ** 2))
         move_sq = _sq(d)
         quad_model = 0.5 * param * move_sq
@@ -173,10 +175,9 @@ def _majorized_step(block: str, layer: int, hp: obj.HyperParams, current: np.nda
 
 def _free_z_step(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
                  product: np.ndarray) -> np.ndarray:
-    """Free minimizer z - grad_phi_z / rho of the penalty in z; ``product`` is W a_prev."""
+    """Free minimizer z - grad_z / rho of the penalty in z; ``product`` is W a_prev."""
     z = state.z[layer]
-    grad = -hp.rho * (product + state.b[layer] - z)     # grad_phi_z
-    return z - grad / hp.rho
+    return z - obj.grad_z(obj.residual(product, state.b[layer], z), hp.rho) / hp.rho
 
 
 def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, theta0: float,
@@ -194,9 +195,9 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, theta0: fl
     arch = state.arch
     a_prev = state.a_prev(layer)
     W_k = state.W[layer]
-    phi0 = 0.5 * hp.rho * _sq(resid)
+    phi0 = obj.penalty(resid, hp.rho)
     if grad is None:
-        grad = hp.rho * (resid @ a_prev.T)
+        grad = obj.grad_w(resid, a_prev, hp.rho)
     state.W[layer], result = _majorized_step(
         "W", layer, hp, W_k, phi0, grad, theta0, hp.gamma,
         lambda theta: obj.solve_w_subproblem(arch.regularizer, arch.reg_weight, W_k, grad, theta),
@@ -261,8 +262,7 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
     step = 1.0 / lip
 
     def value(z):
-        d = z - m
-        return 0.5 * hp.rho * float(np.sum(d * d)) + obj.risk_value(arch.risk, z, y)
+        return obj.penalty(z - m, hp.rho) + obj.risk_value(arch.risk, z, y)
 
     def gradient(z):
         return hp.rho * (z - m) + obj.risk_grad(arch.risk, z, y)
@@ -315,8 +315,8 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
     W_next = state.W[layer + 1]
     h = ns.activation_apply(kind, state.z[layer])
     lo, hi = h - eps, h + eps
-    phi0 = 0.5 * hp.rho * _sq(resid)
-    grad = hp.rho * (W_next.T @ resid)
+    phi0 = obj.penalty(resid, hp.rho)
+    grad = obj.grad_a(resid, W_next, hp.rho)
     cand, result = _majorized_step(
         "a", layer, hp, a_k, phi0, grad, tau0, hp.eta,
         lambda tau: np.clip(a_k - grad / tau, lo, hi),
@@ -324,10 +324,7 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
     state.a[layer] = cand
     # the trial temporaries go before the violation is formed: peak memory
     del grad, h
-    viol = np.clip(cand, lo, hi, out=lo)
-    np.subtract(cand, viol, out=viol)
-    np.abs(viol, out=viol)
-    result.slab_violation = float(np.max(viol, initial=0.0))
+    result.slab_violation = ns.slab_violation(cand, lo, hi)
     return result
 
 
@@ -361,14 +358,13 @@ def _grad_norm_proxy(state: ns.NetworkState, hp: obj.HyperParams, warm: WarmStar
     residuals = warm.resid
     total = 0.0
     for l in range(L):
-        gw = hp.rho * (residuals[l] @ state.a_prev(l).T)
+        gw = obj.grad_w(residuals[l], state.a_prev(l), hp.rho)
         if l == 0:
             warm.grad_w0 = gw
         if arch.regularizer is ns.RegKind.L2 and arch.reg_weight > 0.0:
             gw = gw + 2.0 * arch.reg_weight * state.W[l]
-        gb = hp.rho * residuals[l].sum(axis=1, keepdims=True)
-        total += _sq(gw) + _sq(gb)
-    gz = -hp.rho * residuals[L - 1] + obj.risk_grad(arch.risk, state.z[L - 1], state.y)
+        total += _sq(gw) + _sq(obj.grad_b(residuals[l], hp.rho))
+    gz = obj.grad_z(residuals[L - 1], hp.rho) + obj.risk_grad(arch.risk, state.z[L - 1], state.y)
     total += _sq(gz)
     return math.sqrt(total)
 
@@ -449,8 +445,8 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
             dz = state.z[l] - old_z
             del old_z
             dz_sq.append(_sq(dz))
-            # coupling_residual's operation order; current to the end of the sweep
-            resid[l] = product + state.b[l] - state.z[l]
+            # current to the end of the sweep
+            resid[l] = obj.residual(product, state.b[l], state.z[l])
             grad_b_err = max(grad_b_err, grad_b_layer_error(product, state.b[l], state.z[l],
                                                             dz, hp.rho))
             del product, dz

@@ -111,6 +111,14 @@ class TestTrainBaseline:
         with pytest.raises(ValueError, match="must be finite"):
             bl.BaselineConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_x(self, value, rng):
+        arch, x, y = self._data(rng)
+        x[2, 7] = value
+        cfg = bl.BaselineConfig(kind=bl.BaselineKind.SGD, lr=0.1, epochs=2)
+        with pytest.raises(ValueError, match="x contains non-finite values"):
+            bl.train_baseline(cfg, arch, x, y)
+
 
 class TestLearningRateSelection:
     def test_grid_winner_separates_blobs(self):

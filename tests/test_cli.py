@@ -135,7 +135,27 @@ class TestTrainCommand:
                          "--epochs", "2", "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "x contains non-finite values" in err
+        assert err == "error: blobs noise must be finite and >= 0, got nan\n"
+
+    @pytest.mark.parametrize("noise,shown", [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")])
+    def test_bad_blobs_noise_fails_a_baseline_run(self, tmp_path, capsys, noise, shown):
+        out = tmp_path / "run"
+        code = cli.main(["train", "--dataset", "blobs", "--optimizer", "sgd", "--lr", "0.1",
+                         "--hidden", "8", "--epochs", "2", "--blobs-noise", noise,
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: blobs noise must be finite and >= 0, got {shown}\n"
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("optimizer", ["dlam", "sgd"])
+    def test_zero_epochs_is_an_error_message(self, tmp_path, capsys, optimizer):
+        out = tmp_path / "run"
+        code = cli.main(["train", "--dataset", "blobs", "--hidden", "8", "--epochs", "0",
+                         "--optimizer", optimizer, "--lr", "0.1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: epochs must be >= 1, got 0\n"
+        assert not (out / "trace.csv").exists()
 
     @pytest.mark.parametrize("flags,message", [
         (["--optimizer", "sgd", "--lr", "nan"], "lr must be finite and >= 0"),
@@ -189,6 +209,16 @@ class TestScaleCommand:
         for row in rows[1:]:
             times = [float(v) for v in row[1:]]
             assert all(t > 0 for t in times)
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad", "adadelta"])
+    def test_baseline_optimizer_rejected(self, tmp_path, capsys, optimizer):
+        out = tmp_path / "scale"
+        code = cli.main(["scale", "--dataset", "blobs", "--optimizer", optimizer,
+                         "--sizes", "50,100", "--rhos", "0.01", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: scale times the dlam trainer only, not {optimizer!r}\n")
+        assert not (out / "scaling.csv").exists()
 
     def test_size_exceeding_dataset_rejected(self, tmp_path):
         cfg = cli.RunConfig(dataset="blobs", out_dir=str(tmp_path),

@@ -137,6 +137,15 @@ class TestBlobs:
         with pytest.raises(ValueError):
             data_io.synth_gaussian_blobs(0, 5, 10, seed=1)
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_rejects_noise_not_finite_and_nonnegative(self, noise):
+        with pytest.raises(ValueError, match="blobs noise must be finite and >= 0"):
+            data_io.synth_gaussian_blobs(3, 5, 10, seed=1, noise=noise)
+
+    def test_zero_noise_puts_every_sample_on_its_mean(self):
+        ds = data_io.synth_gaussian_blobs(3, 5, 10, seed=1, noise=0.0)
+        assert np.unique(ds.x, axis=1).shape[1] == 3
+
 
 class TestSubset:
     def test_deterministic_and_sized(self):

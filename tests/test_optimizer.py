@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlam import baselines as bl
 from dlam import network_state as ns
 from dlam import objective as obj
 from dlam import optimizer as opt
@@ -684,6 +685,31 @@ class TestResidualReuse:
         for k in range(1, len(trace)):
             assert spent[k]["evaluate_f"] == 0
             assert spent[k]["coupling_residual"] <= L - 1
+
+
+class TestSharedFormulas:
+    """The sweep and the baselines build on the one copy of each formula, so a
+    private copy of one cannot grow back unseen."""
+
+    SHARED = [(obj, "residual"), (obj, "penalty"), (obj, "grad_w"), (obj, "grad_a"),
+              (obj, "grad_b"), (obj, "grad_z"), (ns, "slab_violation")]
+
+    def test_every_epoch_calls_each_shared_formula(self, monkeypatch):
+        _, trace, spent = _calls_per_epoch(monkeypatch, self.SHARED, epochs=4)
+        assert len(spent) == len(trace) == 4
+        for k, counts in enumerate(spent):
+            for _, name in self.SHARED:
+                assert counts[name] >= 1, (k, name)
+
+    def test_backprop_runs_the_shared_forward_pass(self, monkeypatch):
+        calls = []
+        forward_pass = ns.forward_pass
+        monkeypatch.setattr(ns, "forward_pass",
+                            lambda *args: calls.append(1) or forward_pass(*args))
+        arch, x, y, _ = _blobs_problem(epochs=1)
+        bl.backprop_grads(arch, *ns.he_init(arch, 0), x, y)
+        assert len(calls) == 1
+
 
 def _sq(v):
     return float(np.sum(v * v))
