@@ -40,17 +40,18 @@ class BaselineConfig:
             raise ValueError("epsilons must be finite and > 0")
         if not 0.0 < self.adadelta_rho < 1.0:
             raise ValueError("adadelta_rho must be in (0, 1)")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
 
 
-def activation_derivative(kind: ns.ActivationKind, z: np.ndarray) -> np.ndarray:
+def activation_derivative(kind: ns.ActivationKind, a: np.ndarray) -> np.ndarray:
+    """h'(z) written in terms of the activation a = h(z) itself."""
     if kind is ns.ActivationKind.RELU:
-        return (z > 0.0).astype(np.float64)
+        return (a > 0.0).astype(np.float64)
     if kind is ns.ActivationKind.SIGMOID:
-        s = ns.activation_apply(kind, z)
-        return s * (1.0 - s)
+        return a * (1.0 - a)
     if kind is ns.ActivationKind.TANH:
-        t = np.tanh(z)
-        return 1.0 - t * t
+        return 1.0 - a * a
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -68,7 +69,7 @@ def backprop_grads(arch: ns.Architecture, W: list[np.ndarray], b: list[np.ndarra
         dW[l] = delta @ acts[l].T
         db[l] = delta.sum(axis=1, keepdims=True)
         if l > 0:
-            delta = (W[l].T @ delta) * activation_derivative(arch.activation[l - 1], zs[l - 1])
+            delta = (W[l].T @ delta) * activation_derivative(arch.activation[l - 1], acts[l])
     return dW, db
 
 
@@ -132,11 +133,12 @@ def select_learning_rate(kind: BaselineKind, arch: ns.Architecture, x: np.ndarra
     Short probe runs on the given batch; ties break toward the larger rate
     because the grid is ordered descending.
     """
+    if probe_epochs < 1:
+        raise ValueError("probe_epochs must be >= 1")
     best_lr, best_acc = grid[0], -1.0
     for lr in grid:
         cfg = BaselineConfig(kind=kind, lr=lr, epochs=probe_epochs, seed=seed)
-        W, b, _ = train_baseline(cfg, arch, x, y)
-        acc = obj.accuracy_from_logits(ns.forward_logits(arch, W, b, x), y)
+        acc = train_baseline(cfg, arch, x, y)[2][-1]["train_acc"]
         if acc > best_acc:
             best_lr, best_acc = lr, acc
     return best_lr

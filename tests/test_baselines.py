@@ -50,6 +50,22 @@ class TestBackprop:
         assert np.allclose(db[1], resid.sum(axis=1, keepdims=True), atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", list(ns.ActivationKind))
+def test_derivative_of_activation_matches_the_z_formula(kind, rng):
+    # backprop hands the derivative a = h(z) from the forward pass, not z
+    z = np.concatenate([rng.normal(0.0, 3.0, 200), [0.0, -0.0, 40.0, -40.0]])
+    if kind is ns.ActivationKind.RELU:
+        expected = (z > 0.0).astype(np.float64)
+    elif kind is ns.ActivationKind.SIGMOID:
+        s = ns.activation_apply(kind, z)
+        expected = s * (1.0 - s)
+    else:
+        t = np.tanh(z)
+        expected = 1.0 - t * t
+    got = bl.activation_derivative(kind, ns.activation_apply(kind, z))
+    assert got.tobytes() == expected.tobytes()
+
+
 class TestTrainBaseline:
     def _data(self, rng):
         arch = ns.Architecture((4, 6, 3))
@@ -104,6 +120,8 @@ class TestTrainBaseline:
             bl.BaselineConfig(lr=-1.0)
         with pytest.raises(ValueError):
             bl.BaselineConfig(adadelta_rho=1.5)
+        with pytest.raises(ValueError, match="epochs must be >= 0"):
+            bl.BaselineConfig(epochs=-1)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["lr", "adagrad_eps", "adadelta_eps"])
@@ -131,3 +149,9 @@ class TestLearningRateSelection:
         W, b, _ = bl.train_baseline(cfg, arch, ds.x, ds.y)
         acc = obj.accuracy_from_logits(ns.forward_logits(arch, W, b, ds.x), ds.y)
         assert acc == 1.0
+
+    def test_needs_at_least_one_probe_epoch(self):
+        ds = data_io.synth_gaussian_blobs(3, 8, 10, seed=5)
+        with pytest.raises(ValueError, match="probe_epochs must be >= 1"):
+            bl.select_learning_rate(bl.BaselineKind.SGD, ns.Architecture((8, 4, 3)),
+                                    ds.x, ds.y, probe_epochs=0)

@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,52 +283,15 @@ class TestScaleCommand:
         assert len(_read_rows(printed)) == 2
 
 
-class TestPlotCommand:
-    def _trace(self, path, rows):
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["epoch", "F", "train_acc", "test_acc", "wall_time_s"])
-            writer.writerows(rows)
+class TestCommandSurface:
+    def test_plot_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["plot", "--in", "trace.csv", "--out", "plots"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'plot'" in capsys.readouterr().err
 
-    def test_single_trace_produces_charts(self, tmp_path):
-        trace = tmp_path / "trace.csv"
-        self._trace(trace, [[0, 2.0, 0.3, 0.25, 0.1], [1, 1.0, 0.5, 0.45, 0.1]])
-        paths = cli.plot_traces([str(trace)], ["run"], str(tmp_path / "plots"))
-        assert len(paths) == 2
-        for p in paths:
-            text = Path(p).read_text()
-            assert text.startswith("<svg") and "polyline" in text
-
-    def test_multiple_traces_all_labeled(self, tmp_path):
-        t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        self._trace(t1, [[0, 2.0, 0.3, 0.2, 0.1], [1, 1.5, 0.4, 0.3, 0.1]])
-        self._trace(t2, [[0, 3.0, 0.2, 0.2, 0.1], [1, 2.0, 0.3, 0.3, 0.1]])
-        paths = cli.plot_traces([str(t1), str(t2)], ["one", "two"], str(tmp_path / "p"))
-        text = Path(paths[1]).read_text()
-        assert "one train" in text and "two train" in text
-
-    def test_empty_trace_errors_without_output(self, tmp_path):
-        trace = tmp_path / "empty.csv"
-        self._trace(trace, [])
-        out = tmp_path / "plots"
-        with pytest.raises(ValueError):
-            cli.plot_traces([str(trace)], ["x"], str(out))
-        assert not (out / "objective.svg").exists()
-
-    def test_plot_via_main(self, tmp_path):
-        trace = tmp_path / "trace.csv"
-        self._trace(trace, [[0, 2.0, 0.3, 0.25, 0.1], [1, 1.0, 0.5, 0.45, 0.1]])
-        code = cli.main(["plot", "--in", str(trace), "--labels", "run",
-                         "--out", str(tmp_path / "plots")])
-        assert code == 0
-
-    def test_missing_column_is_an_error_message(self, tmp_path, capsys):
-        # diagnostics.csv is a per-epoch table too, but holds no accuracies
-        assert cli.main(["train", *BLOBS_ARGS, "--out", str(tmp_path / "run")]) == 0
-        diagnostics = tmp_path / "run" / "diagnostics.csv"
-        capsys.readouterr()
-        code = cli.main(["plot", "--in", str(diagnostics), "--out", str(tmp_path / "p")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == f"error: {diagnostics}: missing column 'train_acc'\n"
-        assert not (tmp_path / "p" / "objective.svg").exists()
+    def test_help_lists_train_and_scale_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert "{train,scale}" in capsys.readouterr().out
