@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per training run, to show that a change moves no bit.
 
-    python scripts/fingerprint.py                      # all five runs
-    python scripts/fingerprint.py --runs tanh-l1-blobs
+    python scripts/fingerprint.py                      # all eight runs
+    python scripts/fingerprint.py --runs tanh-l1-blobs adagrad-blobs
 
-Each run trains from a fixed seed with ``dlam.train`` and hashes the final
-W, b, z and a bytes together with every ``EpochReport`` field except
-``wall_time_s``. Run it at two commits of a source checkout (it imports the
-package from that checkout's ``src/``) and compare the lines: equal hashes
-mean bit-identical training. Hashes depend on the numpy build and its BLAS,
-so compare them on one machine only; the BLAS pools are pinned to one
-thread unless the environment already sets them.
+Each DLAM run trains from a fixed seed with ``dlam.train`` and hashes the
+final W, b, z and a bytes together with every ``EpochReport`` field except
+``wall_time_s``. Each baseline run trains with ``train_baseline`` and
+hashes the final W and b bytes together with every per-epoch record field
+except ``wall_time_s``. Run it at two commits of a source checkout (it
+imports the package from that checkout's ``src/``) and compare the lines:
+equal hashes mean bit-identical training. Hashes depend on the numpy build
+and its BLAS, so compare them on one machine only; the BLAS pools are
+pinned to one thread unless the environment already sets them.
 """
 
 import argparse
@@ -28,6 +30,7 @@ if __name__ == "__main__":
 
 import numpy as np                   # noqa: E402
 
+from dlam import baselines as bl       # noqa: E402
 from dlam import network_state as ns   # noqa: E402
 from dlam import objective as obj      # noqa: E402
 from dlam import optimizer as opt      # noqa: E402
@@ -57,21 +60,44 @@ RUNS = {
                          BLOBS, obj.HyperParams(rho=0.01, eps0=1.0, epochs=100, seed=0)),
 }
 
+# name -> (architecture, dataset arguments, baseline config): one per update rule
+BASELINE_RUNS = {
+    "adagrad-blobs": (ns.Architecture((12, 16, 16, 3)), BLOBS,
+                      bl.BaselineConfig(kind=bl.BaselineKind.ADAGRAD, lr=0.1, epochs=100)),
+    "sgd-sigmoid-blobs": (ns.Architecture((12, 16, 16, 3), activation=ACT.SIGMOID), BLOBS,
+                          bl.BaselineConfig(kind=bl.BaselineKind.SGD, lr=0.3, epochs=100)),
+    "adadelta-tanh-blobs": (ns.Architecture((12, 16, 16, 3), activation=ACT.TANH), BLOBS,
+                            bl.BaselineConfig(kind=bl.BaselineKind.ADADELTA, lr=1.0,
+                                              epochs=100)),
+}
 
-def fingerprint(state: ns.NetworkState, trace) -> str:
-    """SHA-256 of the final blocks' bytes and every report field but wall time."""
+
+def _digest(records, blocks) -> str:
+    """SHA-256 of every record field but wall time, then the blocks' bytes."""
     digest = hashlib.sha256()
-    for report in trace:
-        fields = dataclasses.asdict(report)
-        del fields["wall_time_s"]
+    for fields in records:
+        fields = {k: v for k, v in fields.items() if k != "wall_time_s"}
         digest.update(repr(fields).encode())     # repr round-trips every float
-    for blocks in (state.W, state.b, state.z, state.a):
-        for block in blocks:
-            digest.update(np.ascontiguousarray(block, dtype=np.float64).tobytes())
+    for block in blocks:
+        digest.update(np.ascontiguousarray(block, dtype=np.float64).tobytes())
     return digest.hexdigest()
 
 
+def fingerprint(state: ns.NetworkState, trace) -> str:
+    """SHA-256 of the final blocks' bytes and every report field but wall time."""
+    return _digest(map(dataclasses.asdict, trace), [*state.W, *state.b, *state.z, *state.a])
+
+
+def baseline_fingerprint(W, b, trace) -> str:
+    """SHA-256 of the final W and b bytes and every record field but wall time."""
+    return _digest(trace, [*W, *b])
+
+
 def run(name: str) -> str:
+    if name in BASELINE_RUNS:
+        arch, data, cfg = BASELINE_RUNS[name]
+        ds = synth_gaussian_blobs(**data)
+        return baseline_fingerprint(*bl.train_baseline(cfg, arch, ds.x, ds.y))
     arch, data, hp = RUNS[name]
     ds = synth_gaussian_blobs(**data)
     return fingerprint(*opt.train(arch, ds.x, ds.y, hp))
@@ -79,7 +105,8 @@ def run(name: str) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", nargs="+", choices=list(RUNS), default=list(RUNS))
+    names = [*RUNS, *BASELINE_RUNS]
+    parser.add_argument("--runs", nargs="+", choices=names, default=names)
     args = parser.parse_args(argv)
     for name in args.runs:
         print(f"{run(name)}  {name}", flush=True)

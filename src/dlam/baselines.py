@@ -56,11 +56,17 @@ def activation_derivative(kind: ns.ActivationKind, a: np.ndarray) -> np.ndarray:
 
 
 def backprop_grads(arch: ns.Architecture, W: list[np.ndarray], b: list[np.ndarray],
-                   x: np.ndarray, y: np.ndarray
+                   x: np.ndarray, y: np.ndarray, forward=None
                    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Exact gradients of the mean cross-entropy w.r.t. every W_l and b_l."""
+    """Exact gradients of the mean cross-entropy w.r.t. every W_l and b_l.
+
+    ``forward`` is the pass ``(zs, hidden)`` that ``ns.forward_pass`` formed
+    at these W and b; without it a fresh pass is formed. The backward
+    products W_lᵀ delta are written into ``zs[:-1]``, which the backward pass
+    never reads, so a carried pass must be refilled before it is read again.
+    """
     L = arch.num_layers
-    zs, hidden = ns.forward_pass(arch, W, b, x)
+    zs, hidden = forward if forward is not None else ns.forward_pass(arch, W, b, x)
     acts = [x] + hidden
     delta = obj.grad_risk_cross_entropy(zs[-1], y)
     dW = [None] * L
@@ -69,7 +75,8 @@ def backprop_grads(arch: ns.Architecture, W: list[np.ndarray], b: list[np.ndarra
         dW[l] = delta @ acts[l].T
         db[l] = delta.sum(axis=1, keepdims=True)
         if l > 0:
-            delta = (W[l].T @ delta) * activation_derivative(arch.activation[l - 1], acts[l])
+            delta = np.matmul(W[l].T, delta, out=zs[l - 1])
+            delta *= activation_derivative(arch.activation[l - 1], acts[l])
     return dW, db
 
 
@@ -78,9 +85,16 @@ def train_baseline(cfg: BaselineConfig, arch: ns.Architecture, x: np.ndarray,
                    ) -> tuple[list[np.ndarray], list[np.ndarray], list[dict]]:
     """Full-batch training loop; returns (W, b, trace of per-epoch records).
 
-    ``x`` must be finite and ``y`` one-hot; both are checked here, not per epoch.
+    The batch is checked here, not per epoch: ``ns.check_batch`` and one-hot
+    ``y``. An epoch's ``wall_time_s`` covers the gradient from the carried
+    forward pass, the update, and the one forward pass at the new weights
+    that gives the epoch's loss and accuracy and the next epoch's gradient;
+    epoch 0 also forms the first pass. Every pass is written into the same
+    batch-sized arrays.
     """
-    ns.check_finite(x=x)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    ns.check_batch(arch, x, y)
     ns.check_one_hot(y)
     W, b = ns.he_init(arch, cfg.seed)
     params = W + b
@@ -93,7 +107,9 @@ def train_baseline(cfg: BaselineConfig, arch: ns.Architecture, x: np.ndarray,
     L = arch.num_layers
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        dW, db = backprop_grads(arch, W, b, x, y)
+        if epoch == 0:
+            forward = ns.forward_pass(arch, W, b, x)
+        dW, db = backprop_grads(arch, W, b, x, y, forward)
         grads = dW + db
         for i, (p, g) in enumerate(zip(params, grads)):
             if cfg.kind is BaselineKind.SGD:
@@ -109,7 +125,7 @@ def train_baseline(cfg: BaselineConfig, arch: ns.Architecture, x: np.ndarray,
                 step = cfg.lr * delta
             params[i] = p - step
         W, b = params[:L], params[L:]
-        logits = ns.forward_logits(arch, W, b, x)
+        logits = ns.forward_pass(arch, W, b, x, out=forward)[0][-1]
         record = {
             "epoch": epoch,
             "loss": obj.risk_cross_entropy(logits, y),

@@ -46,15 +46,16 @@ class RegKind(Enum):
     L2 = "l2"
 
 
-def activation_apply(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
-    """Elementwise h(z) for the given activation."""
+def activation_apply(kind: ActivationKind, z: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise h(z) for the given activation, into ``out`` when given (not z itself)."""
     if kind is ActivationKind.RELU:
-        return np.maximum(0.0, z)
+        return np.maximum(0.0, z, out=out)
     if kind is ActivationKind.SIGMOID:
         # 1/(1+e) where z >= 0 and e/(1+e) below, with e = exp(-|z|) <= 1 so
         # exp cannot overflow; the same bits as splitting z by sign, built
         # in place without boolean indexing
-        e = np.abs(z, dtype=np.float64)
+        e = np.abs(z, out=out, dtype=np.float64)
         np.negative(e, out=e)
         np.exp(e, out=e)
         d = 1.0 + e
@@ -63,7 +64,7 @@ def activation_apply(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
         np.copyto(e, d, where=z >= 0)
         return e
     if kind is ActivationKind.TANH:
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -200,6 +201,25 @@ def check_finite(**blocks: np.ndarray) -> None:
             raise ValueError(f"{name} contains non-finite values (NaN or inf)")
 
 
+def check_batch(arch: Architecture, x: np.ndarray, y: np.ndarray) -> None:
+    """x and y must be 2-D, sized for ``arch``, share at least one sample column and be finite.
+
+    The one boundary check of a training batch: ``initialize`` and
+    ``train_baseline`` call it before any arithmetic.
+    """
+    if x.ndim != 2 or y.ndim != 2:
+        raise ShapeError("x and y must be 2-D matrices with samples as columns")
+    if x.shape[0] != arch.features:
+        raise ShapeError(f"x has {x.shape[0]} rows, architecture expects {arch.features}")
+    if y.shape[0] != arch.classes:
+        raise ShapeError(f"y has {y.shape[0]} rows, architecture expects {arch.classes}")
+    if x.shape[1] != y.shape[1]:
+        raise ShapeError(f"x has {x.shape[1]} columns but y has {y.shape[1]}")
+    if x.shape[1] == 0:
+        raise ValueError("empty batch: x and y have no sample columns")
+    check_finite(x=x, y=y)
+
+
 def he_init(arch: Architecture, seed: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gaussian weights with std sqrt(2 / fan_in) and zero intercepts."""
     rng = np.random.default_rng(seed)
@@ -223,17 +243,7 @@ def initialize(arch: Architecture, x: np.ndarray, y: np.ndarray, hp=None,
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2:
-        raise ShapeError("x and y must be 2-D matrices with samples as columns")
-    if x.shape[0] != arch.features:
-        raise ShapeError(f"x has {x.shape[0]} rows, architecture expects {arch.features}")
-    if y.shape[0] != arch.classes:
-        raise ShapeError(f"y has {y.shape[0]} rows, architecture expects {arch.classes}")
-    if x.shape[1] != y.shape[1]:
-        raise ShapeError(f"x has {x.shape[1]} columns but y has {y.shape[1]}")
-    if x.shape[1] == 0:
-        raise ValueError("empty batch: x and y have no sample columns")
-    check_finite(x=x, y=y)
+    check_batch(arch, x, y)
     if arch.risk is RiskKind.CROSS_ENTROPY:
         check_one_hot(y)
     if seed is None:
@@ -264,13 +274,20 @@ def feasibility_residual(state: NetworkState, eps: float) -> float:
 
 
 def forward_pass(arch: Architecture, W: list[np.ndarray], b: list[np.ndarray],
-                 x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Plain feedforward pass from x; returns every z_l and every hidden a_l = h(z_l)."""
-    zs, hidden = [], []
-    for l in range(arch.num_layers):
-        zs.append(W[l] @ (hidden[-1] if hidden else x) + b[l])
-        if l < arch.num_layers - 1:
-            hidden.append(activation_apply(arch.activation[l], zs[-1]))
+                 x: np.ndarray, out=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Plain feedforward pass from x; returns every z_l and every hidden a_l = h(z_l).
+
+    ``out``, a pass ``(zs, hidden)`` of the same shapes, is overwritten and
+    returned; a run that repeats the pass over one batch allocates it once.
+    """
+    L = arch.num_layers
+    zs, hidden = out if out is not None else ([None] * L, [None] * (L - 1))
+    a = x
+    for l in range(L):
+        zs[l] = np.matmul(W[l], a, out=zs[l])
+        zs[l] += b[l]
+        if l < L - 1:
+            a = hidden[l] = activation_apply(arch.activation[l], zs[l], out=hidden[l])
     return zs, hidden
 
 

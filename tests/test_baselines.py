@@ -7,6 +7,7 @@ from dlam import baselines as bl
 from dlam import network_state as ns
 from dlam import objective as obj
 from dlam import data_io
+from dlam.tensor_core import ShapeError
 from conftest import central_diff, random_one_hot, rel_err
 
 
@@ -49,6 +50,22 @@ class TestBackprop:
         assert np.allclose(dW[1], resid @ acts.T, atol=1e-12)
         assert np.allclose(db[1], resid.sum(axis=1, keepdims=True), atol=1e-12)
 
+    @pytest.mark.parametrize("activation", list(ns.ActivationKind))
+    def test_carried_pass_gives_the_same_bytes(self, activation, rng):
+        arch = ns.Architecture((5, 7, 6, 3), activation=activation)
+        W, b = ns.he_init(arch, 1)
+        b = [v + 0.05 for v in b]
+        x = rng.normal(size=(5, 11))
+        y = random_one_hot(rng, 3, 11)
+        fresh = bl.backprop_grads(arch, W, b, x, y)
+        zs, hidden = ns.forward_pass(arch, W, b, x)
+        kept = [zs[-1].copy(), *(a.copy() for a in hidden)]
+        carried = bl.backprop_grads(arch, W, b, x, y, (zs, hidden))
+        for got, want in zip([*carried[0], *carried[1]], [*fresh[0], *fresh[1]]):
+            assert got.tobytes() == want.tobytes()
+        # only zs[:-1] serve as scratch: the logits and the activations are intact
+        assert [v.tobytes() for v in [zs[-1], *hidden]] == [v.tobytes() for v in kept]
+
 
 @pytest.mark.parametrize("kind", list(ns.ActivationKind))
 def test_derivative_of_activation_matches_the_z_formula(kind, rng):
@@ -64,6 +81,61 @@ def test_derivative_of_activation_matches_the_z_formula(kind, rng):
         expected = 1.0 - t * t
     got = bl.activation_derivative(kind, ns.activation_apply(kind, z))
     assert got.tobytes() == expected.tobytes()
+
+
+def _two_pass_reference(cfg, arch, x, y):
+    """The loop with two passes per epoch: a fresh backprop_grads, then forward_logits."""
+    L = arch.num_layers
+    W, b = ns.he_init(arch, cfg.seed)
+    params = W + b
+    g2 = [np.zeros_like(p) for p in params]
+    d2 = [np.zeros_like(p) for p in params]
+    records = []
+    for _ in range(cfg.epochs):
+        dW, db = bl.backprop_grads(arch, params[:L], params[L:], x, y)
+        for i, g in enumerate(dW + db):
+            if cfg.kind is bl.BaselineKind.SGD:
+                step = cfg.lr * g
+            elif cfg.kind is bl.BaselineKind.ADAGRAD:
+                g2[i] = g2[i] + g * g
+                step = cfg.lr * g / np.sqrt(g2[i] + cfg.adagrad_eps)
+            else:
+                g2[i] = cfg.adadelta_rho * g2[i] + (1 - cfg.adadelta_rho) * g * g
+                delta = np.sqrt((d2[i] + cfg.adadelta_eps) / (g2[i] + cfg.adadelta_eps)) * g
+                d2[i] = cfg.adadelta_rho * d2[i] + (1 - cfg.adadelta_rho) * delta * delta
+                step = cfg.lr * delta
+            params[i] = params[i] - step
+        logits = ns.forward_logits(arch, params[:L], params[L:], x)
+        records.append((obj.risk_cross_entropy(logits, y), obj.accuracy_from_logits(logits, y)))
+    return params[:L], params[L:], records
+
+
+class TestOnePassPerEpoch:
+    @pytest.mark.parametrize("activation", list(ns.ActivationKind))
+    @pytest.mark.parametrize("kind", list(bl.BaselineKind))
+    def test_matches_the_two_pass_loop_bit_for_bit(self, kind, activation):
+        ds = data_io.synth_gaussian_blobs(4, 20, 15, seed=3, noise=0.1)
+        arch = ns.Architecture((20, 12, 10, 4), activation=activation)
+        cfg = bl.BaselineConfig(kind=kind, lr=1.0 if kind is bl.BaselineKind.ADADELTA else 0.3,
+                                epochs=12, seed=2)
+        W, b, trace = bl.train_baseline(cfg, arch, ds.x, ds.y)
+        W_ref, b_ref, records = _two_pass_reference(cfg, arch, ds.x, ds.y)
+        assert [v.tobytes() for v in W + b] == [v.tobytes() for v in W_ref + b_ref]
+        got = [(r["loss"], r["train_acc"]) for r in trace]
+        assert np.array(got).tobytes() == np.array(records).tobytes()
+
+    def test_one_forward_pass_per_epoch_plus_the_first(self, monkeypatch, rng):
+        calls = []
+        forward_pass = ns.forward_pass
+        monkeypatch.setattr(ns, "forward_pass",
+                            lambda *a, **kw: calls.append(1) or forward_pass(*a, **kw))
+        arch = ns.Architecture((4, 6, 5, 3))
+        x = rng.uniform(0, 1, (4, 20))
+        y = random_one_hot(rng, 3, 20)
+        bl.train_baseline(bl.BaselineConfig(lr=0.1, epochs=5), arch, x, y)
+        # the first pass, then one per epoch; a fresh pass inside each
+        # gradient besides the loss pass would make 2 * 5
+        assert len(calls) == 5 + 1
 
 
 class TestTrainBaseline:
@@ -136,6 +208,24 @@ class TestTrainBaseline:
         cfg = bl.BaselineConfig(kind=bl.BaselineKind.SGD, lr=0.1, epochs=2)
         with pytest.raises(ValueError, match="x contains non-finite values"):
             bl.train_baseline(cfg, arch, x, y)
+
+    def test_rejects_x_with_the_wrong_row_count(self, rng):
+        arch, x, y = self._data(rng)
+        cfg = bl.BaselineConfig(kind=bl.BaselineKind.SGD, lr=0.1, epochs=2)
+        with pytest.raises(ShapeError, match="x has 5 rows, architecture expects 4"):
+            bl.train_baseline(cfg, arch, np.vstack([x, x[:1]]), y)
+
+    def test_rejects_x_and_y_with_different_columns(self, rng):
+        arch, x, y = self._data(rng)
+        cfg = bl.BaselineConfig(kind=bl.BaselineKind.SGD, lr=0.1, epochs=2)
+        with pytest.raises(ShapeError, match="x has 20 columns but y has 19"):
+            bl.train_baseline(cfg, arch, x, y[:, :19])
+
+    def test_rejects_an_empty_batch(self, rng):
+        arch, _, _ = self._data(rng)
+        cfg = bl.BaselineConfig(kind=bl.BaselineKind.SGD, lr=0.1, epochs=2)
+        with pytest.raises(ValueError, match="empty batch"):
+            bl.train_baseline(cfg, arch, np.zeros((4, 0)), np.zeros((3, 0)))
 
 
 class TestLearningRateSelection:

@@ -41,3 +41,24 @@ def test_hash_covers_state_and_reports_but_not_wall_time():
     a[0, 0] = np.nextafter(a[0, 0], np.inf)
     state.a[0] = a
     assert fp.fingerprint(state, trace) != base
+
+
+def test_baseline_hash_is_stable_and_covers_weights_and_records_but_not_wall_time(capsys):
+    fp = _load_script()
+    for _ in range(2):
+        assert fp.main(["--runs", "adagrad-blobs"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1]
+    arch, data, cfg = fp.BASELINE_RUNS["adagrad-blobs"]
+    ds = fp.synth_gaussian_blobs(**data)
+    W, b, trace = fp.bl.train_baseline(dataclasses.replace(cfg, epochs=3), arch, ds.x, ds.y)
+    base = fp.baseline_fingerprint(W, b, trace)
+    trace[1]["wall_time_s"] += 1.0
+    assert fp.baseline_fingerprint(W, b, trace) == base
+    trace[1]["loss"] = float(np.nextafter(trace[1]["loss"], np.inf))
+    assert fp.baseline_fingerprint(W, b, trace) != base
+    trace[1]["loss"] = float(np.nextafter(trace[1]["loss"], -np.inf))
+    assert fp.baseline_fingerprint(W, b, trace) == base
+    b[0] = b[0].copy()
+    b[0][0, 0] = np.nextafter(b[0][0, 0], np.inf)
+    assert fp.baseline_fingerprint(W, b, trace) != base

@@ -353,3 +353,29 @@ def test_forward_logits_matches_state(rng):
     state = small_state(seed=9)
     logits = ns.forward_logits(state.arch, state.W, state.b, state.x)
     assert np.allclose(logits, state.z[-1], atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(ns.ActivationKind))
+def test_activation_into_out_matches_a_fresh_call(kind, rng):
+    z = np.concatenate([rng.normal(0.0, 3.0, (2, 50)), [[0.0, -0.0], [40.0, -40.0]]], axis=1)
+    out = np.full_like(z, np.nan)
+    assert ns.activation_apply(kind, z, out=out) is out
+    assert out.tobytes() == ns.activation_apply(kind, z).tobytes()
+
+
+@pytest.mark.parametrize("kind", list(ns.ActivationKind))
+def test_forward_pass_into_out_matches_a_fresh_pass(kind, rng):
+    arch = ns.Architecture((5, 7, 6, 3), activation=kind)
+    W, b = ns.he_init(arch, 4)
+    b = [v + 0.1 for v in b]
+    x = rng.normal(size=(5, 9))
+    out = ns.forward_pass(arch, *ns.he_init(arch, 8), rng.normal(size=(5, 9)))
+    zs, hidden = out
+    arrays = [*zs, *hidden]
+    fresh = ns.forward_pass(arch, W, b, x)
+    got = ns.forward_pass(arch, W, b, x, out=out)
+    assert got[0] is zs and got[1] is hidden
+    assert all(new is old for new, old in zip([*got[0], *got[1]], arrays))
+    assert [v.tobytes() for v in [*got[0], *got[1]]] == \
+        [v.tobytes() for v in [*fresh[0], *fresh[1]]]
+    assert fresh[0][-1].tobytes() == ns.forward_logits(arch, W, b, x).tobytes()
