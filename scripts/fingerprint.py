@@ -13,6 +13,11 @@ imports the package from that checkout's ``src/``) and compare the lines:
 equal hashes mean bit-identical training. Hashes depend on the numpy build
 and its BLAS, so compare them on one machine only; the BLAS pools are
 pinned to one thread unless the environment already sets them.
+
+Each line reads ``hash  name  F``: F is the run's final objective, printed
+with ``repr`` so that it round-trips (F after the last epoch for a DLAM run,
+the last epoch's loss for a baseline run). It tells a change that moves bits
+at rounding level from one that moves the result.
 """
 
 import argparse
@@ -93,14 +98,17 @@ def baseline_fingerprint(W, b, trace) -> str:
     return _digest(trace, [*W, *b])
 
 
-def run(name: str) -> str:
+def run(name: str) -> tuple[str, float]:
+    """The run's hash and its final objective."""
     if name in BASELINE_RUNS:
         arch, data, cfg = BASELINE_RUNS[name]
         ds = synth_gaussian_blobs(**data)
-        return baseline_fingerprint(*bl.train_baseline(cfg, arch, ds.x, ds.y))
+        W, b, trace = bl.train_baseline(cfg, arch, ds.x, ds.y)
+        return baseline_fingerprint(W, b, trace), trace[-1]["loss"]
     arch, data, hp = RUNS[name]
     ds = synth_gaussian_blobs(**data)
-    return fingerprint(*opt.train(arch, ds.x, ds.y, hp))
+    state, trace = opt.train(arch, ds.x, ds.y, hp)
+    return fingerprint(state, trace), trace[-1].f_after
 
 
 def main(argv=None) -> int:
@@ -109,7 +117,8 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", nargs="+", choices=names, default=names)
     args = parser.parse_args(argv)
     for name in args.runs:
-        print(f"{run(name)}  {name}", flush=True)
+        digest, final_f = run(name)
+        print(f"{digest}  {name}  {final_f!r}", flush=True)
     return 0
 
 

@@ -310,6 +310,14 @@ def scaling_table(cfg: RunConfig, sizes: list[int], rhos: list[float]) -> Path:
     return path
 
 
+def _parse_list(flag: str, text: str, kind) -> list:
+    """A comma-separated flag value as a list of ``kind``; a bad item names the flag."""
+    try:
+        return [kind(item) for item in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """One flag per config key: ``--key-name``, parsed like the key's default."""
     parser.add_argument("--config", help="flat key = value config file")
@@ -338,8 +346,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = build_config(args)
         if args.command == "train":
             return run(cfg)
-        sizes = [int(s) for s in args.sizes.split(",")]
-        rhos = [float(r) for r in args.rhos.split(",")]
+        sizes = _parse_list("--sizes", args.sizes, int)
+        rhos = _parse_list("--rhos", args.rhos, float)
         print(scaling_table(cfg, sizes, rhos))
         return 0
     except (ValueError, OSError, opt.BacktrackError, opt.NonFiniteError) as exc:

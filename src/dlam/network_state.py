@@ -104,8 +104,9 @@ def slab_z_bounds(kind: ActivationKind, a: np.ndarray, eps: float):
     del t_lo, cl
     ch = np.clip(t_hi, floor + d, 1.0 - d)
     hi = np.where(t_hi >= 1.0 - d, np.inf, inverse(ch))
-    lo = np.where(empty, 0.0, lo)
-    hi = np.where(empty, 0.0, hi)
+    if empty.any():
+        lo = np.where(empty, 0.0, lo)
+        hi = np.where(empty, 0.0, hi)
     return lo, hi, empty
 
 

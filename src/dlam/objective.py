@@ -14,6 +14,8 @@ phi_l depends on the blocks only through R_l = W_l a_{l-1} + b_l - z_l, and
 this module holds the one copy of each formula on R: ``residual``, ``penalty``
 and its block gradients ``grad_w/b/z/a``. ``penalty_phi`` and ``grad_phi_*``
 compose them with ``coupling_residual`` for callers holding only the blocks.
+The output solve's Newton step, ``newton_direction``, sits beside the risk
+formulas.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ class HyperParams:
     gamma: float = 2.0         # curvature growth factor for the W backtracking
     eta: float = 2.0           # curvature growth factor for the a backtracking
     alpha0: float = 1e-3       # smallest curvature tried by either backtracking
-    fista_iters: int = 50
-    fista_tol: float = 1e-8
+    fista_iters: int = 50      # the output solve's Newton iteration budget and
+    fista_tol: float = 1e-8    # step tolerance; configs and reports keep these names
     max_backtrack: int = 60
     epochs: int = 150
     seed: int = 0
@@ -161,11 +163,12 @@ def risk_cross_entropy(z: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(lse - (y * z).sum(axis=0, keepdims=True)))
 
 
-def grad_risk_cross_entropy(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(softmax(z) - y) / N."""
+def grad_risk_cross_entropy(z: np.ndarray, y: np.ndarray,
+                            p: np.ndarray | None = None) -> np.ndarray:
+    """(softmax(z) - y) / N; ``p`` is softmax(z) when the caller already formed it."""
     if z.shape != y.shape:
         raise ShapeError(f"risk grad: shapes differ, {z.shape} vs {y.shape}")
-    return (softmax_columns(z) - y) / z.shape[1]
+    return ((softmax_columns(z) if p is None else p) - y) / z.shape[1]
 
 
 def risk_value(kind: ns.RiskKind, z: np.ndarray, y: np.ndarray) -> float:
@@ -179,9 +182,11 @@ def risk_value(kind: ns.RiskKind, z: np.ndarray, y: np.ndarray) -> float:
     raise ValueError(f"unknown risk {kind!r}")
 
 
-def risk_grad(kind: ns.RiskKind, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+def risk_grad(kind: ns.RiskKind, z: np.ndarray, y: np.ndarray,
+              p: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of risk(z; y); ``p`` is softmax(z) for cross-entropy when already formed."""
     if kind is ns.RiskKind.CROSS_ENTROPY:
-        return grad_risk_cross_entropy(z, y)
+        return grad_risk_cross_entropy(z, y, p)
     if kind is ns.RiskKind.SQUARED:
         return (z - y) / z.shape[1]
     if kind is ns.RiskKind.ZERO:
@@ -200,6 +205,32 @@ def risk_smoothness(kind: ns.RiskKind, n_samples: int) -> float:
     if kind is ns.RiskKind.SQUARED:
         return 1.0 / n_samples
     return 0.0
+
+
+def newton_direction(kind: ns.RiskKind, g: np.ndarray, rho: float,
+                     p: np.ndarray | None = None) -> np.ndarray:
+    """H^{-1} g, H the Hessian of the output composite (rho/2)||z - m||_F^2 + risk(z; y).
+
+    ``g`` is the composite's gradient at z and ``p`` = softmax(z) for
+    cross-entropy. H is block diagonal, one C x C block per column. For
+    cross-entropy a block is diag(D) - p p^T / N with D = rho + p / N, and
+    Sherman-Morrison inverts that rank-one update in closed form:
+    H^{-1} g = g / D + (p / D) sum_c(p g / D) / (N - sum_c(p^2 / D)). Since
+    sum_c p = 1 the denominator equals N rho sum_c(p / D), which is how it
+    is formed here: a sum of positive terms, free of cancellation. The
+    squared risk has H = (rho + 1/N) I and the zero risk H = rho I.
+    """
+    n = g.shape[1]
+    if kind is ns.RiskKind.CROSS_ENTROPY:
+        d = rho + p / n
+        q = p / d
+        coef = (q * g).sum(axis=0, keepdims=True) / ((n * rho) * q.sum(axis=0, keepdims=True))
+        return g / d + q * coef
+    if kind is ns.RiskKind.SQUARED:
+        return g / (rho + 1.0 / n)
+    if kind is ns.RiskKind.ZERO:
+        return g / rho
+    raise ValueError(f"unknown risk {kind!r}")
 
 
 def regularizer_value(kind: ns.RegKind, lam: float, W: np.ndarray) -> float:

@@ -6,7 +6,8 @@ values of the others. W and a are solved through a backtracked quadratic
 majorizer whose curvature is grown geometrically until it dominates the true
 penalty at the candidate point; b and hidden z have exact closed forms; the
 output z solves a strongly convex composite (quadratic tether plus risk) by
-monotone FISTA. No gradient is ever propagated through more than one layer.
+a safeguarded Newton iteration. No gradient is ever propagated through more
+than one layer.
 
 Every accepted step decreases the objective by at least the weighted squared
 block movement, which run_epoch records so the diagnostics module can audit
@@ -61,7 +62,10 @@ class BacktrackResult:
 
 
 @dataclass
-class FistaResult:
+class NewtonResult:
+    """The output solve's Newton iterations, whether its step fell under the
+    tolerance within the budget, and the composite value before and after."""
+
     iterations: int
     converged: bool
     objective_start: float
@@ -116,7 +120,7 @@ class EpochReport:
     trials_a: list[int]
     majorization_w: list[tuple[float, float]]    # (phi, model) at acceptance
     majorization_a: list[tuple[float, float]]
-    fista_iterations: int
+    fista_iterations: int        # the output solve's Newton iterations; the name is kept
     fista_converged: bool
     recoveries: int
     feasibility_residual: float
@@ -173,13 +177,6 @@ def _majorized_step(block: str, layer: int, hp: obj.HyperParams, current: np.nda
     return cand, BacktrackResult(param, trials, base + quad_true, base + quad_model, move_sq)
 
 
-def _free_z_step(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
-                 product: np.ndarray) -> np.ndarray:
-    """Free minimizer z - grad_z / rho of the penalty in z; ``product`` is W a_prev."""
-    z = state.z[layer]
-    return z - obj.grad_z(obj.residual(product, state.b[layer], z), hp.rho) / hp.rho
-
-
 def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, theta0: float,
              resid: np.ndarray, grad: np.ndarray | None = None) -> BacktrackResult:
     """Backtracked majorized step on W at ``layer``; writes the result into state.
@@ -215,17 +212,17 @@ def update_b(state: ns.NetworkState, layer: int, product: np.ndarray) -> None:
     state.b[layer] = state.b[layer] - obj.mean_residual(product, state.b[layer], state.z[layer])
 
 
-def update_z_hidden(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
-                    eps: float, product: np.ndarray) -> int:
+def update_z_hidden(state: ns.NetworkState, layer: int, eps: float,
+                    product: np.ndarray) -> int:
     """Exact hidden pre-activation step: clip the free step onto the slab box.
 
-    The penalty is an exact separable quadratic in z, so the unconstrained
-    step already minimizes it and clipping onto [B1, B2] (the z-image of the
-    slab around the current a) yields the exact constrained minimizer.
-    Entries whose slab inverts to an empty set are recovered by recentering
-    the offending a entry onto h(z) first; returns the recovery count, which
-    stays zero on clean runs; a recovery moves a, and with it the next
-    layer's coupling residual. ``product`` is W a_prev.
+    The penalty in z is (rho/2)||z - m||^2 with m = W a_prev + b the free
+    step (``product`` is W a_prev), a separable quadratic, so clipping m onto
+    [B1, B2] (the z-image of the slab around the current a) yields the exact
+    constrained minimizer. Entries whose slab inverts to an empty set are
+    recovered by recentering the offending a entry onto h(z) first; returns
+    the recovery count, which stays zero on clean runs; a recovery moves a,
+    and with it the next layer's coupling residual.
     """
     kind = state.arch.activation[layer]
     a_k = state.a[layer]
@@ -237,62 +234,63 @@ def update_z_hidden(state: ns.NetworkState, layer: int, hp: obj.HyperParams,
         fixed[empty] = h[empty]
         state.a[layer] = fixed
         lo, hi, empty = ns.slab_z_bounds(kind, fixed, eps)
-    state.z[layer] = np.clip(_free_z_step(state, layer, hp, product), lo, hi)
+    # the free step is formed after the bounds, whose temporaries are gone by then
+    state.z[layer] = np.clip(product + state.b[layer], lo, hi)
     return recoveries
 
 
-def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
-                    product: np.ndarray) -> FistaResult:
-    """Monotone FISTA on the output-layer composite; writes z_L into state.
+# Halvings of a rising Newton step before the output solve takes a gradient step.
+NEWTON_HALVINGS = 30
 
-    Minimizes (rho/2)||z - m||_F^2 + risk(z; y) with m the free quadratic
-    step. Both parts are smooth for every supported risk, so FISTA reduces
-    to accelerated gradient with step 1/(rho + L_risk). A momentum step that
-    would raise the composite value is replaced by a plain gradient step
-    from the previous iterate (which cannot increase it) and the momentum is
-    reset, making the objective nonincreasing over iterates. ``product`` is
-    W_L a_{L-1}.
+
+def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
+                    product: np.ndarray) -> NewtonResult:
+    """Safeguarded Newton on the output-layer composite; writes z_L into state.
+
+    Minimizes (rho/2)||z - free||_F^2 + risk(z; y) with free = W_L a_{L-1} + b_L
+    the free step; ``product`` is W_L a_{L-1}. The composite is strongly
+    convex and separates into one problem per sample column, and
+    obj.newton_direction solves every column's Newton system in closed form.
+    The solve has converged when the full Newton step at the current iterate
+    moves no entry by hp.fista_tol or more, within hp.fista_iters
+    iterations; that step is not taken, since a value check at its scale
+    compares rounding noise. Otherwise the iteration takes the full step and
+    halves it while the composite value rises, at most NEWTON_HALVINGS
+    times; then it takes the gradient step 1/(rho + L_risk) instead, which
+    cannot raise the value in exact arithmetic. So the value does not rise
+    from one iterate to the next, a halved step never counts as convergence,
+    and a NaN ends each iteration in the gradient step.
     """
-    arch = state.arch
-    L = state.num_layers
-    z_k = state.z[L - 1]
-    m = _free_z_step(state, L - 1, hp, product)
-    y = state.y
-    lip = hp.rho + obj.risk_smoothness(arch.risk, state.n_samples)
-    step = 1.0 / lip
+    kind, y, rho = state.arch.risk, state.y, hp.rho
+    free = product + state.b[-1]
+    step = 1.0 / (rho + obj.risk_smoothness(kind, state.n_samples))
 
     def value(z):
-        return obj.penalty(z - m, hp.rho) + obj.risk_value(arch.risk, z, y)
+        return obj.penalty(z - free, rho) + obj.risk_value(kind, z, y)
 
-    def gradient(z):
-        return hp.rho * (z - m) + obj.risk_grad(arch.risk, z, y)
-
-    z_prev = z_k
-    y_v = z_k
-    t = 1.0
-    f_start = value(z_k)
-    f_prev = f_start
+    z = state.z[-1]
+    f = f_start = value(z)
     converged = False
     iterations = 0
     for iterations in range(1, hp.fista_iters + 1):
-        cand = y_v - step * gradient(y_v)
-        f_cand = value(cand)
-        if f_cand > f_prev:
-            # momentum overshot: plain descent step from the last iterate
-            cand = z_prev - step * gradient(z_prev)
-            f_cand = value(cand)
-            t = 1.0
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y_v = cand + ((t - 1.0) / t_next) * (cand - z_prev)
-        diff = float(np.max(np.abs(cand - z_prev)))
-        z_prev = cand
-        f_prev = f_cand
-        t = t_next
-        if diff < hp.fista_tol:
+        p = obj.softmax_columns(z) if kind is ns.RiskKind.CROSS_ENTROPY else None
+        g = rho * (z - free) + obj.risk_grad(kind, z, y, p)
+        s = obj.newton_direction(kind, g, rho, p)
+        if float(np.max(np.abs(s))) < hp.fista_tol:
             converged = True
             break
-    state.z[L - 1] = z_prev
-    return FistaResult(iterations, converged, f_start, f_prev)
+        for _ in range(NEWTON_HALVINGS + 1):
+            cand = z - s
+            f_cand = value(cand)
+            if f_cand <= f:
+                break
+            s *= 0.5
+        else:   # no halving lowered the value
+            cand = z - step * g
+            f_cand = value(cand)
+        z, f = cand, f_cand
+    state.z[-1] = z
+    return NewtonResult(iterations, converged, f_start, f)
 
 
 def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float,
@@ -436,11 +434,11 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
 
             old_z = state.z[l]
             if l == L - 1:
-                fista = update_z_output(state, hp, product)
+                output = update_z_output(state, hp, product)
             else:
                 # R_{l+1} is taken out before a recovery can move a_l under it
                 r_a, resid[l + 1] = resid[l + 1], None
-                rec = update_z_hidden(state, l, hp, eps, product)
+                rec = update_z_hidden(state, l, eps, product)
                 recoveries += rec
             dz = state.z[l] - old_z
             del old_z
@@ -488,8 +486,8 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
         trials_a=[s.trials for s in a_steps],
         majorization_w=[(s.phi_value, s.model_value) for s in w_steps],
         majorization_a=[(s.phi_value, s.model_value) for s in a_steps],
-        fista_iterations=fista.iterations,
-        fista_converged=fista.converged,
+        fista_iterations=output.iterations,
+        fista_converged=output.converged,
         recoveries=recoveries,
         feasibility_residual=after.feasibility_residual,
         grad_b_err=grad_b_err,

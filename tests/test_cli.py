@@ -219,6 +219,20 @@ class TestScaleCommand:
             f"error: scale times the dlam trainer only, not {optimizer!r}\n")
         assert not (out / "scaling.csv").exists()
 
+    @pytest.mark.parametrize("flag, sizes, rhos, detail", [
+        ("--sizes", "", "0.01", "invalid literal for int() with base 10: ''"),
+        ("--sizes", "50,x", "0.01", "invalid literal for int() with base 10: 'x'"),
+        ("--rhos", "50", "", "could not convert string to float: ''"),
+        ("--rhos", "50", "0.1,,1", "could not convert string to float: ''"),
+    ])
+    def test_bad_list_names_its_flag(self, tmp_path, capsys, flag, sizes, rhos, detail):
+        out = tmp_path / "scale"
+        code = cli.main(["scale", "--dataset", "blobs", "--sizes", sizes, "--rhos", rhos,
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag}: {detail}\n"
+        assert not (out / "scaling.csv").exists()
+
     def test_size_exceeding_dataset_rejected(self, tmp_path):
         cfg = cli.RunConfig(dataset="blobs", out_dir=str(tmp_path),
                             blobs_classes=2, blobs_per_class=10)

@@ -20,8 +20,9 @@ def test_two_calls_give_the_same_hash(capsys):
         assert fp.main(["--runs", "tanh-l1-blobs"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and lines[0] == lines[1]
-    digest, name = lines[0].split()
+    digest, name, final_f = lines[0].split()
     assert name == "tanh-l1-blobs" and len(digest) == 64
+    assert float(final_f) > 0.0
 
 
 def test_hash_covers_state_and_reports_but_not_wall_time():
@@ -62,3 +63,19 @@ def test_baseline_hash_is_stable_and_covers_weights_and_records_but_not_wall_tim
     b[0] = b[0].copy()
     b[0][0, 0] = np.nextafter(b[0][0, 0], np.inf)
     assert fp.baseline_fingerprint(W, b, trace) != base
+
+
+def test_each_line_is_hash_name_and_final_objective(capsys):
+    fp = _load_script()
+    assert fp.main(["--runs", "tanh-l1-blobs", "adagrad-blobs"]) == 0
+    lines = [line.split("  ") for line in capsys.readouterr().out.splitlines()]
+    arch, data, hp = fp.RUNS["tanh-l1-blobs"]
+    ds = fp.synth_gaussian_blobs(**data)
+    state, trace = fp.opt.train(arch, ds.x, ds.y, hp)
+    dlam_line = [fp.fingerprint(state, trace), "tanh-l1-blobs", repr(trace[-1].f_after)]
+    arch, data, cfg = fp.BASELINE_RUNS["adagrad-blobs"]
+    ds = fp.synth_gaussian_blobs(**data)
+    W, b, trace = fp.bl.train_baseline(cfg, arch, ds.x, ds.y)
+    baseline_line = [fp.baseline_fingerprint(W, b, trace), "adagrad-blobs",
+                     repr(trace[-1]["loss"])]
+    assert lines == [dlam_line, baseline_line]

@@ -193,6 +193,34 @@ def test_relu_bounds_equal_where_path(with_empty, a, eps):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
+def _smooth_bounds_where(kind, a, eps):
+    """slab_z_bounds' sigmoid/tanh branch with its np.where passes always taken: the oracle."""
+    d = ns.SATURATION_GUARD
+    floor, inverse = ((0.0, lambda c: np.log(c) - np.log1p(-c)) if kind is SIG
+                      else (-1.0, np.arctanh))
+    t_lo, t_hi = a - eps, a + eps
+    empty = (t_hi <= floor) | (t_lo >= 1.0)
+    lo = np.where(t_lo <= floor + d, -np.inf, inverse(np.clip(t_lo, floor + d, 1.0 - d)))
+    hi = np.where(t_hi >= 1.0 - d, np.inf, inverse(np.clip(t_hi, floor + d, 1.0 - d)))
+    return np.where(empty, 0.0, lo), np.where(empty, 0.0, hi), empty
+
+
+@pytest.mark.parametrize("kind", [SIG, TANH])
+@pytest.mark.parametrize("with_empty", [False, True])
+@PROPERTY
+@given(a=arrays(np.float64, SHAPES, elements=st.floats(-1.5, 2.0)),
+       eps=st.floats(1e-6, 2.0))
+def test_smooth_bounds_equal_where_path(kind, with_empty, a, eps):
+    floor = 0.0 if kind is SIG else -1.0
+    a = np.clip(a, floor - eps / 2, 1.0 + eps / 2)   # the band meets the range
+    if with_empty:
+        a[0, 0] = 1.0 + eps + 0.5                       # the band lies above the range
+    got = ns.slab_z_bounds(kind, a, eps)
+    assert bool(got[2].any()) == with_empty
+    for g, w in zip(got, _smooth_bounds_where(kind, a, eps)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 @PROPERTY
 @given(kind=st.sampled_from([RELU, SIG, TANH]), a=st.floats(-1.5, 3.0),
        eps=st.floats(1e-3, 1.0), z=st.floats(-40.0, 40.0))

@@ -148,6 +148,32 @@ class TestRisk:
         assert obj.risk_value(ns.RiskKind.ZERO, z, y) == 0.0
         assert np.all(obj.risk_grad(ns.RiskKind.ZERO, z, y) == 0.0)
 
+    @pytest.mark.parametrize("rho", [1e-4, 1e-2, 1.0])
+    def test_newton_direction_solves_each_column_hessian(self, rho, rng):
+        # the composite's Hessian per column, (rho I + (diag p - p p^T) / N) for
+        # cross-entropy, built densely and solved directly
+        n, c = 6, 4
+        z = rng.normal(0.0, 3.0, (c, n))
+        g = rng.normal(size=(c, n))
+        p = obj.softmax_columns(z)
+        hessians = {
+            ns.RiskKind.CROSS_ENTROPY: lambda q: rho * np.eye(c) + (np.diag(q) - np.outer(q, q)) / n,
+            ns.RiskKind.SQUARED: lambda q: (rho + 1.0 / n) * np.eye(c),
+            ns.RiskKind.ZERO: lambda q: rho * np.eye(c),
+        }
+        for kind, hessian in hessians.items():
+            got = obj.newton_direction(kind, g, rho, p)
+            for j in range(n):
+                want = np.linalg.solve(hessian(p[:, j]), g[:, j])
+                assert np.allclose(got[:, j], want, rtol=1e-9, atol=0.0)
+
+    def test_risk_grad_takes_the_formed_softmax(self, rng):
+        z = rng.normal(0.0, 5.0, (3, 7))
+        y = random_one_hot(rng, 3, 7)
+        p = obj.softmax_columns(z)
+        assert obj.risk_grad(ns.RiskKind.CROSS_ENTROPY, z, y, p).tobytes() == \
+            obj.grad_risk_cross_entropy(z, y).tobytes()
+
 
 class TestWSubproblem:
     def test_zero_grad_none_reg_unchanged(self, rng):

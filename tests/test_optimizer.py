@@ -149,7 +149,7 @@ class TestUpdateZHidden:
         hp = obj.HyperParams(rho=0.5)
         expect = state.z[0] - obj.grad_phi_z(state.x, state.W[0], state.b[0],
                                              state.z[0], hp.rho) / hp.rho
-        recoveries = opt.update_z_hidden(state, 0, hp, 50.0, _product(state, 0))
+        recoveries = opt.update_z_hidden(state, 0, 50.0, _product(state, 0))
         assert recoveries == 0
         assert np.allclose(state.z[0], expect, atol=1e-12)
 
@@ -158,9 +158,8 @@ class TestUpdateZHidden:
         # lands at 1.0 and is clipped to 0.6
         state = _scalar_state(W1=1.0, b1=0.0, z1=0.45, a1=0.5, W2=1.0, b2=0.0, z2=0.5,
                               x=1.0)
-        hp = obj.HyperParams(rho=1.0)
         # free step goes to W*x + b = 1.0
-        recoveries = opt.update_z_hidden(state, 0, hp, 0.1, _product(state, 0))
+        recoveries = opt.update_z_hidden(state, 0, 0.1, _product(state, 0))
         assert recoveries == 0
         assert state.z[0][0, 0] == pytest.approx(0.6, abs=1e-12)
 
@@ -179,7 +178,7 @@ class TestUpdateZHidden:
             grad = obj.grad_phi_z(state.x, state.W[0], state.b[0], state.z[0], hp.rho)
             lo, hi, _ = ns.slab_z_bounds(ns.ActivationKind.RELU,
                                          np.array([[a_val]]), eps)
-            opt.update_z_hidden(state, 0, hp, eps, _product(state, 0))
+            opt.update_z_hidden(state, 0, eps, _product(state, 0))
             z_new = state.z[0]
 
             def model_value(z):
@@ -195,8 +194,7 @@ class TestUpdateZHidden:
         # a sits far below zero so no z satisfies the ReLU slab; recovery
         # recenters that entry of a onto h(z) and counts it
         state = _scalar_state(W1=1.0, b1=0.0, z1=0.5, a1=-5.0, W2=1.0, b2=0.0, z2=0.5)
-        hp = obj.HyperParams(rho=1.0)
-        recoveries = opt.update_z_hidden(state, 0, hp, 0.1, _product(state, 0))
+        recoveries = opt.update_z_hidden(state, 0, 0.1, _product(state, 0))
         assert recoveries == 1
         assert state.a[0][0, 0] == 0.5   # recentered onto h(z_k)
 
@@ -240,12 +238,77 @@ class TestUpdateZOutput:
             for prev, cur in zip(ends, ends[1:]):
                 assert cur <= prev + 1e-12 * max(1.0, abs(prev))
 
+    @staticmethod
+    def _stationary_solve(seed, monkeypatch):
+        """Solve a random cross-entropy problem, rho in [1e-4, 1]; returns the
+        halvings taken, the sup-norm of the composite gradient at the returned
+        z and its bound 2 (rho + 1/N) fista_tol.
+
+        A converged solve stopped at a full Newton step s under fista_tol, so
+        the gradient there is H s, and every row of H sums to at most
+        rho + 2/N in absolute value.
+        """
+        checks = []
+        risk_value = obj.risk_value
+        monkeypatch.setattr(obj, "risk_value", lambda *a: checks.append(1) or risk_value(*a))
+        rho = float(10.0 ** np.random.default_rng(seed).uniform(-4.0, 0.0))
+        state = small_state(seed=seed, scatter=1.0, sizes=(3, 4, 3, 4), n=7)
+        hp = obj.HyperParams(rho=rho)
+        product = _product(state, state.num_layers - 1)
+        m = product + state.b[-1]
+        res = opt.update_z_output(state, hp, product)
+        assert res.converged
+        z, n = state.z[-1], state.n_samples
+        grad = rho * (z - m) + (obj.softmax_columns(z) - state.y) / n
+        # one value check at the start and one per step taken; the rest are halvings
+        halvings = len(checks) - res.iterations
+        return halvings, np.max(np.abs(grad)), 2.0 * (rho + 1.0 / n) * hp.fista_tol
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_converged_solve_is_stationary(self, seed, monkeypatch):
+        _, sup, bound = self._stationary_solve(seed, monkeypatch)
+        assert sup <= bound
+
+    def test_stationary_after_halvings(self, monkeypatch):
+        halvings, sup, bound = self._stationary_solve(2, monkeypatch)
+        assert halvings > 0
+        assert sup <= bound
+
+    @pytest.mark.parametrize("risk", [ns.RiskKind.SQUARED, ns.RiskKind.ZERO])
+    def test_quadratic_risks_converge_in_two_iterations(self, risk):
+        # one exact Newton step, then a step under the tolerance ends the solve
+        for seed in range(5):
+            state = small_state(seed=seed, scatter=1.0, risk=risk)
+            res = opt.update_z_output(state, obj.HyperParams(rho=0.3),
+                                      _product(state, state.num_layers - 1))
+            assert res.converged and res.iterations <= 2
+
     def test_nonconverged_flagged(self):
         state = small_state(seed=6, scatter=1.0, sizes=(3, 4, 3, 2), n=4)
         hp = obj.HyperParams(rho=1e-4, fista_iters=3, fista_tol=1e-14)
         res = opt.update_z_output(state, hp, _product(state, state.num_layers - 1))
         assert not res.converged
         assert res.iterations == 3
+
+    def test_rising_values_never_report_convergence(self, monkeypatch):
+        # every value check rises, so each iteration halves 30 times and falls
+        # back to a gradient step; the tiny halved steps must not count as converged
+        calls = []
+        monkeypatch.setattr(obj, "risk_value", lambda *a: float(len(calls.append(1) or calls)))
+        state = small_state(seed=2, scatter=1.0)
+        hp = obj.HyperParams(rho=1e-3, fista_iters=4)
+        res = opt.update_z_output(state, hp, _product(state, state.num_layers - 1))
+        assert not res.converged
+        assert res.iterations == 4
+        assert len(calls) == 1 + 4 * (opt.NEWTON_HALVINGS + 2)
+
+    def test_nan_free_step_is_not_converged(self):
+        state = small_state(seed=2, scatter=1.0)
+        product = _product(state, state.num_layers - 1)
+        product[0, 0] = np.nan
+        res = opt.update_z_output(state, obj.HyperParams(fista_iters=4), product)
+        assert not res.converged
+        assert res.iterations == 4
 
 
 class TestUpdateA:
@@ -479,6 +542,35 @@ def _blobs_problem(epochs):
     ds = synth_gaussian_blobs(classes=3, d=12, n_per_class=40, seed=11, noise=0.05)
     hp = obj.HyperParams(rho=0.01, eps0=1.0, epochs=epochs, seed=0)
     return ns.Architecture((12, 16, 16, 3)), ds.x, ds.y, hp
+
+
+@pytest.fixture(scope="module")
+def blobs_run():
+    """The criterion-11 run, 150 epochs: its start state, end state and trace."""
+    arch, x, y, hp = _blobs_problem(150)
+    start = ns.initialize(arch, x, y, hp)
+    state, trace = opt.train(arch, x, y, hp)
+    return start, state, trace
+
+
+def test_output_solve_takes_few_iterations(blobs_run):
+    _, _, trace = blobs_run
+    assert all(r.fista_converged for r in trace)
+    assert np.mean([r.fista_iterations for r in trace]) <= 5.0
+
+
+def test_first_hidden_layer_stalls(blobs_run):
+    """Documents the ROADMAP finding that the hidden layers never train; not a gate.
+
+    Every R_l starts at 0, and the hidden z step's slab interval always
+    contains the current z, so z_0 never moves and W_0 keeps its He
+    initialisation bit for bit. ROADMAP item 2B, a joint (z_l, a_l) block,
+    is meant to flip both assertions; until then the test also shows that
+    a change to the output solve leaves the hidden-layer dynamics alone.
+    """
+    start, state, trace = blobs_run
+    assert state.W[0].tobytes() == start.W[0].tobytes()
+    assert all(r.dz_sq[0] == 0.0 for r in trace)
 
 
 def _shrinking_problem(epochs):
