@@ -28,8 +28,6 @@ from .network_state import (                                    # noqa: E402
     feasibility_residual,
     forward_logits,
     initialize,
-    load_state,
-    save_state,
 )
 from .objective import HyperParams, ObjectiveBreakdown, evaluate_f   # noqa: E402
 from .optimizer import EpochReport, run_epoch, train  # noqa: E402
@@ -50,8 +48,6 @@ __all__ = [
     "feasibility_residual",
     "forward_logits",
     "initialize",
-    "load_state",
     "run_epoch",
-    "save_state",
     "train",
 ]

@@ -34,6 +34,8 @@ class BaselineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "seed"):
+            ns.check_integer(name, getattr(self, name))
         if not 0 <= self.lr < np.inf:
             raise ValueError("lr must be finite and >= 0")
         if not (0 < self.adagrad_eps < np.inf and 0 < self.adadelta_eps < np.inf):

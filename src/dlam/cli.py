@@ -203,8 +203,10 @@ def load_dataset(cfg: RunConfig) -> tuple[data_io.Dataset, data_io.Dataset | Non
 
 
 def _git_describe() -> str:
+    """``git describe`` of the checkout this package is imported from, not of the cwd."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             cwd=Path(__file__).resolve().parent,
                              capture_output=True, text=True, timeout=10)
         if out.returncode == 0:
             return out.stdout.strip()

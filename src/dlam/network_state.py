@@ -12,7 +12,7 @@ activations 0..L-2, and ``a_prev(0)`` is the input batch x.
 
 from __future__ import annotations
 
-import struct
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -23,9 +23,6 @@ from .tensor_core import ShapeError
 # Guard against inverting a sigmoid/tanh target that rounding pushed onto the
 # boundary of the activation's open range.
 SATURATION_GUARD = 1e-12
-
-_CHECKPOINT_MAGIC = 0x4D414C44  # ascii "DLAM", little-endian
-_CHECKPOINT_VERSION = 1
 
 
 class ActivationKind(Enum):
@@ -127,7 +124,7 @@ class Architecture:
     reg_weight: float = 0.0
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.layer_sizes)
+        sizes = tuple(check_integer("layer_sizes", n) for n in self.layer_sizes)
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 3:
             raise ValueError("need at least two weight layers (input, hidden+, output)")
@@ -187,6 +184,14 @@ class NetworkState:
     def a_prev(self, layer: int) -> np.ndarray:
         """Input batch feeding weight layer ``layer`` (x for layer 0)."""
         return self.x if layer == 0 else self.a[layer - 1]
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; numpy integers pass, a float (2.0 too) is a ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_one_hot(y: np.ndarray) -> None:
@@ -297,65 +302,3 @@ def forward_logits(arch: Architecture, W: list[np.ndarray], b: list[np.ndarray],
     """Plain feedforward pass; returns the output-layer pre-activations."""
     return forward_pass(arch, W, b, x)[0][-1]
 
-
-def save_state(state: NetworkState, path: str) -> None:
-    """Dump a state to a flat little-endian binary file.
-
-    Layout: u32 magic 0x4D414C44, u32 version, u32 number of layer sizes,
-    u32 batch size N, then the layer sizes as u32, then float64 row-major
-    blocks in layer order W_1, b_1, z_1, a_1, ..., W_L, b_L, z_L (the output
-    layer has no activation block). Used for inspection only (train cannot
-    resume from it); the architecture choices and the data batch are not stored.
-    """
-    sizes = state.arch.layer_sizes
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4I", _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION,
-                            len(sizes), state.n_samples))
-        f.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        for l in range(state.num_layers):
-            for block in (state.W[l], state.b[l], state.z[l]):
-                f.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
-            if l < state.num_layers - 1:
-                f.write(np.ascontiguousarray(state.a[l], dtype="<f8").tobytes())
-
-
-def load_state(path: str, arch: Architecture, x: np.ndarray, y: np.ndarray) -> NetworkState:
-    """Rebuild a state saved by :func:`save_state`; caller supplies arch and data."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 16:
-        raise ValueError(f"checkpoint truncated: {len(raw)} bytes")
-    magic, version, n_sizes, n = struct.unpack_from("<4I", raw, 0)
-    if magic != _CHECKPOINT_MAGIC:
-        raise ValueError(f"bad checkpoint magic 0x{magic:08X}")
-    if version != _CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    sizes = struct.unpack_from(f"<{n_sizes}I", raw, 16)
-    if sizes != arch.layer_sizes:
-        raise ShapeError(f"checkpoint sizes {sizes} do not match architecture {arch.layer_sizes}")
-    if n != x.shape[1]:
-        raise ShapeError(f"checkpoint batch size {n} does not match x ({x.shape[1]})")
-    off = 16 + 4 * n_sizes
-    state = NetworkState(arch=arch, x=np.asarray(x, dtype=np.float64),
-                         y=np.asarray(y, dtype=np.float64))
-
-    def take(rows, cols):
-        nonlocal off
-        count = rows * cols
-        end = off + 8 * count
-        if end > len(raw):
-            raise ValueError(f"checkpoint truncated at offset {off}")
-        block = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(rows, cols)
-        off = end
-        return np.array(block, dtype=np.float64)
-
-    for l in range(arch.num_layers):
-        n_out = sizes[l + 1]
-        state.W.append(take(n_out, sizes[l]))
-        state.b.append(take(n_out, 1))
-        state.z.append(take(n_out, n))
-        if l < arch.num_layers - 1:
-            state.a.append(take(n_out, n))
-    if off != len(raw):
-        raise ValueError(f"checkpoint has {len(raw) - off} trailing bytes")
-    return state

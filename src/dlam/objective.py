@@ -50,6 +50,8 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("fista_iters", "max_backtrack", "epochs", "seed"):
+            ns.check_integer(name, getattr(self, name))
         if not 0 < self.rho < math.inf:
             raise ValueError("rho must be finite and > 0")
         if not 0 < self.eps0 < math.inf:

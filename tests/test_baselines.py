@@ -201,6 +201,13 @@ class TestTrainBaseline:
         with pytest.raises(ValueError, match="must be finite"):
             bl.BaselineConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, "3", None])
+    @pytest.mark.parametrize("name", ["epochs", "seed"])
+    def test_config_rejects_non_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            bl.BaselineConfig(**{name: value})
+        assert getattr(bl.BaselineConfig(**{name: np.int64(3)}), name) == 3
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_x(self, value, rng):
         arch, x, y = self._data(rng)

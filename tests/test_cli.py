@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +98,20 @@ class TestTrainCommand:
         assert summary["config"]["seed"] == 3
         assert "git_describe" in summary
         assert summary["final"]["epoch"] == 5
+
+    def test_git_describe_names_the_package_checkout(self, tmp_path, monkeypatch):
+        package = Path(cli.__file__).resolve().parent
+        try:
+            inside = subprocess.run(["git", "rev-parse", "--is-inside-work-tree"],
+                                    cwd=package, capture_output=True, text=True)
+        except OSError:
+            pytest.skip("git is not installed")
+        if inside.returncode != 0:
+            pytest.skip("the package is not in a git checkout")
+        monkeypatch.chdir(package)
+        from_checkout = cli._git_describe()
+        monkeypatch.chdir(tmp_path)
+        assert cli._git_describe() == from_checkout != "unknown"
 
     def test_unknown_optimizer_exits_nonzero(self, tmp_path, capsys):
         code = cli.main(["train", "--dataset", "blobs", "--optimizer", "sgd2",

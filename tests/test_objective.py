@@ -294,6 +294,13 @@ class TestEvaluateF:
         with pytest.raises(ValueError, match=f"{name}.* must be finite"):
             obj.HyperParams(**{name: value})
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, "3", None])
+    @pytest.mark.parametrize("name", ["fista_iters", "max_backtrack", "epochs", "seed"])
+    def test_hyperparams_reject_non_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            obj.HyperParams(**{name: value})
+        assert getattr(obj.HyperParams(**{name: np.int64(3)}), name) == 3
+
 
 def test_accuracy_from_logits():
     logits = np.array([[2.0, 0.0], [1.0, 3.0]])

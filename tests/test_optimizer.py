@@ -142,6 +142,24 @@ class TestUpdateB:
             after = obj.penalty_phi(a_prev, W, state.b[l], z, hp.rho)
             assert after <= before + 1e-12
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 200), scatter=st.floats(0.05, 2.0), rho=st.floats(1e-4, 4.0),
+           layer=st.integers(0, 2), activation=st.sampled_from(list(ns.ActivationKind)))
+    def test_step_is_the_exact_minimizer(self, seed, scatter, rho, layer, activation):
+        state = small_state(seed=seed, scatter=scatter, activation=activation)
+        product, z = _product(state, layer), state.z[layer]
+        opt.update_b(state, layer, product)
+        b = state.b[layer]
+        R = obj.residual(product, b, z)
+        # the row sums of R vanish up to the rounding of its entries
+        scale = rho * (np.abs(product) + np.abs(z) + np.abs(b)).sum(axis=1, keepdims=True)
+        assert np.all(np.abs(obj.grad_b(R, rho)) <= 1e-14 * scale)
+        best = obj.penalty(R, rho)
+        r2 = np.random.default_rng(seed)
+        for size in np.logspace(-6, 1, 50):
+            shift = r2.normal(0.0, size, b.shape)
+            assert obj.penalty(obj.residual(product, b + shift, z), rho) >= best * (1 - 1e-12)
+
 
 class TestUpdateZHidden:
     def test_interior_step_is_free_minimizer(self):
@@ -163,32 +181,33 @@ class TestUpdateZHidden:
         assert recoveries == 0
         assert state.z[0][0, 0] == pytest.approx(0.6, abs=1e-12)
 
-    def test_beats_random_feasible_perturbations(self, rng):
-        """Exact minimizer of the quadratic model plus slab indicator."""
-        hp = obj.HyperParams(rho=0.7)
-        for seed in range(20):
-            r2 = np.random.default_rng(seed)
-            a_val = float(r2.uniform(0.1, 1.5))
-            eps = float(r2.uniform(0.05, 0.5))
-            state = _scalar_state(W1=float(r2.normal()), b1=float(r2.normal()),
-                                  z1=float(r2.uniform(max(0.0, a_val - eps) or -1.0,
-                                                      a_val + eps)),
-                                  a1=a_val, W2=1.0, b2=0.0, z2=a_val)
-            z_k = state.z[0][0, 0]
-            grad = obj.grad_phi_z(state.x, state.W[0], state.b[0], state.z[0], hp.rho)
-            lo, hi, _ = ns.slab_z_bounds(ns.ActivationKind.RELU,
-                                         np.array([[a_val]]), eps)
-            opt.update_z_hidden(state, 0, eps, _product(state, 0))
-            z_new = state.z[0]
-
-            def model_value(z):
-                return grad[0, 0] * (z - z_k) + 0.5 * hp.rho * (z - z_k) ** 2
-
-            base = model_value(z_new[0, 0])
-            lo_s = lo[0, 0] if math.isfinite(lo[0, 0]) else z_new[0, 0] - 20.0
-            for _ in range(1000):
-                pert = float(r2.uniform(lo_s, hi[0, 0]))
-                assert base <= model_value(pert) + 1e-6
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(list(ns.ActivationKind)),
+           shape=st.tuples(st.integers(1, 4), st.integers(1, 6)), seed=st.integers(0, 200),
+           a_range=st.sampled_from([(-0.5, 1.5), (-1.5, 3.0)]),
+           m_scale=st.floats(0.1, 40.0), eps=st.floats(1e-3, 1.0))
+    def test_beats_random_feasible_perturbations(self, kind, shape, seed, a_range,
+                                                 m_scale, eps):
+        """The clip of the free step m onto the slab's z-interval [lo, hi] is
+        feasible and no farther from m, entry by entry, than any z' in [lo, hi]:
+        with test_interval_holds_exactly_the_feasible_z, which shows [lo, hi] is
+        the feasible set, the clip is the constrained minimizer of (rho/2)||z - m||^2."""
+        rows, cols = shape
+        r2 = np.random.default_rng(seed)
+        state = small_state(seed=seed, sizes=(3, rows, 2), n=cols, activation=kind)
+        state.a[0] = r2.uniform(*a_range, shape)    # the wider range empties some slabs
+        state.b[0] = np.zeros((rows, 1))             # so the product is the free step m
+        m = r2.normal(0.0, m_scale, shape)
+        opt.update_z_hidden(state, 0, eps, m)
+        z, a = state.z[0], state.a[0]                # a as recentered by any recovery
+        assert np.all(np.abs(ns.activation_apply(kind, z) - a) <= eps + 1e-12)
+        lo, hi, empty = ns.slab_z_bounds(kind, a, eps)
+        assert not empty.any()
+        lo_s = np.where(np.isfinite(lo), lo, np.minimum(z, m) - 10.0)
+        hi_s = np.where(np.isfinite(hi), hi, np.maximum(z, m) + 10.0)
+        for _ in range(200):
+            other = np.clip(r2.uniform(lo_s, hi_s), lo, hi)
+            assert np.all(np.abs(other - m) >= np.abs(z - m))
 
     def test_empty_interval_recovery_recenters(self):
         # a sits far below zero so no z satisfies the ReLU slab; recovery
