@@ -42,8 +42,9 @@ class BaselineConfig:
             raise ValueError("epsilons must be finite and > 0")
         if not 0.0 < self.adadelta_rho < 1.0:
             raise ValueError("adadelta_rho must be in (0, 1)")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 def activation_derivative(kind: ns.ActivationKind, a: np.ndarray) -> np.ndarray:

@@ -72,7 +72,7 @@ def slab_z_bounds(kind: ActivationKind, a: np.ndarray, eps: float):
     when the corresponding target falls outside the activation's range.
     Returns (B1, B2, empty) where ``empty`` marks entries whose target band
     misses the range entirely; B1/B2 are undefined (0) at those entries and
-    the caller decides how to recover.
+    the caller decides what such an entry does.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -64,8 +64,9 @@ class HyperParams:
             raise ValueError("iteration budgets must be >= 1")
         if not 0 < self.fista_tol < math.inf:
             raise ValueError("fista_tol must be finite and > 0")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -194,19 +195,6 @@ def risk_grad(kind: ns.RiskKind, z: np.ndarray, y: np.ndarray,
     if kind is ns.RiskKind.ZERO:
         return np.zeros_like(z)
     raise ValueError(f"unknown risk {kind!r}")
-
-
-def risk_smoothness(kind: ns.RiskKind, n_samples: int) -> float:
-    """Valid Lipschitz constant of the risk gradient.
-
-    The softmax cross-entropy Hessian per column has eigenvalues in
-    [0, 1/2]; the batch mean divides that by N.
-    """
-    if kind is ns.RiskKind.CROSS_ENTROPY:
-        return 0.5 / n_samples
-    if kind is ns.RiskKind.SQUARED:
-        return 1.0 / n_samples
-    return 0.0
 
 
 def newton_direction(kind: ns.RiskKind, g: np.ndarray, rho: float,

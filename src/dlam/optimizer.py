@@ -122,7 +122,7 @@ class EpochReport:
     majorization_a: list[tuple[float, float]]
     fista_iterations: int        # the output solve's Newton iterations; the name is kept
     fista_converged: bool
-    recoveries: int
+    recoveries: int              # hidden z entries held because their slab was empty
     feasibility_residual: float
     grad_b_err: float
     grad_norm_proxy: float
@@ -219,27 +219,23 @@ def update_z_hidden(state: ns.NetworkState, layer: int, eps: float,
     The penalty in z is (rho/2)||z - m||^2 with m = W a_prev + b the free
     step (``product`` is W a_prev), a separable quadratic, so clipping m onto
     [B1, B2] (the z-image of the slab around the current a) yields the exact
-    constrained minimizer. Entries whose slab inverts to an empty set are
-    recovered by recentering the offending a entry onto h(z) first; returns
-    the recovery count, which stays zero on clean runs; a recovery moves a,
-    and with it the next layer's coupling residual.
+    constrained minimizer. An entry whose slab inverts to an empty set keeps
+    its current z; the a step that follows projects a into the slab around
+    h(z). Writes only z; returns the count of held entries, zero on clean
+    runs.
     """
     kind = state.arch.activation[layer]
-    a_k = state.a[layer]
-    lo, hi, empty = ns.slab_z_bounds(kind, a_k, eps)
-    recoveries = int(empty.sum())
-    if recoveries:
-        h = ns.activation_apply(kind, state.z[layer])
-        fixed = a_k.copy()
-        fixed[empty] = h[empty]
-        state.a[layer] = fixed
-        lo, hi, empty = ns.slab_z_bounds(kind, fixed, eps)
+    lo, hi, empty = ns.slab_z_bounds(kind, state.a[layer], eps)
     # the free step is formed after the bounds, whose temporaries are gone by then
-    state.z[layer] = np.clip(product + state.b[layer], lo, hi)
-    return recoveries
+    z = np.clip(product + state.b[layer], lo, hi)
+    held = int(empty.sum())
+    if held:
+        np.copyto(z, state.z[layer], where=empty)
+    state.z[layer] = z
+    return held
 
 
-# Halvings of a rising Newton step before the output solve takes a gradient step.
+# Halvings of a rising Newton step before the output solve stops where it is.
 NEWTON_HALVINGS = 30
 
 
@@ -256,14 +252,13 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
     iterations; that step is not taken, since a value check at its scale
     compares rounding noise. Otherwise the iteration takes the full step and
     halves it while the composite value rises, at most NEWTON_HALVINGS
-    times; then it takes the gradient step 1/(rho + L_risk) instead, which
-    cannot raise the value in exact arithmetic. So the value does not rise
-    from one iterate to the next, a halved step never counts as convergence,
-    and a NaN ends each iteration in the gradient step.
+    times; when no halving lowers the value (a NaN included), the solve
+    stops at the last accepted iterate, not converged. So the value does
+    not rise from one iterate to the next, and a halved step never counts
+    as convergence.
     """
     kind, y, rho = state.arch.risk, state.y, hp.rho
     free = product + state.b[-1]
-    step = 1.0 / (rho + obj.risk_smoothness(kind, state.n_samples))
 
     def value(z):
         return obj.penalty(z - free, rho) + obj.risk_value(kind, z, y)
@@ -286,8 +281,7 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
                 break
             s *= 0.5
         else:   # no halving lowered the value
-            cand = z - step * g
-            f_cand = value(cand)
+            break
         z, f = cand, f_cand
     state.z[-1] = z
     return NewtonResult(iterations, converged, f_start, f)
@@ -436,10 +430,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
             if l == L - 1:
                 output = update_z_output(state, hp, product)
             else:
-                # R_{l+1} is taken out before a recovery can move a_l under it
-                r_a, resid[l + 1] = resid[l + 1], None
-                rec = update_z_hidden(state, l, eps, product)
-                recoveries += rec
+                recoveries += update_z_hidden(state, l, eps, product)
             dz = state.z[l] - old_z
             del old_z
             dz_sq.append(_sq(dz))
@@ -450,11 +441,10 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
             del product, dz
 
             if l < L - 1:
-                if rec:     # the recovery moved a_l under R_{l+1}
-                    r_a = obj.coupling_residual(state.a[l], state.W[l + 1], state.b[l + 1],
-                                                state.z[l + 1])
+                # R_{l+1} leaves the cache with update_a, which moves a_l under it;
                 # z_l is final, so the accepted a_l's slab violation is layer l's
                 # feasibility residual
+                r_a, resid[l + 1] = resid[l + 1], None
                 a_steps.append(update_a(state, l, hp, eps, warm.tau[l] / hp.eta, r_a))
                 del r_a
                 warm.tau[l] = a_steps[-1].accepted_param

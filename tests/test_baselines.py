@@ -194,6 +194,8 @@ class TestTrainBaseline:
             bl.BaselineConfig(adadelta_rho=1.5)
         with pytest.raises(ValueError, match="epochs must be >= 0"):
             bl.BaselineConfig(epochs=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            bl.BaselineConfig(seed=-1)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["lr", "adagrad_eps", "adadelta_eps"])

@@ -177,7 +177,9 @@ class TestTrainCommand:
         (["--optimizer", "adagrad", "--adagrad-eps", "nan"], "epsilons must be finite and > 0"),
         (["--rho", "nan"], "rho must be finite and > 0"),
         (["--reg-weight", "inf"], "reg_weight must be finite and >= 0"),
-        (["--subset", "-5"], "subset_size and train_count must be >= 0")])
+        (["--subset", "-5"], "subset_size and train_count must be >= 0"),
+        (["--seed", "-1"], "seed must be >= 0"),
+        (["--optimizer", "sgd", "--lr", "0.1", "--seed", "-1"], "seed must be >= 0")])
     def test_bad_value_is_an_error_before_data_loads(self, tmp_path, capsys, monkeypatch,
                                                       flags, message):
         monkeypatch.setattr(cli, "load_dataset", lambda cfg: pytest.fail("data loaded"))

@@ -287,6 +287,8 @@ class TestEvaluateF:
             obj.HyperParams(eta=0.5)
         with pytest.raises(ValueError):
             obj.HyperParams(eps0=-1.0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            obj.HyperParams(seed=-1)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["rho", "eps0", "gamma", "eta", "alpha0", "fista_tol"])

@@ -34,6 +34,11 @@ def _scalar_state(W1, b1, z1, a1, W2, b2, z2, x=1.0, y=None,
     return state
 
 
+def _empty_slab_state():
+    """The (1,1,1) ReLU state whose a_0 = -5 leaves its slab empty at eps 0.1."""
+    return _scalar_state(W1=1.0, b1=0.0, z1=0.5, a1=-5.0, W2=1.0, b2=0.0, z2=0.5)
+
+
 def _product(state, l):
     return state.W[l] @ state.a_prev(l)
 
@@ -191,31 +196,68 @@ class TestUpdateZHidden:
         """The clip of the free step m onto the slab's z-interval [lo, hi] is
         feasible and no farther from m, entry by entry, than any z' in [lo, hi]:
         with test_interval_holds_exactly_the_feasible_z, which shows [lo, hi] is
-        the feasible set, the clip is the constrained minimizer of (rho/2)||z - m||^2."""
+        the feasible set, the clip is the constrained minimizer of (rho/2)||z - m||^2.
+        An entry whose slab is empty keeps its z, and a is never touched."""
         rows, cols = shape
         r2 = np.random.default_rng(seed)
         state = small_state(seed=seed, sizes=(3, rows, 2), n=cols, activation=kind)
-        state.a[0] = r2.uniform(*a_range, shape)    # the wider range empties some slabs
-        state.b[0] = np.zeros((rows, 1))             # so the product is the free step m
+        state.a[0] = a = r2.uniform(*a_range, shape)    # the wider range empties some slabs
+        state.b[0] = np.zeros((rows, 1))                 # so the product is the free step m
+        z0 = state.z[0]
         m = r2.normal(0.0, m_scale, shape)
-        opt.update_z_hidden(state, 0, eps, m)
-        z, a = state.z[0], state.a[0]                # a as recentered by any recovery
-        assert np.all(np.abs(ns.activation_apply(kind, z) - a) <= eps + 1e-12)
         lo, hi, empty = ns.slab_z_bounds(kind, a, eps)
-        assert not empty.any()
+        assert opt.update_z_hidden(state, 0, eps, m) == int(empty.sum())
+        assert state.a[0] is a
+        z = state.z[0]
+        assert np.array_equal(z[empty], z0[empty])
+        z, m, lo, hi = z[~empty], m[~empty], lo[~empty], hi[~empty]
+        assert np.all(np.abs(ns.activation_apply(kind, z) - a[~empty]) <= eps + 1e-12)
         lo_s = np.where(np.isfinite(lo), lo, np.minimum(z, m) - 10.0)
         hi_s = np.where(np.isfinite(hi), hi, np.maximum(z, m) + 10.0)
         for _ in range(200):
             other = np.clip(r2.uniform(lo_s, hi_s), lo, hi)
             assert np.all(np.abs(other - m) >= np.abs(z - m))
 
-    def test_empty_interval_recovery_recenters(self):
-        # a sits far below zero so no z satisfies the ReLU slab; recovery
-        # recenters that entry of a onto h(z) and counts it
-        state = _scalar_state(W1=1.0, b1=0.0, z1=0.5, a1=-5.0, W2=1.0, b2=0.0, z2=0.5)
-        recoveries = opt.update_z_hidden(state, 0, 0.1, _product(state, 0))
-        assert recoveries == 1
-        assert state.a[0][0, 0] == 0.5   # recentered onto h(z_k)
+    def test_empty_interval_holds_z(self):
+        # a sits far below zero so no z satisfies the ReLU slab; the entry keeps
+        # its z, a is left to its own step, and the held entry is counted
+        state = _empty_slab_state()
+        a = state.a[0]
+        held = opt.update_z_hidden(state, 0, 0.1, _product(state, 0))
+        assert held == 1
+        assert state.z[0][0, 0] == 0.5
+        assert state.a[0] is a and a[0, 0] == -5.0
+
+    @pytest.mark.parametrize("kind,z_sat", [(ns.ActivationKind.SIGMOID, 40.0),
+                                            (ns.ActivationKind.TANH, 20.0)])
+    def test_saturated_slab_edge_is_held(self, kind, z_sat):
+        # h(z_sat) rounds to 1.0, and a at the upper slab edge puts a - eps at
+        # 1.0 too: the slab reads as empty although |a - h(z)| exceeds eps only
+        # by rounding. The entry is held, and sweeps at that eps stay feasible
+        # and keep the descent ledger
+        eps = 0.01
+        state = small_state(seed=3, activation=kind)
+        hp = obj.HyperParams(rho=0.1)
+        z, a = state.z[0].copy(), state.a[0].copy()
+        z[0, 0] = z_sat
+        a[0, 0] = ns.activation_apply(kind, z)[0, 0] + eps
+        state.z[0], state.a[0] = z, a
+        assert a[0, 0] == 1.0 + eps and 0.0 < (a[0, 0] - 1.0) - eps < 1e-16
+        assert ns.slab_z_bounds(kind, a, eps)[2][0, 0]
+        assert ns.feasibility_residual(state, eps) <= 1e-12
+        assert opt.update_z_hidden(state, 0, eps, _product(state, 0)) == 1
+        assert state.z[0][0, 0] == z_sat and state.a[0] is a
+        state.z[0] = z
+        warm = opt.WarmStart.fresh(state.num_layers, hp.alpha0)
+        f_last = math.inf
+        for k in range(3):
+            report = opt.run_epoch(state, hp, k, eps, warm)
+            assert report.feasibility_residual <= 1e-12
+            assert ns.feasibility_residual(state, eps) <= 1e-12
+            assert report.f_after <= report.f_before <= f_last
+            margin = report.f_before - report.f_after - report.descent_rhs
+            assert margin >= -1e-6 * max(1.0, abs(report.f_before))
+            f_last = report.f_after
 
 
 class TestUpdateZOutput:
@@ -310,24 +352,32 @@ class TestUpdateZOutput:
         assert res.iterations == 3
 
     def test_rising_values_never_report_convergence(self, monkeypatch):
-        # every value check rises, so each iteration halves 30 times and falls
-        # back to a gradient step; the tiny halved steps must not count as converged
+        # every value check rises, so the first iteration halves NEWTON_HALVINGS
+        # times and stops where it started; the tiny halved steps must not
+        # count as converged
         calls = []
         monkeypatch.setattr(obj, "risk_value", lambda *a: float(len(calls.append(1) or calls)))
         state = small_state(seed=2, scatter=1.0)
+        z = state.z[-1]
         hp = obj.HyperParams(rho=1e-3, fista_iters=4)
         res = opt.update_z_output(state, hp, _product(state, state.num_layers - 1))
         assert not res.converged
-        assert res.iterations == 4
-        assert len(calls) == 1 + 4 * (opt.NEWTON_HALVINGS + 2)
+        assert res.iterations == 1
+        assert len(calls) == 1 + (opt.NEWTON_HALVINGS + 1)
+        assert np.array_equal(state.z[-1], z)
 
     def test_nan_free_step_is_not_converged(self):
+        # no value check passes a NaN, so the solve stops at its start; the NaN
+        # reaches the objective through the residual
         state = small_state(seed=2, scatter=1.0)
+        z = state.z[-1].copy()
         product = _product(state, state.num_layers - 1)
         product[0, 0] = np.nan
         res = opt.update_z_output(state, obj.HyperParams(fista_iters=4), product)
         assert not res.converged
-        assert res.iterations == 4
+        assert res.iterations == 1
+        assert np.array_equal(state.z[-1], z) and np.all(np.isfinite(state.z[-1]))
+        assert math.isnan(obj.penalty(obj.residual(product, state.b[-1], state.z[-1]), 1.0))
 
 
 class TestUpdateA:
@@ -732,8 +782,9 @@ class TestResidualReuse:
         assert runs[0] == runs[1]
 
     def test_cache_coherent_through_recovery(self, cache_watch):
-        # the state of test_empty_interval_recovery_recenters, as a whole sweep
-        state = _scalar_state(W1=1.0, b1=0.0, z1=0.5, a1=-5.0, W2=1.0, b2=0.0, z2=0.5)
+        # the state of test_empty_interval_holds_z, as a whole sweep: the held
+        # entry moves no a, so R_1 stays cached until update_a takes it
+        state = _empty_slab_state()
         hp = obj.HyperParams(rho=1.0)
         warm = opt.WarmStart.fresh(state.num_layers, hp.alpha0)
         report = opt.run_epoch(state, hp, 0, eps=0.1, warm=warm)
@@ -798,6 +849,55 @@ class TestResidualReuse:
             assert spent[k]["coupling_residual"] <= L - 1
 
 
+class TestBlockIsolation:
+    """Each block update writes only its own block, so the descent ledger's
+    one term per block covers every move and no cached residual goes stale
+    behind the sweep's back."""
+
+    OWN = {"update_w": "W", "update_b": "b", "update_z_hidden": "z",
+           "update_z_output": "z", "update_a": "a"}
+
+    @pytest.mark.parametrize("block,layer", [
+        ("update_w", 0), ("update_w", 1), ("update_b", 0), ("update_b", 1),
+        ("update_z_hidden", 0), ("update_z_output", 1), ("update_a", 0)])
+    def test_block_update_writes_only_its_own_block(self, block, layer):
+        state = _empty_slab_state()
+        hp, eps = obj.HyperParams(rho=1.0), 0.1
+        calls = {
+            "update_w": lambda: opt.update_w(state, layer, hp, hp.alpha0,
+                                             _fresh_resid(state, layer)),
+            "update_b": lambda: opt.update_b(state, layer, _product(state, layer)),
+            "update_z_hidden": lambda: opt.update_z_hidden(state, layer, eps,
+                                                           _product(state, layer)),
+            "update_z_output": lambda: opt.update_z_output(state, hp, _product(state, layer)),
+            "update_a": lambda: opt.update_a(state, layer, hp, eps, hp.alpha0,
+                                             _fresh_resid(state, layer + 1)),
+        }
+        before = {name: list(getattr(state, name)) for name in "Wbza"}
+        calls[block]()
+        for name in "Wbza":
+            for l, (old, new) in enumerate(zip(before[name], getattr(state, name))):
+                if (name, l) != (self.OWN[block], layer):
+                    assert new is old, (name, l)
+
+    def test_held_entry_forms_no_extra_residual(self, monkeypatch):
+        # a fresh sweep forms 2L - 1 residuals and a later one L - 1, as
+        # TestResidualReuse counts them, also when an entry is held
+        formed = []
+        coupling_residual = obj.coupling_residual
+        monkeypatch.setattr(obj, "coupling_residual",
+                            lambda *a: formed.append(1) or coupling_residual(*a))
+        state = _empty_slab_state()
+        hp = obj.HyperParams(rho=1.0)
+        L = state.num_layers
+        warm = opt.WarmStart.fresh(L, hp.alpha0)
+        assert opt.run_epoch(state, hp, 0, 0.1, warm).recoveries == 1
+        assert len(formed) == 2 * L - 1
+        formed.clear()
+        opt.run_epoch(state, hp, 1, 0.1, warm)
+        assert len(formed) == L - 1
+
+
 class TestSharedFormulas:
     """The sweep and the baselines build on the one copy of each formula, so a
     private copy of one cannot grow back unseen."""
@@ -859,7 +959,7 @@ class TestCertificatesExact:
         for k in range(epochs):
             before = {name: list(getattr(state, name)) for name in "Wbza"}
             report = opt.run_epoch(state, hp, k, eps, warm)
-            assert report.recoveries == 0      # a recovery moves a_l ahead of its step
+            assert report.recoveries == 0      # no slab is empty on these runs
             for name, moved in (("W", report.dw_sq), ("b", report.db_sq),
                                 ("z", report.dz_sq), ("a", report.da_sq)):
                 fresh = [_sq(new - old) for new, old in zip(getattr(state, name), before[name])]
