@@ -23,28 +23,26 @@ class BaselineKind(Enum):
     ADADELTA = "adadelta"
 
 
+# The update rules' constants; a run varies only BaselineConfig.
+ADAGRAD_EPS = 1e-8
+ADADELTA_RHO = 0.95      # decay of adadelta's running averages
+ADADELTA_EPS = 1e-6
+LR_GRID = (1.0, 0.3, 0.1, 0.03, 0.01)
+
+
 @dataclass(frozen=True)
 class BaselineConfig:
     kind: BaselineKind = BaselineKind.SGD
     lr: float = 0.1
-    adagrad_eps: float = 1e-8
-    adadelta_rho: float = 0.95
-    adadelta_eps: float = 1e-6
     epochs: int = 150
     seed: int = 0
 
     def __post_init__(self):
         for name in ("epochs", "seed"):
-            ns.check_integer(name, getattr(self, name))
+            if ns.check_integer(name, getattr(self, name)) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0 <= self.lr < np.inf:
             raise ValueError("lr must be finite and >= 0")
-        if not (0 < self.adagrad_eps < np.inf and 0 < self.adadelta_eps < np.inf):
-            raise ValueError("epsilons must be finite and > 0")
-        if not 0.0 < self.adadelta_rho < 1.0:
-            raise ValueError("adadelta_rho must be in (0, 1)")
-        for name in ("epochs", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
 
 
 def activation_derivative(kind: ns.ActivationKind, a: np.ndarray) -> np.ndarray:
@@ -119,12 +117,11 @@ def train_baseline(cfg: BaselineConfig, arch: ns.Architecture, x: np.ndarray,
                 step = cfg.lr * g
             elif cfg.kind is BaselineKind.ADAGRAD:
                 accum[i] = accum[i] + g * g
-                step = cfg.lr * g / np.sqrt(accum[i] + cfg.adagrad_eps)
+                step = cfg.lr * g / np.sqrt(accum[i] + ADAGRAD_EPS)
             else:
-                avg_g2[i] = cfg.adadelta_rho * avg_g2[i] + (1 - cfg.adadelta_rho) * g * g
-                delta = np.sqrt((avg_d2[i] + cfg.adadelta_eps)
-                                / (avg_g2[i] + cfg.adadelta_eps)) * g
-                avg_d2[i] = cfg.adadelta_rho * avg_d2[i] + (1 - cfg.adadelta_rho) * delta * delta
+                avg_g2[i] = ADADELTA_RHO * avg_g2[i] + (1 - ADADELTA_RHO) * g * g
+                delta = np.sqrt((avg_d2[i] + ADADELTA_EPS) / (avg_g2[i] + ADADELTA_EPS)) * g
+                avg_d2[i] = ADADELTA_RHO * avg_d2[i] + (1 - ADADELTA_RHO) * delta * delta
                 step = cfg.lr * delta
             params[i] = p - step
         W, b = params[:L], params[L:]
@@ -139,9 +136,6 @@ def train_baseline(cfg: BaselineConfig, arch: ns.Architecture, x: np.ndarray,
         if per_epoch is not None:
             per_epoch(W, b, record)
     return W, b, trace
-
-
-LR_GRID = (1.0, 0.3, 0.1, 0.03, 0.01)
 
 
 def select_learning_rate(kind: BaselineKind, arch: ns.Architecture, x: np.ndarray,

@@ -38,19 +38,10 @@ class RunConfig:
     optimizer: str = "dlam"
     rho: float = 1e-4
     eps0: float = 10.0
-    gamma: float = 2.0
-    eta: float = 2.0
-    alpha0: float = 1e-3
-    fista_iters: int = 50
-    fista_tol: float = 1e-8
-    max_backtrack: int = 60
     epochs: int = 150
     reg: str = "none"
     reg_weight: float = 0.0
     lr: float = 0.0            # 0 means grid-search per baseline
-    adagrad_eps: float = 1e-8
-    adadelta_rho: float = 0.95
-    adadelta_eps: float = 1e-6
     subset_size: int = 0       # 0 means the full split
     train_count: int = 55000   # cap applied to the mnist train split
     blobs_classes: int = 4
@@ -72,11 +63,6 @@ class RunConfig:
         for size in self.hidden_sizes():
             if size < 1:
                 raise ConfigError("hidden sizes must be >= 1")
-        try:
-            ns.ActivationKind(self.activation)
-            ns.RegKind(self.reg)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         if self.subset_size < 0 or self.train_count < 0:
             raise ConfigError("subset_size and train_count must be >= 0")
         if self.epochs < 1:
@@ -87,6 +73,14 @@ class RunConfig:
             self.hyper_params()
         else:
             self.baseline_config()
+        if self.reg_weight and self.reg == "none":
+            raise ConfigError("reg_weight needs reg l1 or l2")
+        # a key the chosen optimizer never reads must keep its default
+        ignored = ("lr",) if self.optimizer == "dlam" else ("rho", "eps0", "reg", "reg_weight")
+        unread = [f.name for f in fields(self)
+                  if f.name in ignored and getattr(self, f.name) != f.default]
+        if unread:
+            raise ConfigError(f"{', '.join(unread)} not read by the {self.optimizer} optimizer")
 
     def hidden_sizes(self) -> list[int]:
         try:
@@ -109,8 +103,7 @@ class RunConfig:
     def architecture(self, features: int, classes: int) -> ns.Architecture:
         return self._build(ns.Architecture,
                            layer_sizes=(features, *self.hidden_sizes(), classes),
-                           activation=ns.ActivationKind(self.activation),
-                           regularizer=ns.RegKind(self.reg))
+                           activation=self.activation, regularizer=self.reg)
 
 
 # every config key, with the type its value is parsed to (that of its default)

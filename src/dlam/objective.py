@@ -35,38 +35,23 @@ FEASIBILITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Optimizer knobs. Defaults reproduce the reference experiment setup."""
+    """What a run varies. Defaults reproduce the reference experiment setup;
+    the solver's own constants live in the optimizer module."""
 
     rho: float = 1e-4          # coupling penalty weight
     eps0: float = 10.0         # slab tolerance bound; train holds eps at
                                # min(eps0, 0.01) for the whole run
-    gamma: float = 2.0         # curvature growth factor for the W backtracking
-    eta: float = 2.0           # curvature growth factor for the a backtracking
-    alpha0: float = 1e-3       # smallest curvature tried by either backtracking
-    fista_iters: int = 50      # the output solve's Newton iteration budget and
-    fista_tol: float = 1e-8    # step tolerance; configs and reports keep these names
-    max_backtrack: int = 60
     epochs: int = 150
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("fista_iters", "max_backtrack", "epochs", "seed"):
-            ns.check_integer(name, getattr(self, name))
+        for name in ("epochs", "seed"):
+            if ns.check_integer(name, getattr(self, name)) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0 < self.rho < math.inf:
             raise ValueError("rho must be finite and > 0")
         if not 0 < self.eps0 < math.inf:
             raise ValueError("eps0 must be finite and > 0")
-        if not (1 < self.gamma < math.inf and 1 < self.eta < math.inf):
-            raise ValueError("gamma and eta must be finite and > 1")
-        if not 0 < self.alpha0 < math.inf:
-            raise ValueError("alpha0 must be finite and > 0")
-        if self.fista_iters < 1 or self.max_backtrack < 1:
-            raise ValueError("iteration budgets must be >= 1")
-        if not 0 < self.fista_tol < math.inf:
-            raise ValueError("fista_tol must be finite and > 0")
-        for name in ("epochs", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass

@@ -26,6 +26,15 @@ from . import network_state as ns
 from . import objective as obj
 from .diagnostics import descent_ledger, grad_b_layer_error
 
+# The solver's constants; a run varies only HyperParams.
+ALPHA0 = 1e-3           # smallest curvature either backtracking tries
+GROWTH = 2.0            # curvature growth per rejected trial, W and a alike
+MAX_BACKTRACK = 60      # trials before a backtracking gives up
+NEWTON_ITERS = 50       # the output solve's Newton iteration budget
+NEWTON_TOL = 1e-8       # full Newton steps below this have converged
+NEWTON_HALVINGS = 30    # halvings of a rising Newton step before the solve stops
+EPS_MAX = 0.01          # largest slab tolerance train uses: eps = min(eps0, EPS_MAX)
+
 
 class BacktrackError(RuntimeError):
     """Backtracking failed to majorize within the trial budget."""
@@ -96,8 +105,8 @@ class WarmStart:
     f_end: tuple[float, float] | None = None
 
     @classmethod
-    def fresh(cls, num_layers: int, alpha0: float) -> "WarmStart":
-        return cls(theta=[alpha0] * num_layers, tau=[alpha0] * max(num_layers - 1, 0),
+    def fresh(cls, num_layers: int) -> "WarmStart":
+        return cls(theta=[ALPHA0] * num_layers, tau=[ALPHA0] * (num_layers - 1),
                    resid=[None] * num_layers)
 
 
@@ -136,42 +145,42 @@ def _sq(delta: np.ndarray) -> float:
     return float(np.sum(delta * delta))
 
 
-def _majorized_step(block: str, layer: int, hp: obj.HyperParams, current: np.ndarray,
-                    phi0: float, grad: np.ndarray, param0: float, growth: float,
+def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
+                    phi0: float, grad: np.ndarray, param0: float,
                     candidate, image) -> tuple[np.ndarray, BacktrackResult]:
     """Backtracked quadratic-majorizer step, shared by the W and a blocks.
 
     ``candidate(param)`` minimizes the block's model at curvature ``param``;
     ``image(d)`` is the change a step d makes to the coupling residual, so
     the penalty at the candidate is exactly phi0 + <grad, d> +
-    (rho/2)||image(d)||^2. The curvature starts at max(param0, alpha0) and
-    grows by ``growth`` until that last term is at most (param/2)||d||^2,
+    (rho/2)||image(d)||^2. The curvature starts at max(param0, ALPHA0) and
+    grows by GROWTH until that last term is at most (param/2)||d||^2,
     which holds once it dominates rho||image||^2. Testing the expansion
     stays exact where a direct phi evaluation is cancellation noise and can
     stall the loop. Returns the accepted candidate and its record; raises
     NonFiniteError for a non-finite phi0 or a NaN trial, which no curvature
-    repairs, and BacktrackError after hp.max_backtrack trials.
+    repairs, and BacktrackError after MAX_BACKTRACK trials.
     """
     if not math.isfinite(phi0):
         raise NonFiniteError(f"{block} update", layer)
-    param = max(param0, hp.alpha0)
+    param = max(param0, ALPHA0)
     trials = 1
     while True:
         cand = candidate(param)
         d = cand - current
         # obj.penalty inline: numpy squares the fresh image in place here, where
         # penalty's R * R would allocate a second block-sized array (peak memory)
-        quad_true = 0.5 * hp.rho * float(np.sum(image(d) ** 2))
+        quad_true = 0.5 * rho * float(np.sum(image(d) ** 2))
         move_sq = _sq(d)
         quad_model = 0.5 * param * move_sq
         if quad_true <= quad_model:
             break
         if math.isnan(quad_true):
             raise NonFiniteError(f"{block} update", layer)
-        if trials >= hp.max_backtrack:
+        if trials >= MAX_BACKTRACK:
             raise BacktrackError(
                 f"{block} update at layer {layer} did not majorize after {trials} trials", param)
-        param *= growth
+        param *= GROWTH
         trials += 1
     base = phi0 + float(np.sum(grad * d))
     return cand, BacktrackResult(param, trials, base + quad_true, base + quad_model, move_sq)
@@ -182,8 +191,8 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, theta0: fl
     """Backtracked majorized step on W at ``layer``; writes the result into state.
 
     The candidate minimizes the quadratic model plus the regularizer in
-    closed form; the curvature starts at max(theta0, alpha0) and grows by
-    gamma (_majorized_step, image d a_prev). ``resid`` is the layer's
+    closed form; the curvature starts at max(theta0, ALPHA0) and grows by
+    GROWTH (_majorized_step, image d a_prev). ``resid`` is the layer's
     current coupling residual W a_prev + b - z, and ``grad`` the penalty
     gradient rho resid a_prev^T when the caller already formed it from
     that residual. Raises NonFiniteError when the penalty is NaN or inf:
@@ -196,7 +205,7 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, theta0: fl
     if grad is None:
         grad = obj.grad_w(resid, a_prev, hp.rho)
     state.W[layer], result = _majorized_step(
-        "W", layer, hp, W_k, phi0, grad, theta0, hp.gamma,
+        "W", layer, hp.rho, W_k, phi0, grad, theta0,
         lambda theta: obj.solve_w_subproblem(arch.regularizer, arch.reg_weight, W_k, grad, theta),
         lambda d: d @ a_prev)
     return result
@@ -235,10 +244,6 @@ def update_z_hidden(state: ns.NetworkState, layer: int, eps: float,
     return held
 
 
-# Halvings of a rising Newton step before the output solve stops where it is.
-NEWTON_HALVINGS = 30
-
-
 def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
                     product: np.ndarray) -> NewtonResult:
     """Safeguarded Newton on the output-layer composite; writes z_L into state.
@@ -248,7 +253,7 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
     convex and separates into one problem per sample column, and
     obj.newton_direction solves every column's Newton system in closed form.
     The solve has converged when the full Newton step at the current iterate
-    moves no entry by hp.fista_tol or more, within hp.fista_iters
+    moves no entry by NEWTON_TOL or more, within NEWTON_ITERS
     iterations; that step is not taken, since a value check at its scale
     compares rounding noise. Otherwise the iteration takes the full step and
     halves it while the composite value rises, at most NEWTON_HALVINGS
@@ -267,11 +272,11 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
     f = f_start = value(z)
     converged = False
     iterations = 0
-    for iterations in range(1, hp.fista_iters + 1):
+    for iterations in range(1, NEWTON_ITERS + 1):
         p = obj.softmax_columns(z) if kind is ns.RiskKind.CROSS_ENTROPY else None
         g = rho * (z - free) + obj.risk_grad(kind, z, y, p)
         s = obj.newton_direction(kind, g, rho, p)
-        if float(np.max(np.abs(s))) < hp.fista_tol:
+        if float(np.max(np.abs(s))) < NEWTON_TOL:
             converged = True
             break
         for _ in range(NEWTON_HALVINGS + 1):
@@ -294,7 +299,7 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
     The candidate projects the free quadratic step onto the slab around
     h(z) at this epoch's fresh z, which is the exact minimizer of the
     model-plus-indicator for scalar curvature; the curvature starts at
-    max(tau0, alpha0) and grows by eta (_majorized_step, image W_next d).
+    max(tau0, ALPHA0) and grows by GROWTH (_majorized_step, image W_next d).
     Feasibility of the accepted block holds by construction, and the result
     measures it against the slab it was projected onto, as
     ns.feasibility_residual would. ``resid`` is the next layer's current
@@ -310,7 +315,7 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
     phi0 = obj.penalty(resid, hp.rho)
     grad = obj.grad_a(resid, W_next, hp.rho)
     cand, result = _majorized_step(
-        "a", layer, hp, a_k, phi0, grad, tau0, hp.eta,
+        "a", layer, hp.rho, a_k, phi0, grad, tau0,
         lambda tau: np.clip(a_k - grad / tau, lo, hi),
         lambda d: W_next @ d)
     state.a[layer] = cand
@@ -318,10 +323,6 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
     del grad, h
     result.slab_violation = ns.slab_violation(cand, lo, hi)
     return result
-
-
-# Largest slab tolerance train uses: every sweep runs at min(eps0, EPS_FLOOR).
-EPS_FLOOR = 0.01
 
 
 def _block_norms(state: ns.NetworkState) -> dict:
@@ -391,7 +392,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     t0 = time.perf_counter()
     L = state.num_layers
     if warm is None:
-        warm = WarmStart.fresh(L, hp.alpha0)
+        warm = WarmStart.fresh(L)
     resid = warm.resid
     if resid[0] is None:        # the carried W gradient was formed from R_0
         warm.grad_w0 = None
@@ -416,7 +417,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
             if r_w is None:
                 r_w = obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
             g_w, warm.grad_w0 = warm.grad_w0, None
-            w_steps.append(update_w(state, l, hp, warm.theta[l] / hp.gamma, r_w, g_w))
+            w_steps.append(update_w(state, l, hp, warm.theta[l] / GROWTH, r_w, g_w))
             del r_w, g_w    # batch-sized temporaries go as soon as they are used: peak memory
             warm.theta[l] = w_steps[-1].accepted_param
 
@@ -445,7 +446,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
                 # z_l is final, so the accepted a_l's slab violation is layer l's
                 # feasibility residual
                 r_a, resid[l + 1] = resid[l + 1], None
-                a_steps.append(update_a(state, l, hp, eps, warm.tau[l] / hp.eta, r_a))
+                a_steps.append(update_a(state, l, hp, eps, warm.tau[l] / GROWTH, r_a))
                 del r_a
                 warm.tau[l] = a_steps[-1].accepted_param
     except NonFiniteError as err:
@@ -500,13 +501,13 @@ def train(arch: ns.Architecture, x: np.ndarray, y: np.ndarray, hp: obj.HyperPara
     mutate its blocks in place, because the next epoch reuses residuals
     formed from them.
 
-    Every sweep runs at the one slab tolerance min(eps0, EPS_FLOOR): the
+    Every sweep runs at the one slab tolerance min(eps0, EPS_MAX): the
     descent guarantees hold for a fixed eps, so F never rises from one
     epoch to the next.
     """
     state = ns.initialize(arch, x, y, hp)
-    warm = WarmStart.fresh(arch.num_layers, hp.alpha0)
-    eps = min(hp.eps0, EPS_FLOOR)
+    warm = WarmStart.fresh(arch.num_layers)
+    eps = min(hp.eps0, EPS_MAX)
     trace: list[EpochReport] = []
     for k in range(hp.epochs):
         report = run_epoch(state, hp, k, eps, warm)

@@ -37,10 +37,12 @@ class TestConfigParsing:
         assert parsed == {"dataset": "blobs", "epochs": "9", "rho": "0.5"}
 
     def test_unknown_key_rejected(self, tmp_path):
+        # solver constants are not config keys
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("nonsense = 1\n")
-        with pytest.raises(cli.ConfigError, match="nonsense"):
-            cli.parse_config_file(str(cfg_file))
+        for key in ("nonsense", "gamma", "fista_iters"):
+            cfg_file.write_text(f"{key} = 1\n")
+            with pytest.raises(cli.ConfigError, match=f"unknown key '{key}'"):
+                cli.parse_config_file(str(cfg_file))
 
     def test_validation_messages(self):
         cfg = cli.RunConfig(dataset="blobs", optimizer="sgdx")
@@ -63,6 +65,36 @@ class TestConfigParsing:
         cfg = cli.RunConfig(dataset="blobs", **{key: -5})
         with pytest.raises(cli.ConfigError, match="must be >= 0"):
             cfg.validate()
+
+    @pytest.mark.parametrize("optimizer,given,unread", [
+        ("dlam", {"lr": 0.1}, "lr"),
+        *[(kind, given, unread) for kind in ("sgd", "adagrad", "adadelta")
+          for given, unread in (({"rho": 0.01}, "rho"), ({"eps0": 1.0}, "eps0"),
+                                ({"reg": "l2"}, "reg"),
+                                ({"reg": "l1", "reg_weight": 0.5}, "reg, reg_weight"))]])
+    def test_unread_key_rejected(self, optimizer, given, unread):
+        cfg = cli.RunConfig(dataset="blobs", optimizer=optimizer, **given)
+        with pytest.raises(cli.ConfigError,
+                           match=f"^{unread} not read by the {optimizer} optimizer$"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("optimizer,given", [
+        ("dlam", {"rho": 0.01, "eps0": 1.0, "reg": "l2", "reg_weight": 0.5}),
+        ("sgd", {"lr": 0.1}), ("adagrad", {"lr": 0.1}), ("adadelta", {"lr": 0.1})])
+    def test_read_keys_accepted(self, optimizer, given):
+        cli.RunConfig(dataset="blobs", optimizer=optimizer, **given).validate()
+
+    @pytest.mark.parametrize("key", ["gamma", "eta", "alpha0", "fista_iters", "fista_tol",
+                                     "max_backtrack", "adagrad_eps", "adadelta_rho",
+                                     "adadelta_eps"])
+    def test_solver_constant_is_not_a_setting(self, key, tmp_path, capsys):
+        # the update rules' constants live in optimizer.py and baselines.py
+        assert key not in cli.FIELD_TYPES
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--dataset", "blobs", flag, "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     def test_defaults_match_the_dataclasses(self):
         assert cli.RunConfig().hyper_params() == obj.HyperParams()
@@ -138,9 +170,9 @@ class TestTrainCommand:
         assert len(rows) == 5
         assert not (out / "diagnostics.csv").exists()
 
-    def test_backtrack_failure_is_an_error_message(self, tmp_path, capsys):
-        code = cli.main(["train", "--dataset", "blobs", "--max-backtrack", "1",
-                         "--epochs", "2", "--out", str(tmp_path)])
+    def test_backtrack_failure_is_an_error_message(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.opt, "MAX_BACKTRACK", 1)
+        code = cli.main(["train", "--dataset", "blobs", "--epochs", "2", "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "did not majorize after 1 trials" in err
@@ -174,12 +206,17 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("flags,message", [
         (["--optimizer", "sgd", "--lr", "nan"], "lr must be finite and >= 0"),
-        (["--optimizer", "adagrad", "--adagrad-eps", "nan"], "epsilons must be finite and > 0"),
+        (["--reg-weight", "0.5"], "reg_weight needs reg l1 or l2"),
         (["--rho", "nan"], "rho must be finite and > 0"),
         (["--reg-weight", "inf"], "reg_weight must be finite and >= 0"),
         (["--subset", "-5"], "subset_size and train_count must be >= 0"),
         (["--seed", "-1"], "seed must be >= 0"),
-        (["--optimizer", "sgd", "--lr", "0.1", "--seed", "-1"], "seed must be >= 0")])
+        (["--optimizer", "sgd", "--lr", "0.1", "--seed", "-1"], "seed must be >= 0"),
+        (["--lr", "0.1"], "lr not read by the dlam optimizer"),
+        (["--optimizer", "sgd", "--lr", "0.1", "--reg", "l2", "--reg-weight", "10"],
+         "reg, reg_weight not read by the sgd optimizer"),
+        (["--optimizer", "adagrad", "--rho", "0.01", "--eps0", "1"],
+         "rho, eps0 not read by the adagrad optimizer")])
     def test_bad_value_is_an_error_before_data_loads(self, tmp_path, capsys, monkeypatch,
                                                       flags, message):
         monkeypatch.setattr(cli, "load_dataset", lambda cfg: pytest.fail("data loaded"))
@@ -199,11 +236,12 @@ class TestTrainCommand:
         out = tmp_path / "run"
         code = cli.main(["train", "--dataset", "blobs", "--hidden", "6", "--epochs", "2",
                          "--blobs-classes", "3", "--blobs-per-class", "10",
-                         "--blobs-noise", "0.05", "--gamma", "3.0", "--alpha0", "0.01",
-                         "--subset-size", "20", "--out-dir", str(out)])
+                         "--blobs-noise", "0.05", "--rho", "0.01", "--eps0", "0.5",
+                         "--seed", "4", "--subset-size", "20", "--out-dir", str(out)])
         assert code == 0
         config = json.loads((out / "summary.json").read_text())["config"]
-        assert config["gamma"] == 3.0 and config["alpha0"] == 0.01
+        assert config["rho"] == 0.01 and config["eps0"] == 0.5
+        assert config["epochs"] == 2 and config["seed"] == 4
         assert config["blobs_classes"] == 3 and config["subset_size"] == 20
 
     def test_determinism_excluding_wall_time(self, tmp_path):
@@ -282,8 +320,7 @@ class TestScaleCommand:
         monkeypatch.setattr(cli.opt, "train", fake_train)
         cfg = cli.RunConfig(dataset="blobs", hidden="5", epochs=3, seed=2,
                             out_dir=str(tmp_path), blobs_classes=2, blobs_per_class=20,
-                            reg="l1", reg_weight=0.1, gamma=3.5, max_backtrack=7,
-                            activation="tanh", eps0=0.5)
+                            reg="l1", reg_weight=0.1, activation="tanh", eps0=0.5)
         cli.scaling_table(cfg, sizes=[10, 40], rhos=[1e-3, 0.5])
         assert [(n, hp.rho) for _, n, hp in calls] == [(10, 1e-3), (40, 1e-3),
                                                        (10, 0.5), (40, 0.5)]
@@ -293,7 +330,7 @@ class TestScaleCommand:
             assert arch.activation == (cli.ns.ActivationKind.TANH,)
             assert arch.layer_sizes == (cfg.blobs_features, 5, 2)
             assert dataclasses.replace(hp, rho=expect.rho) == expect
-            assert hp.gamma == 3.5 and hp.max_backtrack == 7 and hp.eps0 == 0.5
+            assert hp.eps0 == 0.5 and hp.epochs == 3 and hp.seed == 2
 
     def test_readme_example_flags(self, tmp_path, capsys):
         # the README's `dlam scale` example, at small sizes

@@ -122,7 +122,7 @@ class TestGradBIdentity:
         ds = synth_gaussian_blobs(classes=3, d=12, n_per_class=40, seed=11, noise=0.05)
         hp = obj.HyperParams(rho=0.01, seed=0)
         state = ns.initialize(ns.Architecture((12, 16, 16, 3)), ds.x, ds.y, hp)
-        warm = opt.WarmStart.fresh(state.num_layers, hp.alpha0)
+        warm = opt.WarmStart.fresh(state.num_layers)
         for k in range(50):
             z_before = list(state.z)
             report = opt.run_epoch(state, hp, k, 0.01, warm)

@@ -254,6 +254,28 @@ def test_architecture_validation():
     arch = ns.Architecture((4, 3, 2), activation=SIG)
     assert arch.activation == (SIG,)
     assert arch.num_layers == 2 and arch.features == 4 and arch.classes == 2
+    # a kind is its member or its string value; a bare one serves every hidden layer
+    arch = ns.Architecture((3, 4, 2), activation="relu", risk="squared", regularizer="l2")
+    assert arch.activation == (RELU,)
+    assert arch.risk is ns.RiskKind.SQUARED and arch.regularizer is ns.RegKind.L2
+    assert ns.Architecture((3, 4, 5, 2), activation="sigmoid").activation == (SIG, SIG)
+    assert ns.Architecture((3, 4, 5, 2), activation=("relu", SIG)).activation == (RELU, SIG)
+
+
+@pytest.mark.parametrize("name,kind", [
+    (name, kind) for name, enum in (("activation", ns.ActivationKind), ("risk", ns.RiskKind),
+                                    ("regularizer", ns.RegKind))
+    for kind in enum])
+def test_architecture_kind_from_string(name, kind):
+    built = getattr(ns.Architecture((3, 4, 5, 2), **{name: kind.value}), name)
+    assert built == ((kind, kind) if name == "activation" else kind)
+
+
+@pytest.mark.parametrize("name,enum", [("activation", "ActivationKind"), ("risk", "RiskKind"),
+                                       ("regularizer", "RegKind")])
+def test_architecture_rejects_unknown_kind(name, enum):
+    with pytest.raises(ValueError, match=f"^'x' is not a valid {enum}$"):
+        ns.Architecture((3, 4, 2), **{name: "x"})
 
 
 @pytest.mark.parametrize("lam", [-0.1, math.nan, math.inf])

@@ -48,14 +48,14 @@ def _fresh_resid(state, l):
 
 
 def _update_w(state, l, hp, theta0=None):
-    """update_w on layer l's freshly formed residual; theta0 defaults to alpha0."""
-    return opt.update_w(state, l, hp, hp.alpha0 if theta0 is None else theta0,
+    """update_w on layer l's freshly formed residual; theta0 defaults to ALPHA0."""
+    return opt.update_w(state, l, hp, opt.ALPHA0 if theta0 is None else theta0,
                         _fresh_resid(state, l))
 
 
 def _update_a(state, l, hp, eps, tau0=None):
-    """update_a on layer l+1's freshly formed residual; tau0 defaults to alpha0."""
-    return opt.update_a(state, l, hp, eps, hp.alpha0 if tau0 is None else tau0,
+    """update_a on layer l+1's freshly formed residual; tau0 defaults to ALPHA0."""
+    return opt.update_a(state, l, hp, eps, opt.ALPHA0 if tau0 is None else tau0,
                         _fresh_resid(state, l + 1))
 
 
@@ -113,9 +113,11 @@ class TestUpdateW:
                      + obj.regularizer_value(reg, lam, state.W[l]))
             assert after <= before + 1e-10
 
-    def test_budget_exhaustion_raises_with_param(self):
+    def test_budget_exhaustion_raises_with_param(self, monkeypatch):
+        monkeypatch.setattr(opt, "ALPHA0", 1e-12)
+        monkeypatch.setattr(opt, "MAX_BACKTRACK", 2)
         state = small_state(seed=2, scatter=0.5)
-        hp = obj.HyperParams(rho=1.0, alpha0=1e-12, max_backtrack=2)
+        hp = obj.HyperParams(rho=1.0)
         with pytest.raises(opt.BacktrackError,
                            match="^W update at layer 0 did not majorize after 2 trials$") as err:
             _update_w(state, 0, hp)
@@ -248,7 +250,7 @@ class TestUpdateZHidden:
         assert opt.update_z_hidden(state, 0, eps, _product(state, 0)) == 1
         assert state.z[0][0, 0] == z_sat and state.a[0] is a
         state.z[0] = z
-        warm = opt.WarmStart.fresh(state.num_layers, hp.alpha0)
+        warm = opt.WarmStart.fresh(state.num_layers)
         f_last = math.inf
         for k in range(3):
             report = opt.run_epoch(state, hp, k, eps, warm)
@@ -261,9 +263,11 @@ class TestUpdateZHidden:
 
 
 class TestUpdateZOutput:
-    def test_zero_risk_converges_to_free_step(self):
+    def test_zero_risk_converges_to_free_step(self, monkeypatch):
+        monkeypatch.setattr(opt, "NEWTON_ITERS", 200)
+        monkeypatch.setattr(opt, "NEWTON_TOL", 1e-12)
         state = small_state(seed=5, scatter=0.4, risk=ns.RiskKind.ZERO)
-        hp = obj.HyperParams(rho=0.5, fista_iters=200, fista_tol=1e-12)
+        hp = obj.HyperParams(rho=0.5)
         L = state.num_layers
         expect = state.z[L - 1] - obj.grad_phi_z(state.a_prev(L - 1), state.W[L - 1],
                                                  state.b[L - 1], state.z[L - 1],
@@ -272,25 +276,28 @@ class TestUpdateZOutput:
         assert res.converged
         assert np.allclose(state.z[L - 1], expect, atol=1e-9)
 
-    def test_squared_risk_scalar_closed_form(self):
+    def test_squared_risk_scalar_closed_form(self, monkeypatch):
         # minimizer of (rho/2)(z-m)^2 + (1/2)(z-y)^2 is (rho m + y)/(rho + 1)
+        monkeypatch.setattr(opt, "NEWTON_ITERS", 500)
+        monkeypatch.setattr(opt, "NEWTON_TOL", 1e-14)
         state = _scalar_state(W1=1.0, b1=0.0, z1=1.0, a1=1.0, W2=2.0, b2=0.5, z2=0.0,
                               y=3.0, risk=ns.RiskKind.SQUARED)
-        hp = obj.HyperParams(rho=1.0, fista_iters=500, fista_tol=1e-14)
+        hp = obj.HyperParams(rho=1.0)
         m = 2.0 * 1.0 + 0.5
         opt.update_z_output(state, hp, _product(state, 1))
         expect = (hp.rho * m + 3.0) / (hp.rho + 1.0)
         assert state.z[1][0, 0] == pytest.approx(expect, abs=1e-8)
 
-    def test_inner_objective_nonincreasing_cross_entropy(self):
+    def test_inner_objective_nonincreasing_cross_entropy(self, monkeypatch):
         # the k-iteration run is the k-step prefix of any longer one, so the end
         # values of fresh runs with budgets 1..K are the iterates' objectives
         for seed in range(50):
             rho = float(np.random.default_rng(seed).uniform(1e-4, 1.0))
             ends = []
             for k in range(1, 41):
+                monkeypatch.setattr(opt, "NEWTON_ITERS", k)
                 state = small_state(seed=seed, scatter=1.0)
-                res = opt.update_z_output(state, obj.HyperParams(rho=rho, fista_iters=k),
+                res = opt.update_z_output(state, obj.HyperParams(rho=rho),
                                           _product(state, state.num_layers - 1))
                 assert res.objective_end <= res.objective_start
                 ends.append(res.objective_end)
@@ -303,9 +310,9 @@ class TestUpdateZOutput:
     def _stationary_solve(seed, monkeypatch):
         """Solve a random cross-entropy problem, rho in [1e-4, 1]; returns the
         halvings taken, the sup-norm of the composite gradient at the returned
-        z and its bound 2 (rho + 1/N) fista_tol.
+        z and its bound 2 (rho + 1/N) NEWTON_TOL.
 
-        A converged solve stopped at a full Newton step s under fista_tol, so
+        A converged solve stopped at a full Newton step s under NEWTON_TOL, so
         the gradient there is H s, and every row of H sums to at most
         rho + 2/N in absolute value.
         """
@@ -323,7 +330,7 @@ class TestUpdateZOutput:
         grad = rho * (z - m) + (obj.softmax_columns(z) - state.y) / n
         # one value check at the start and one per step taken; the rest are halvings
         halvings = len(checks) - res.iterations
-        return halvings, np.max(np.abs(grad)), 2.0 * (rho + 1.0 / n) * hp.fista_tol
+        return halvings, np.max(np.abs(grad)), 2.0 * (rho + 1.0 / n) * opt.NEWTON_TOL
 
     @pytest.mark.parametrize("seed", range(8))
     def test_converged_solve_is_stationary(self, seed, monkeypatch):
@@ -344,9 +351,11 @@ class TestUpdateZOutput:
                                       _product(state, state.num_layers - 1))
             assert res.converged and res.iterations <= 2
 
-    def test_nonconverged_flagged(self):
+    def test_nonconverged_flagged(self, monkeypatch):
+        monkeypatch.setattr(opt, "NEWTON_ITERS", 3)
+        monkeypatch.setattr(opt, "NEWTON_TOL", 1e-14)
         state = small_state(seed=6, scatter=1.0, sizes=(3, 4, 3, 2), n=4)
-        hp = obj.HyperParams(rho=1e-4, fista_iters=3, fista_tol=1e-14)
+        hp = obj.HyperParams(rho=1e-4)
         res = opt.update_z_output(state, hp, _product(state, state.num_layers - 1))
         assert not res.converged
         assert res.iterations == 3
@@ -357,23 +366,25 @@ class TestUpdateZOutput:
         # count as converged
         calls = []
         monkeypatch.setattr(obj, "risk_value", lambda *a: float(len(calls.append(1) or calls)))
+        monkeypatch.setattr(opt, "NEWTON_ITERS", 4)
         state = small_state(seed=2, scatter=1.0)
         z = state.z[-1]
-        hp = obj.HyperParams(rho=1e-3, fista_iters=4)
+        hp = obj.HyperParams(rho=1e-3)
         res = opt.update_z_output(state, hp, _product(state, state.num_layers - 1))
         assert not res.converged
         assert res.iterations == 1
         assert len(calls) == 1 + (opt.NEWTON_HALVINGS + 1)
         assert np.array_equal(state.z[-1], z)
 
-    def test_nan_free_step_is_not_converged(self):
+    def test_nan_free_step_is_not_converged(self, monkeypatch):
         # no value check passes a NaN, so the solve stops at its start; the NaN
         # reaches the objective through the residual
+        monkeypatch.setattr(opt, "NEWTON_ITERS", 4)
         state = small_state(seed=2, scatter=1.0)
         z = state.z[-1].copy()
         product = _product(state, state.num_layers - 1)
         product[0, 0] = np.nan
-        res = opt.update_z_output(state, obj.HyperParams(fista_iters=4), product)
+        res = opt.update_z_output(state, obj.HyperParams(), product)
         assert not res.converged
         assert res.iterations == 1
         assert np.array_equal(state.z[-1], z) and np.all(np.isfinite(state.z[-1]))
@@ -433,20 +444,19 @@ def _a_block(state, l, hp, eps):
 
 class TestMajorizedStep:
     """The one backtracking routine, through both blocks: the accepted curvature is
-    the first of max(param0, alpha0) * growth^k that majorizes at its own candidate."""
+    the first of max(param0, ALPHA0) * GROWTH^k that majorizes at its own candidate."""
 
     @pytest.mark.parametrize("block", ["W", "a"])
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 200), scatter=st.floats(0.05, 1.0),
-           rho=st.floats(1e-3, 4.0), growth=st.floats(1.5, 4.0),
-           param0=st.floats(1e-5, 10.0),
+           rho=st.floats(1e-3, 4.0), param0=st.floats(1e-5, 10.0),
            reg=st.sampled_from([ns.RegKind.NONE, ns.RegKind.L2, ns.RegKind.L1]),
            activation=st.sampled_from(list(ns.ActivationKind)))
-    def test_accepts_first_majorizing_curvature(self, block, seed, scatter, rho, growth,
-                                                param0, reg, activation):
+    def test_accepts_first_majorizing_curvature(self, block, seed, scatter, rho, param0,
+                                                reg, activation):
         state = small_state(seed=seed, scatter=scatter, reg=reg, lam=0.05,
                             activation=activation)
-        hp = obj.HyperParams(rho=rho, gamma=growth, eta=growth)
+        hp = obj.HyperParams(rho=rho)
         eps = 1.0
         if block == "W":
             l = seed % state.num_layers
@@ -461,16 +471,18 @@ class TestMajorizedStep:
             d = candidate(p) - current
             return 0.5 * rho * float(np.sum(image(d) ** 2)) <= 0.5 * p * float(np.sum(d * d))
 
-        param = max(param0, hp.alpha0)
+        param = max(param0, opt.ALPHA0)
         for _ in range(res.trials - 1):
             assert not majorizes(param)
-            param *= growth
+            param *= opt.GROWTH
         assert res.accepted_param == param
         assert majorizes(param)
 
-    def test_a_budget_exhaustion_raises_with_param(self):
+    def test_a_budget_exhaustion_raises_with_param(self, monkeypatch):
+        monkeypatch.setattr(opt, "ALPHA0", 1e-12)
+        monkeypatch.setattr(opt, "MAX_BACKTRACK", 2)
         state = small_state(seed=2, scatter=0.5)
-        hp = obj.HyperParams(rho=1.0, alpha0=1e-12, max_backtrack=2)
+        hp = obj.HyperParams(rho=1.0)
         with pytest.raises(opt.BacktrackError,
                            match="^a update at layer 0 did not majorize after 2 trials$") as err:
             _update_a(state, 0, hp, eps=1.0)
@@ -738,7 +750,7 @@ class TestResidualReuse:
         # from the eps-10 sweep must not stand in for F at the tighter eps
         state = small_state(seed=12, scatter=0.5, risk=ns.RiskKind.ZERO)
         hp = obj.HyperParams(rho=0.1, eps0=10.0)
-        warm = opt.WarmStart.fresh(state.num_layers, hp.alpha0)
+        warm = opt.WarmStart.fresh(state.num_layers)
         report = opt.run_epoch(state, hp, 0, eps=10.0, warm=warm)
         f_tight = obj.evaluate_f(state, hp, 0.01).total
         assert f_tight != report.f_after
@@ -754,7 +766,7 @@ class TestResidualReuse:
         # tighten the slab; eps stays put and each epoch starts from the last F
         state = small_state(seed=12, scatter=0.5, risk=ns.RiskKind.ZERO)
         hp = obj.HyperParams(rho=0.1, eps0=10.0)
-        warm = opt.WarmStart.fresh(state.num_layers, hp.alpha0)
+        warm = opt.WarmStart.fresh(state.num_layers)
         trace = []
         for k in range(5):
             report = opt.run_epoch(state, hp, k, eps=10.0, warm=warm)
@@ -773,7 +785,7 @@ class TestResidualReuse:
         runs = []
         for stale in (False, True):
             state = ns.initialize(arch, x, y, hp)
-            warm = opt.WarmStart.fresh(arch.num_layers, hp.alpha0)
+            warm = opt.WarmStart.fresh(arch.num_layers)
             opt.run_epoch(state, hp, 0, 0.01, warm)
             warm.resid[0] = None
             warm.grad_w0 = np.full_like(state.W[0], np.nan) if stale else None
@@ -786,7 +798,7 @@ class TestResidualReuse:
         # entry moves no a, so R_1 stays cached until update_a takes it
         state = _empty_slab_state()
         hp = obj.HyperParams(rho=1.0)
-        warm = opt.WarmStart.fresh(state.num_layers, hp.alpha0)
+        warm = opt.WarmStart.fresh(state.num_layers)
         report = opt.run_epoch(state, hp, 0, eps=0.1, warm=warm)
         assert report.recoveries == 1
         opt.run_epoch(state, hp, 1, eps=0.1, warm=warm)
@@ -864,13 +876,13 @@ class TestBlockIsolation:
         state = _empty_slab_state()
         hp, eps = obj.HyperParams(rho=1.0), 0.1
         calls = {
-            "update_w": lambda: opt.update_w(state, layer, hp, hp.alpha0,
+            "update_w": lambda: opt.update_w(state, layer, hp, opt.ALPHA0,
                                              _fresh_resid(state, layer)),
             "update_b": lambda: opt.update_b(state, layer, _product(state, layer)),
             "update_z_hidden": lambda: opt.update_z_hidden(state, layer, eps,
                                                            _product(state, layer)),
             "update_z_output": lambda: opt.update_z_output(state, hp, _product(state, layer)),
-            "update_a": lambda: opt.update_a(state, layer, hp, eps, hp.alpha0,
+            "update_a": lambda: opt.update_a(state, layer, hp, eps, opt.ALPHA0,
                                              _fresh_resid(state, layer + 1)),
         }
         before = {name: list(getattr(state, name)) for name in "Wbza"}
@@ -890,7 +902,7 @@ class TestBlockIsolation:
         state = _empty_slab_state()
         hp = obj.HyperParams(rho=1.0)
         L = state.num_layers
-        warm = opt.WarmStart.fresh(L, hp.alpha0)
+        warm = opt.WarmStart.fresh(L)
         assert opt.run_epoch(state, hp, 0, 0.1, warm).recoveries == 1
         assert len(formed) == 2 * L - 1
         formed.clear()
@@ -954,8 +966,8 @@ class TestCertificatesExact:
         arch = ns.Architecture((12, 16, 16, 3), activation=activation, regularizer=reg,
                                reg_weight=lam)
         state = ns.initialize(arch, x, y, hp)
-        warm = opt.WarmStart.fresh(arch.num_layers, hp.alpha0)
-        eps = min(hp.eps0, opt.EPS_FLOOR)
+        warm = opt.WarmStart.fresh(arch.num_layers)
+        eps = min(hp.eps0, opt.EPS_MAX)
         for k in range(epochs):
             before = {name: list(getattr(state, name)) for name in "Wbza"}
             report = opt.run_epoch(state, hp, k, eps, warm)
