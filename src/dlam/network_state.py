@@ -81,29 +81,32 @@ def slab_z_bounds(kind: ActivationKind, a: np.ndarray, eps: float):
     t_hi = a + eps
     d = SATURATION_GUARD
     if kind is ActivationKind.RELU:
+        # t_lo and t_hi become the bounds in place; ~(t > 0) sends a NaN to -inf
         empty = t_hi < 0.0
-        lo = np.where(t_lo > 0.0, t_lo, -np.inf)
-        if not empty.any():
-            return lo, t_hi, empty
-        return np.where(empty, 0.0, lo), np.where(empty, 0.0, t_hi), empty
-    # the range (floor, 1) of the activation and its inverse on that range
+        np.putmask(t_lo, ~(t_lo > 0.0), -np.inf)
+        if empty.any():
+            np.putmask(t_lo, empty, 0.0)
+            np.putmask(t_hi, empty, 0.0)
+        return t_lo, t_hi, empty
+    # the range (floor, 1) of the activation and its inverse on that range,
+    # taken in the buffer of its clipped argument
     if kind is ActivationKind.SIGMOID:
-        floor, inverse = 0.0, lambda c: np.log(c) - np.log1p(-c)
+        floor, inverse = 0.0, lambda c: np.log(np.divide(c, 1.0 - c, out=c), out=c)
     elif kind is ActivationKind.TANH:
-        floor, inverse = -1.0, np.arctanh
+        floor, inverse = -1.0, lambda c: np.arctanh(c, out=c)
     else:
         raise ValueError(f"unknown activation {kind!r}")
     # each side's temporaries are released before the other side is built:
     # this is the peak memory of the hidden z step
     empty = (t_hi <= floor) | (t_lo >= 1.0)
-    cl = np.clip(t_lo, floor + d, 1.0 - d)
-    lo = np.where(t_lo <= floor + d, -np.inf, inverse(cl))
-    del t_lo, cl
-    ch = np.clip(t_hi, floor + d, 1.0 - d)
-    hi = np.where(t_hi >= 1.0 - d, np.inf, inverse(ch))
+    lo = inverse(np.clip(t_lo, floor + d, 1.0 - d))
+    np.putmask(lo, t_lo <= floor + d, -np.inf)
+    del t_lo
+    hi = inverse(np.clip(t_hi, floor + d, 1.0 - d))
+    np.putmask(hi, t_hi >= 1.0 - d, np.inf)
     if empty.any():
-        lo = np.where(empty, 0.0, lo)
-        hi = np.where(empty, 0.0, hi)
+        np.putmask(lo, empty, 0.0)
+        np.putmask(hi, empty, 0.0)
     return lo, hi, empty
 
 

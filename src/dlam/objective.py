@@ -14,6 +14,8 @@ phi_l depends on the blocks only through R_l = W_l a_{l-1} + b_l - z_l, and
 this module holds the one copy of each formula on R: ``residual``, ``penalty``
 and its block gradients ``grad_w/b/z/a``. ``penalty_phi`` and ``grad_phi_*``
 compose them with ``coupling_residual`` for callers holding only the blocks.
+``inner`` is the one reduction of two blocks that the penalty and the
+optimizer's squared norms and pairings share.
 The output solve's Newton step, ``newton_direction``, sits beside the risk
 formulas.
 """
@@ -64,15 +66,27 @@ class ObjectiveBreakdown:
     feasibility_residual: float   # largest slab violation at the eps in force
 
 
-def residual(product: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """product + b 1^T - z with ``product`` = W a_prev: the coupling residual R."""
-    return product + b - z
+def inner(u: np.ndarray, v: np.ndarray) -> float:
+    """<u, v>_F, summed without forming u * v: the one reduction of two blocks."""
+    return float(np.vdot(u, v))
+
+
+def residual(product: np.ndarray, b: np.ndarray, z: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """product + b 1^T - z with ``product`` = W a_prev: the coupling residual R.
+
+    Written into ``out`` when given, which may be ``product`` itself.
+    """
+    R = np.add(product, b, out=out)
+    R -= z
+    return R
 
 
 def coupling_residual(a_prev: np.ndarray, W: np.ndarray, b: np.ndarray,
                       z: np.ndarray) -> np.ndarray:
     """W a_prev + b 1^T - z, the residual every coupling term is built on."""
-    return residual(W @ a_prev, b, z)
+    product = W @ a_prev
+    return residual(product, b, z, out=product)
 
 
 def mean_residual(product: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -87,7 +101,7 @@ def mean_residual(product: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarr
 
 def penalty(R: np.ndarray, rho: float) -> float:
     """phi = (rho/2) ||R||_F^2 for a coupling residual R."""
-    return 0.5 * rho * float(np.sum(R * R))
+    return 0.5 * rho * inner(R, R)
 
 
 def grad_w(R: np.ndarray, a_prev: np.ndarray, rho: float) -> np.ndarray:
@@ -107,7 +121,9 @@ def grad_z(R: np.ndarray, rho: float) -> np.ndarray:
 
 def grad_a(R: np.ndarray, W_next: np.ndarray, rho: float) -> np.ndarray:
     """d phi_next / d a = rho W_next^T R_next, R_next the next layer's residual."""
-    return rho * (W_next.T @ R)
+    g = W_next.T @ R
+    g *= rho
+    return g
 
 
 def penalty_phi(a_prev: np.ndarray, W: np.ndarray, b: np.ndarray, z: np.ndarray,

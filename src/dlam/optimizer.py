@@ -32,6 +32,7 @@ GROWTH = 2.0            # curvature growth per rejected trial, W and a alike
 MAX_BACKTRACK = 60      # trials before a backtracking gives up
 NEWTON_ITERS = 50       # the output solve's Newton iteration budget
 NEWTON_TOL = 1e-8       # full Newton steps below this have converged
+NEWTON_DECREMENT = 1e-16  # so has a Newton decrement g.s/2 at most this times |value|
 NEWTON_HALVINGS = 30    # halvings of a rising Newton step before the solve stops
 EPS_MAX = 0.01          # largest slab tolerance train uses: eps = min(eps0, EPS_MAX)
 
@@ -90,18 +91,21 @@ class WarmStart:
     operands has moved since it was formed, and None otherwise; run_epoch
     fills the empty ones and leaves every slot current. ``grad_w0`` is layer 0's
     penalty gradient rho R_0 x^T formed from ``resid[0]``, held only while
-    that slot is and cleared with it. ``f_end`` is (eps, F) at the end of
-    the last sweep; the next sweep starts from that F when it runs at the
-    same eps. The slots hold values derived from the state, never the
-    operand arrays themselves, and describe only the state they were formed
-    on: between epochs that state may have blocks replaced, never mutated in
-    place.
+    that slot is and cleared with it. ``gram_x`` is the input's Gram matrix
+    x x^T, which layer 0's W trials read; no block moves x, so the first
+    sweep forms it and every later one reuses it. ``f_end`` is (eps, F) at
+    the end of the last sweep; the next sweep starts from that F when it
+    runs at the same eps. The slots hold values derived from the state,
+    never the operand arrays themselves, and describe only the state they
+    were formed on: between epochs that state may have blocks replaced,
+    never mutated in place.
     """
 
     theta: list[float]
     tau: list[float]
     resid: list[np.ndarray | None]
     grad_w0: np.ndarray | None = None
+    gram_x: np.ndarray | None = None
     f_end: tuple[float, float] | None = None
 
     @classmethod
@@ -142,35 +146,36 @@ class EpochReport:
 
 
 def _sq(delta: np.ndarray) -> float:
-    return float(np.sum(delta * delta))
+    return obj.inner(delta, delta)
 
 
 def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
                     phi0: float, grad: np.ndarray, param0: float,
-                    candidate, image) -> tuple[np.ndarray, BacktrackResult]:
+                    candidate, image_sq) -> tuple[np.ndarray, BacktrackResult]:
     """Backtracked quadratic-majorizer step, shared by the W and a blocks.
 
     ``candidate(param)`` minimizes the block's model at curvature ``param``;
-    ``image(d)`` is the change a step d makes to the coupling residual, so
-    the penalty at the candidate is exactly phi0 + <grad, d> +
-    (rho/2)||image(d)||^2. The curvature starts at max(param0, ALPHA0) and
-    grows by GROWTH until that last term is at most (param/2)||d||^2,
-    which holds once it dominates rho||image||^2. Testing the expansion
-    stays exact where a direct phi evaluation is cancellation noise and can
-    stall the loop. Returns the accepted candidate and its record; raises
-    NonFiniteError for a non-finite phi0 or a NaN trial, which no curvature
-    repairs, and BacktrackError after MAX_BACKTRACK trials.
+    ``image_sq(d)`` is ||image(d)||^2, image(d) the change a step d makes
+    to the coupling residual, so the penalty at the candidate is exactly
+    phi0 + <grad, d> + (rho/2) image_sq(d). This is the acceptance test of
+    Beck & Teboulle's backtracking: the curvature starts at
+    max(param0, ALPHA0) and grows by GROWTH until that last term is at most
+    (param/2)||d||^2, which holds once it dominates rho||image||^2. Testing
+    the expansion stays exact where a direct phi evaluation is cancellation
+    noise and can stall the loop. Returns the accepted candidate and its
+    record; raises NonFiniteError for a non-finite phi0 or a NaN trial,
+    which no curvature repairs, and BacktrackError after MAX_BACKTRACK
+    trials.
     """
     if not math.isfinite(phi0):
         raise NonFiniteError(f"{block} update", layer)
     param = max(param0, ALPHA0)
     trials = 1
+    d = None
     while True:
         cand = candidate(param)
-        d = cand - current
-        # obj.penalty inline: numpy squares the fresh image in place here, where
-        # penalty's R * R would allocate a second block-sized array (peak memory)
-        quad_true = 0.5 * rho * float(np.sum(image(d) ** 2))
+        d = np.subtract(cand, current, out=d)
+        quad_true = 0.5 * rho * image_sq(d)
         move_sq = _sq(d)
         quad_model = 0.5 * param * move_sq
         if quad_true <= quad_model:
@@ -182,21 +187,23 @@ def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
                 f"{block} update at layer {layer} did not majorize after {trials} trials", param)
         param *= GROWTH
         trials += 1
-    base = phi0 + float(np.sum(grad * d))
+    base = phi0 + obj.inner(grad, d)
     return cand, BacktrackResult(param, trials, base + quad_true, base + quad_model, move_sq)
 
 
 def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, theta0: float,
-             resid: np.ndarray, grad: np.ndarray | None = None) -> BacktrackResult:
+             resid: np.ndarray, grad: np.ndarray | None = None,
+             gram: np.ndarray | None = None) -> BacktrackResult:
     """Backtracked majorized step on W at ``layer``; writes the result into state.
 
     The candidate minimizes the quadratic model plus the regularizer in
     closed form; the curvature starts at max(theta0, ALPHA0) and grows by
-    GROWTH (_majorized_step, image d a_prev). ``resid`` is the layer's
-    current coupling residual W a_prev + b - z, and ``grad`` the penalty
-    gradient rho resid a_prev^T when the caller already formed it from
-    that residual. Raises NonFiniteError when the penalty is NaN or inf:
-    every operand of the step enters it.
+    GROWTH (_majorized_step). A trial's image d a_prev enters only through
+    ||d a_prev||^2 = <d G, d> with G = a_prev a_prev^T, so no trial touches
+    the batch. ``resid`` is the layer's current coupling residual
+    W a_prev + b - z, ``grad`` the penalty gradient rho resid a_prev^T and
+    ``gram`` G when the caller already formed them. Raises NonFiniteError
+    when the penalty is NaN or inf: every operand of the step enters it.
     """
     arch = state.arch
     a_prev = state.a_prev(layer)
@@ -204,10 +211,12 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, theta0: fl
     phi0 = obj.penalty(resid, hp.rho)
     if grad is None:
         grad = obj.grad_w(resid, a_prev, hp.rho)
+    if gram is None:
+        gram = a_prev @ a_prev.T
     state.W[layer], result = _majorized_step(
         "W", layer, hp.rho, W_k, phi0, grad, theta0,
         lambda theta: obj.solve_w_subproblem(arch.regularizer, arch.reg_weight, W_k, grad, theta),
-        lambda d: d @ a_prev)
+        lambda d: obj.inner(d @ gram, d))
     return result
 
 
@@ -236,8 +245,9 @@ def update_z_hidden(state: ns.NetworkState, layer: int, eps: float,
     kind = state.arch.activation[layer]
     lo, hi, empty = ns.slab_z_bounds(kind, state.a[layer], eps)
     # the free step is formed after the bounds, whose temporaries are gone by then
-    z = np.clip(product + state.b[layer], lo, hi)
-    held = int(empty.sum())
+    z = product + state.b[layer]
+    np.clip(z, lo, hi, out=z)
+    held = np.count_nonzero(empty)
     if held:
         np.copyto(z, state.z[layer], where=empty)
     state.z[layer] = z
@@ -252,15 +262,19 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
     the free step; ``product`` is W_L a_{L-1}. The composite is strongly
     convex and separates into one problem per sample column, and
     obj.newton_direction solves every column's Newton system in closed form.
-    The solve has converged when the full Newton step at the current iterate
-    moves no entry by NEWTON_TOL or more, within NEWTON_ITERS
-    iterations; that step is not taken, since a value check at its scale
-    compares rounding noise. Otherwise the iteration takes the full step and
-    halves it while the composite value rises, at most NEWTON_HALVINGS
-    times; when no halving lowers the value (a NaN included), the solve
-    stops at the last accepted iterate, not converged. So the value does
-    not rise from one iterate to the next, and a halved step never counts
-    as convergence.
+    The solve has converged, within NEWTON_ITERS iterations, when the full
+    Newton step s at the current iterate moves no entry by NEWTON_TOL or
+    more, or when the Newton decrement <g, s>/2, which estimates the gap to
+    the optimum (Boyd & Vandenberghe, Convex Optimization, 9.5.1), is at
+    most NEWTON_DECREMENT times the composite value: s carries the rounding
+    of the gradient g amplified by up to 1/rho, so near the optimum the step
+    test alone may never pass. That step is not taken, since a value check
+    at its scale compares rounding noise. Otherwise the iteration takes the
+    full step and halves it while the composite value rises, at most
+    NEWTON_HALVINGS times; when no halving lowers the value (a NaN
+    included), the solve stops at the last accepted iterate, not converged.
+    So the value does not rise from one iterate to the next, and a halved
+    step never counts as convergence.
     """
     kind, y, rho = state.arch.risk, state.y, hp.rho
     free = product + state.b[-1]
@@ -276,7 +290,8 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
         p = obj.softmax_columns(z) if kind is ns.RiskKind.CROSS_ENTROPY else None
         g = rho * (z - free) + obj.risk_grad(kind, z, y, p)
         s = obj.newton_direction(kind, g, rho, p)
-        if float(np.max(np.abs(s))) < NEWTON_TOL:
+        if (float(np.max(np.abs(s))) < NEWTON_TOL
+                or 0.5 * obj.inner(g, s) <= NEWTON_DECREMENT * abs(f)):
             converged = True
             break
         for _ in range(NEWTON_HALVINGS + 1):
@@ -310,17 +325,26 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
     kind = state.arch.activation[layer]
     a_k = state.a[layer]
     W_next = state.W[layer + 1]
-    h = ns.activation_apply(kind, state.z[layer])
-    lo, hi = h - eps, h + eps
+    hi = ns.activation_apply(kind, state.z[layer])
+    lo = hi - eps
+    hi += eps
     phi0 = obj.penalty(resid, hp.rho)
     grad = obj.grad_a(resid, W_next, hp.rho)
-    cand, result = _majorized_step(
-        "a", layer, hp.rho, a_k, phi0, grad, tau0,
-        lambda tau: np.clip(a_k - grad / tau, lo, hi),
-        lambda d: W_next @ d)
+    cand = np.empty_like(a_k)       # every trial's candidate, and the accepted one
+
+    def candidate(tau):
+        np.divide(grad, tau, out=cand)
+        np.subtract(a_k, cand, out=cand)
+        return np.clip(cand, lo, hi, out=cand)
+
+    def image_sq(d):
+        image = W_next @ d
+        return obj.inner(image, image)
+
+    _, result = _majorized_step("a", layer, hp.rho, a_k, phi0, grad, tau0, candidate, image_sq)
     state.a[layer] = cand
     # the trial temporaries go before the violation is formed: peak memory
-    del grad, h
+    del grad
     result.slab_violation = ns.slab_violation(cand, lo, hi)
     return result
 
@@ -381,10 +405,10 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     and the grad-b term share one z difference, and the feasibility
     residual is the a steps' own slab violation.
 
-    ``warm`` carries the residuals, the proxy's layer-0 W gradient and
-    f_after into the next call, which must get the state as this call left
-    it; there only R_l for l >= 1 is formed anew, and f_before is the
-    carried F when eps is unchanged. Without ``warm`` the epoch starts from
+    ``warm`` carries the residuals, the proxy's layer-0 W gradient, the
+    input's Gram matrix and f_after into the next call, which must get the
+    state as this call left it; there only R_l for l >= 1 is formed anew,
+    and f_before is the carried F when eps is unchanged. Without ``warm`` the epoch starts from
     fresh curvatures and residuals. A NaN or inf in a block's penalty or
     trial step, in f_after or in the proxy raises NonFiniteError naming
     the epoch (and the layer and block where it is known).
@@ -396,6 +420,8 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     resid = warm.resid
     if resid[0] is None:        # the carried W gradient was formed from R_0
         warm.grad_w0 = None
+    if warm.gram_x is None:
+        warm.gram_x = state.x @ state.x.T
     for l in range(L):
         if resid[l] is None:
             resid[l] = obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
@@ -417,7 +443,8 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
             if r_w is None:
                 r_w = obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
             g_w, warm.grad_w0 = warm.grad_w0, None
-            w_steps.append(update_w(state, l, hp, warm.theta[l] / GROWTH, r_w, g_w))
+            w_steps.append(update_w(state, l, hp, warm.theta[l] / GROWTH, r_w, g_w,
+                                    warm.gram_x if l == 0 else None))
             del r_w, g_w    # batch-sized temporaries go as soon as they are used: peak memory
             warm.theta[l] = w_steps[-1].accepted_param
 

@@ -297,7 +297,9 @@ class TestScaleCommand:
 
     def test_repetitions_agree_within_noise(self, tmp_path):
         # timing bound measured on this class of machine; cells must be
-        # compute-dominated (12-epoch means) for the 30% band to be stable
+        # compute-dominated (12-epoch means) for the 30% band to be stable, and
+        # each side keeps a cell's fastest of three grids, since load on a
+        # shared host only ever adds time
         cfg = cli.RunConfig(dataset="blobs", hidden="32", epochs=12, seed=0,
                             out_dir=str(tmp_path), blobs_classes=10,
                             blobs_features=196, blobs_per_class=400)
@@ -307,7 +309,7 @@ class TestScaleCommand:
             return [float(v) for v in _read_rows(path)[1][1:]]
 
         grid()   # warm-up: first-touch BLAS and allocator effects
-        a, b = grid(), grid()
+        a, b = (np.min([grid() for _ in range(3)], axis=0) for _ in range(2))
         for x, y in zip(a, b):
             assert abs(x - y) / max(x, y) < 0.30
 

@@ -198,7 +198,7 @@ def test_relu_bounds_equal_where_path(with_empty, a, eps):
 def _smooth_bounds_where(kind, a, eps):
     """slab_z_bounds' sigmoid/tanh branch with its np.where passes always taken: the oracle."""
     d = ns.SATURATION_GUARD
-    floor, inverse = ((0.0, lambda c: np.log(c) - np.log1p(-c)) if kind is SIG
+    floor, inverse = ((0.0, lambda c: np.log(c / (1 - c))) if kind is SIG
                       else (-1.0, np.arctanh))
     t_lo, t_hi = a - eps, a + eps
     empty = (t_hi <= floor) | (t_lo >= 1.0)

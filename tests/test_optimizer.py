@@ -312,9 +312,11 @@ class TestUpdateZOutput:
         halvings taken, the sup-norm of the composite gradient at the returned
         z and its bound 2 (rho + 1/N) NEWTON_TOL.
 
-        A converged solve stopped at a full Newton step s under NEWTON_TOL, so
-        the gradient there is H s, and every row of H sums to at most
-        rho + 2/N in absolute value.
+        A solve that converged on the step test stopped at a full Newton step
+        s under NEWTON_TOL, so the gradient there is H s, and every row of H
+        sums to at most rho + 2/N in absolute value. The decrement test alone
+        bounds the gradient only by sqrt(2 (rho + 2/N) NEWTON_DECREMENT |f|);
+        on these fixtures it fires with the gradient under the same bound.
         """
         checks = []
         risk_value = obj.risk_value
@@ -338,9 +340,22 @@ class TestUpdateZOutput:
         assert sup <= bound
 
     def test_stationary_after_halvings(self, monkeypatch):
-        halvings, sup, bound = self._stationary_solve(2, monkeypatch)
+        # at seed 3 (rho 2.2e-4) two full Newton steps raise the value and are
+        # halved before the decrement test ends the solve
+        halvings, sup, bound = self._stationary_solve(3, monkeypatch)
         assert halvings > 0
         assert sup <= bound
+
+    def test_started_at_its_optimum_converges_at_once(self):
+        # at rho 1e-4 the full step amplifies the gradient's rounding by up to
+        # 1e4 and never falls under NEWTON_TOL here; without the decrement test
+        # both solves run out all NEWTON_ITERS iterations
+        state = small_state(seed=3, scatter=1.0, sizes=(3, 4, 3, 4), n=7)
+        hp = obj.HyperParams(rho=1e-4)
+        product = _product(state, state.num_layers - 1)
+        assert opt.update_z_output(state, hp, product).converged
+        res = opt.update_z_output(state, hp, product)
+        assert res.converged and res.iterations <= 2
 
     @pytest.mark.parametrize("risk", [ns.RiskKind.SQUARED, ns.RiskKind.ZERO])
     def test_quadratic_risks_converge_in_two_iterations(self, risk):
@@ -487,6 +502,37 @@ class TestMajorizedStep:
                            match="^a update at layer 0 did not majorize after 2 trials$") as err:
             _update_a(state, 0, hp, eps=1.0)
         assert err.value.last_param == 2e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 500), scatter=st.floats(0.0, 1.0),
+           rho=st.floats(1e-3, 4.0), param0=st.floats(1e-5, 10.0),
+           reg=st.sampled_from([ns.RegKind.NONE, ns.RegKind.L2, ns.RegKind.L1]),
+           activation=st.sampled_from(list(ns.ActivationKind)))
+    def test_w_trials_measure_the_image_through_the_gram_matrix(self, seed, scatter, rho,
+                                                                param0, reg, activation):
+        # every W trial's <d G, d>, G = a_prev a_prev^T, against ||d a_prev||^2
+        # formed from the batch; scatter 0 gives d = 0 without a regularizer
+        state = small_state(seed=seed, scatter=scatter, reg=reg, lam=0.05,
+                            activation=activation)
+        l = seed % state.num_layers
+        a_prev = state.a_prev(l)
+        pairs = []
+        step = opt._majorized_step
+
+        def spy(*args):
+            *head, image_sq = args
+
+            def both(d):
+                pairs.append((image_sq(d), float(np.sum((d @ a_prev) ** 2))))
+                return pairs[-1][0]
+            return step(*head, both)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(opt, "_majorized_step", spy)
+            res = _update_w(state, l, obj.HyperParams(rho=rho), theta0=param0)
+        assert len(pairs) == res.trials
+        for got, direct in pairs:
+            assert abs(got - direct) <= 1e-12 * max(direct, np.finfo(float).tiny)
 
 
 class TestRunEpoch:
@@ -689,10 +735,10 @@ def _calls_per_epoch(monkeypatch, targets, epochs):
 
 @pytest.fixture
 def cache_watch(monkeypatch):
-    """Each residual, product or W gradient handed to a block update, and after
-    every block update and every epoch each residual the sweep holds, must
-    equal a fresh one byte for byte."""
-    watch = {"warm": None, "compared": 0, "grads": 0}
+    """Each residual, product, W gradient or Gram matrix handed to a block update,
+    and after every block update and every epoch each residual the sweep holds,
+    must equal a fresh one byte for byte."""
+    watch = {"warm": None, "compared": 0, "grads": 0, "grams": 0}
 
     def same(held, fresh, what):
         assert held.tobytes() == fresh.tobytes(), what
@@ -718,6 +764,10 @@ def cache_watch(monkeypatch):
                 fresh = given["hp"].rho * (_fresh_resid(state, l) @ state.a_prev(l).T)
                 same(given["grad"], fresh, f"stale W gradient into {name}")
                 watch["grads"] += 1
+            if given.get("gram") is not None:
+                a_prev = state.a_prev(l)
+                same(given["gram"], a_prev @ a_prev.T, f"stale Gram matrix into {name}")
+                watch["grams"] += 1
             out = inner(state, *args, **kwargs)
             check(state, name)
             return out
@@ -742,8 +792,26 @@ class TestResidualReuse:
         arch, x, y, hp = _blobs_problem(epochs=20)
         opt.train(arch, x, y, hp)
         assert cache_watch["compared"] > 20 * len(BLOCKS)
-        # every epoch after the first takes layer 0's W gradient from the proxy
+        # every epoch after the first takes layer 0's W gradient from the proxy,
+        # and every epoch its Gram matrix from the warm start
         assert cache_watch["grads"] == 19
+        assert cache_watch["grams"] == 20
+
+    def test_input_gram_is_formed_once_per_run(self, monkeypatch):
+        grams = []
+        update_w = opt.update_w
+
+        def spy(state, layer, hp, theta0, resid, grad=None, gram=None):
+            if layer == 0:
+                grams.append(gram)
+            return update_w(state, layer, hp, theta0, resid, grad, gram)
+
+        monkeypatch.setattr(opt, "update_w", spy)
+        arch, x, y, hp = _blobs_problem(epochs=5)
+        opt.train(arch, x, y, hp)
+        assert len(grams) == 5
+        assert all(g is grams[0] for g in grams)
+        assert grams[0].tobytes() == (x @ x.T).tobytes()
 
     def test_cache_coherent_through_epsilon_shrink(self, cache_watch):
         # the state of test_epsilon_shrink_reprojects_activations; the F carried
@@ -935,7 +1003,7 @@ class TestSharedFormulas:
 
 
 def _sq(v):
-    return float(np.sum(v * v))
+    return obj.inner(v, v)
 
 
 def _proxy_oracle(state, hp):
