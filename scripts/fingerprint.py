@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per training run, to show that a change moves no bit.
 
-    python scripts/fingerprint.py                      # all eight runs
+    python scripts/fingerprint.py                      # all seven runs
     python scripts/fingerprint.py --runs tanh-l1-blobs adagrad-blobs
 
 Each DLAM run trains from a fixed seed with ``dlam.train`` and hashes the
@@ -53,10 +53,6 @@ RUNS = {
     "sigmoid-net": (ns.Architecture((196, 100, 100, 10), activation=ACT.SIGMOID),
                     dict(classes=10, d=196, n_per_class=200, seed=7, noise=0.25),
                     obj.HyperParams(rho=1e-4, eps0=10.0, epochs=30, seed=0)),
-    # a risk that falls under eps/10, where an eps schedule would act
-    "squared-blobs": (ns.Architecture((12, 16, 16, 3), risk=ns.RiskKind.SQUARED),
-                      dict(BLOBS, n_per_class=10),
-                      obj.HyperParams(rho=0.01, eps0=1.0, epochs=300, seed=0)),
     "tanh-l1-blobs": (ns.Architecture((12, 16, 16, 3), activation=ACT.TANH,
                                       regularizer=ns.RegKind.L1, reg_weight=1e-3),
                       BLOBS, obj.HyperParams(rho=0.01, eps0=1.0, epochs=100, seed=0)),

@@ -23,7 +23,6 @@ from .network_state import (                                    # noqa: E402
     Architecture,
     NetworkState,
     RegKind,
-    RiskKind,
     activation_apply,
     feasibility_residual,
     forward_logits,
@@ -42,7 +41,6 @@ __all__ = [
     "NetworkState",
     "ObjectiveBreakdown",
     "RegKind",
-    "RiskKind",
     "activation_apply",
     "evaluate_f",
     "feasibility_residual",

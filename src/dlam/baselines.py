@@ -86,17 +86,16 @@ def train_baseline(cfg: BaselineConfig, arch: ns.Architecture, x: np.ndarray,
                    ) -> tuple[list[np.ndarray], list[np.ndarray], list[dict]]:
     """Full-batch training loop; returns (W, b, trace of per-epoch records).
 
-    The batch is checked here, not per epoch: ``ns.check_batch`` and one-hot
-    ``y``. An epoch's ``wall_time_s`` covers the gradient from the carried
-    forward pass, the update, and the one forward pass at the new weights
-    that gives the epoch's loss and accuracy and the next epoch's gradient;
-    epoch 0 also forms the first pass. Every pass is written into the same
+    The batch is checked here, not per epoch, by ``ns.check_batch``. An
+    epoch's ``wall_time_s`` covers the gradient from the carried forward
+    pass, the update, and the one forward pass at the new weights that gives
+    the epoch's loss and accuracy and the next epoch's gradient; epoch 0
+    also forms the first pass. Every pass is written into the same
     batch-sized arrays.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     ns.check_batch(arch, x, y)
-    ns.check_one_hot(y)
     W, b = ns.he_init(arch, cfg.seed)
     params = W + b
     if cfg.kind is BaselineKind.ADAGRAD:

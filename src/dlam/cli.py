@@ -75,12 +75,17 @@ class RunConfig:
             self.baseline_config()
         if self.reg_weight and self.reg == "none":
             raise ConfigError("reg_weight needs reg l1 or l2")
-        # a key the chosen optimizer never reads must keep its default
-        ignored = ("lr",) if self.optimizer == "dlam" else ("rho", "eps0", "reg", "reg_weight")
-        unread = [f.name for f in fields(self)
-                  if f.name in ignored and getattr(self, f.name) != f.default]
-        if unread:
-            raise ConfigError(f"{', '.join(unread)} not read by the {self.optimizer} optimizer")
+        # a key the chosen optimizer or dataset never reads must keep its default
+        blobs = ("blobs_classes", "blobs_features", "blobs_per_class", "blobs_noise")
+        by_dataset = {"blobs": ("data_dir", "train_count"), "mnist": blobs,
+                      "fashion": ("train_count", *blobs)}
+        by_optimizer = ("lr",) if self.optimizer == "dlam" else ("rho", "eps0", "reg", "reg_weight")
+        for ignored, reader in ((by_optimizer, f"{self.optimizer} optimizer"),
+                                (by_dataset[self.dataset], f"{self.dataset} dataset")):
+            unread = [f.name for f in fields(self)
+                      if f.name in ignored and getattr(self, f.name) != f.default]
+            if unread:
+                raise ConfigError(f"{', '.join(unread)} not read by the {reader}")
 
     def hidden_sizes(self) -> list[int]:
         try:

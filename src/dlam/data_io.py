@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ LABEL_MAGIC = 0x00000801
 
 
 class IdxFormatError(ValueError):
-    """An IDX file violates the format; the message names the byte offset."""
+    """A malformed IDX file or a damaged gzip stream; the message names the path."""
 
 
 @dataclass
@@ -55,9 +56,12 @@ def _read_bytes(path: str) -> bytes:
     with open(path, "rb") as f:
         head = f.read(2)
         f.seek(0)
-        if path.endswith(".gz") or head == b"\x1f\x8b":
+        if not (path.endswith(".gz") or head == b"\x1f\x8b"):
+            return f.read()
+        try:
             return gzip.open(f).read()
-        return f.read()
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise IdxFormatError(f"{path}: unreadable gzip stream ({exc})") from None
 
 
 def _read_u32(raw: bytes, offset: int, path: str) -> int:
@@ -70,8 +74,8 @@ def load_idx(images_path: str, labels_path: str, classes: int = 10,
              name: str = "idx", split: str = "train") -> Dataset:
     """Parse a big-endian IDX image/label pair into a Dataset.
 
-    Pixels are scaled by 1/255. Raises IdxFormatError on a bad magic
-    number, a truncated payload, or an image/label count mismatch.
+    Pixels are scaled by 1/255. Raises IdxFormatError on a damaged gzip
+    stream, a bad magic number, a truncated payload or a count mismatch.
     """
     raw_img = _read_bytes(images_path)
     magic = _read_u32(raw_img, 0, images_path)

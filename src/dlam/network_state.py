@@ -31,12 +31,6 @@ class ActivationKind(Enum):
     TANH = "tanh"
 
 
-class RiskKind(Enum):
-    CROSS_ENTROPY = "cross_entropy"
-    SQUARED = "squared"   # test-only risk with a closed-form composite minimizer
-    ZERO = "zero"         # test-only: reduces the output solve to a pure quadratic
-
-
 class RegKind(Enum):
     NONE = "none"
     L1 = "l1"
@@ -112,7 +106,7 @@ def slab_z_bounds(kind: ActivationKind, a: np.ndarray, eps: float):
 
 @dataclass(frozen=True)
 class Architecture:
-    """Layer sizes plus the activation, risk, and regularizer choices.
+    """Layer sizes plus the activation and regularizer choices.
 
     ``layer_sizes`` runs from the feature count n_0 = d through the class
     count n_L; there must be at least two weight layers. ``activation`` may
@@ -123,7 +117,6 @@ class Architecture:
 
     layer_sizes: tuple[int, ...]
     activation: tuple[ActivationKind, ...] = ActivationKind.RELU
-    risk: RiskKind = RiskKind.CROSS_ENTROPY
     regularizer: RegKind = RegKind.NONE
     reg_weight: float = 0.0
 
@@ -143,7 +136,6 @@ class Architecture:
                 f"need one activation per hidden layer ({self.num_layers - 1}), got {len(act)}"
             )
         object.__setattr__(self, "activation", act)
-        object.__setattr__(self, "risk", RiskKind(self.risk))
         object.__setattr__(self, "regularizer", RegKind(self.regularizer))
         if not 0 <= self.reg_weight < np.inf:
             raise ValueError("reg_weight must be finite and >= 0")
@@ -213,10 +205,10 @@ def check_finite(**blocks: np.ndarray) -> None:
 
 
 def check_batch(arch: Architecture, x: np.ndarray, y: np.ndarray) -> None:
-    """x and y must be 2-D, sized for ``arch``, share at least one sample column and be finite.
+    """x and y must be 2-D, sized for ``arch``, share a sample column and be finite; y one-hot.
 
-    The one boundary check of a training batch: ``initialize`` and
-    ``train_baseline`` call it before any arithmetic.
+    The one boundary check of a training batch, and the one place the label
+    format is decided: ``initialize`` and ``train_baseline`` call it first.
     """
     if x.ndim != 2 or y.ndim != 2:
         raise ShapeError("x and y must be 2-D matrices with samples as columns")
@@ -229,6 +221,7 @@ def check_batch(arch: Architecture, x: np.ndarray, y: np.ndarray) -> None:
     if x.shape[1] == 0:
         raise ValueError("empty batch: x and y have no sample columns")
     check_finite(x=x, y=y)
+    check_one_hot(y)
 
 
 def he_init(arch: Architecture, seed: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -249,14 +242,12 @@ def initialize(arch: Architecture, x: np.ndarray, y: np.ndarray, hp=None,
     z = W a_prev + b is computed layer by layer and a = h(z), so every
     penalty term starts at zero and the slab invariant holds for any
     eps > 0. Deterministic for a fixed seed. The batch must hold at least
-    one sample and only finite values, and labels must be one-hot for the
-    cross-entropy risk; this is the one place the trainer checks its input.
+    one sample and only finite values, and labels must be one-hot; this is
+    the one place the trainer checks its input.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     check_batch(arch, x, y)
-    if arch.risk is RiskKind.CROSS_ENTROPY:
-        check_one_hot(y)
     if seed is None:
         seed = getattr(hp, "seed", 0) if hp is not None else 0
     W, b = he_init(arch, seed)

@@ -1,4 +1,4 @@
-"""The training objective: risk, regularizers, quadratic coupling penalty.
+"""The training objective: cross-entropy risk, regularizers, quadratic coupling penalty.
 
 The full objective is
 
@@ -6,9 +6,9 @@ The full objective is
 
 where phi_l = (rho/2) ||z_l - W_l a_{l-1} - b_l||_F^2 couples each layer's
 pre-activation to the affine image of its input, and the indicator is 0 when
-every hidden activation sits inside its eps-slab and +inf otherwise. Risk is
-averaged over batch columns so rho does not have to scale with batch size;
-the penalty sums over columns.
+every hidden activation sits inside its eps-slab and +inf otherwise. The
+cross-entropy risk is averaged over batch columns so rho does not have to
+scale with batch size; the penalty sums over columns.
 
 phi_l depends on the blocks only through R_l = W_l a_{l-1} + b_l - z_l, and
 this module holds the one copy of each formula on R: ``residual``, ``penalty``
@@ -175,53 +175,21 @@ def grad_risk_cross_entropy(z: np.ndarray, y: np.ndarray,
     return ((softmax_columns(z) if p is None else p) - y) / z.shape[1]
 
 
-def risk_value(kind: ns.RiskKind, z: np.ndarray, y: np.ndarray) -> float:
-    if kind is ns.RiskKind.CROSS_ENTROPY:
-        return risk_cross_entropy(z, y)
-    if kind is ns.RiskKind.SQUARED:
-        d = z - y
-        return 0.5 * float(np.sum(d * d)) / z.shape[1]
-    if kind is ns.RiskKind.ZERO:
-        return 0.0
-    raise ValueError(f"unknown risk {kind!r}")
-
-
-def risk_grad(kind: ns.RiskKind, z: np.ndarray, y: np.ndarray,
-              p: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of risk(z; y); ``p`` is softmax(z) for cross-entropy when already formed."""
-    if kind is ns.RiskKind.CROSS_ENTROPY:
-        return grad_risk_cross_entropy(z, y, p)
-    if kind is ns.RiskKind.SQUARED:
-        return (z - y) / z.shape[1]
-    if kind is ns.RiskKind.ZERO:
-        return np.zeros_like(z)
-    raise ValueError(f"unknown risk {kind!r}")
-
-
-def newton_direction(kind: ns.RiskKind, g: np.ndarray, rho: float,
-                     p: np.ndarray | None = None) -> np.ndarray:
+def newton_direction(g: np.ndarray, rho: float, p: np.ndarray) -> np.ndarray:
     """H^{-1} g, H the Hessian of the output composite (rho/2)||z - m||_F^2 + risk(z; y).
 
-    ``g`` is the composite's gradient at z and ``p`` = softmax(z) for
-    cross-entropy. H is block diagonal, one C x C block per column. For
-    cross-entropy a block is diag(D) - p p^T / N with D = rho + p / N, and
-    Sherman-Morrison inverts that rank-one update in closed form:
-    H^{-1} g = g / D + (p / D) sum_c(p g / D) / (N - sum_c(p^2 / D)). Since
-    sum_c p = 1 the denominator equals N rho sum_c(p / D), which is how it
-    is formed here: a sum of positive terms, free of cancellation. The
-    squared risk has H = (rho + 1/N) I and the zero risk H = rho I.
+    ``g`` is the composite's gradient at z and ``p`` = softmax(z). H is block
+    diagonal, one C x C block per column: diag(D) - p p^T / N with
+    D = rho + p / N, and Sherman-Morrison inverts that rank-one update in
+    closed form: H^{-1} g = g / D + (p / D) sum_c(p g / D) / (N - sum_c(p^2 / D)).
+    Since sum_c p = 1 the denominator equals N rho sum_c(p / D), which is
+    how it is formed here: a sum of positive terms, free of cancellation.
     """
     n = g.shape[1]
-    if kind is ns.RiskKind.CROSS_ENTROPY:
-        d = rho + p / n
-        q = p / d
-        coef = (q * g).sum(axis=0, keepdims=True) / ((n * rho) * q.sum(axis=0, keepdims=True))
-        return g / d + q * coef
-    if kind is ns.RiskKind.SQUARED:
-        return g / (rho + 1.0 / n)
-    if kind is ns.RiskKind.ZERO:
-        return g / rho
-    raise ValueError(f"unknown risk {kind!r}")
+    d = rho + p / n
+    q = p / d
+    coef = (q * g).sum(axis=0, keepdims=True) / ((n * rho) * q.sum(axis=0, keepdims=True))
+    return g / d + q * coef
 
 
 def regularizer_value(kind: ns.RegKind, lam: float, W: np.ndarray) -> float:
@@ -266,7 +234,7 @@ def objective_from_residuals(state: ns.NetworkState, hp: HyperParams,
     feasible=False and an infinite total instead of raising.
     """
     arch = state.arch
-    risk = risk_value(arch.risk, state.z[-1], state.y)
+    risk = risk_cross_entropy(state.z[-1], state.y)
     reg = sum(regularizer_value(arch.regularizer, arch.reg_weight, W) for W in state.W)
     penalties = [penalty(r, hp.rho) for r in residuals]
     feasible = feas <= FEASIBILITY_TOL

@@ -276,20 +276,20 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
     So the value does not rise from one iterate to the next, and a halved
     step never counts as convergence.
     """
-    kind, y, rho = state.arch.risk, state.y, hp.rho
+    y, rho = state.y, hp.rho
     free = product + state.b[-1]
 
     def value(z):
-        return obj.penalty(z - free, rho) + obj.risk_value(kind, z, y)
+        return obj.penalty(z - free, rho) + obj.risk_cross_entropy(z, y)
 
     z = state.z[-1]
     f = f_start = value(z)
     converged = False
     iterations = 0
     for iterations in range(1, NEWTON_ITERS + 1):
-        p = obj.softmax_columns(z) if kind is ns.RiskKind.CROSS_ENTROPY else None
-        g = rho * (z - free) + obj.risk_grad(kind, z, y, p)
-        s = obj.newton_direction(kind, g, rho, p)
+        p = obj.softmax_columns(z)
+        g = rho * (z - free) + obj.grad_risk_cross_entropy(z, y, p)
+        s = obj.newton_direction(g, rho, p)
         if (float(np.max(np.abs(s))) < NEWTON_TOL
                 or 0.5 * obj.inner(g, s) <= NEWTON_DECREMENT * abs(f)):
             converged = True
@@ -381,7 +381,7 @@ def _grad_norm_proxy(state: ns.NetworkState, hp: obj.HyperParams, warm: WarmStar
         if arch.regularizer is ns.RegKind.L2 and arch.reg_weight > 0.0:
             gw = gw + 2.0 * arch.reg_weight * state.W[l]
         total += _sq(gw) + _sq(obj.grad_b(residuals[l], hp.rho))
-    gz = obj.grad_z(residuals[L - 1], hp.rho) + obj.risk_grad(arch.risk, state.z[L - 1], state.y)
+    gz = obj.grad_z(residuals[-1], hp.rho) + obj.grad_risk_cross_entropy(state.z[-1], state.y)
     total += _sq(gz)
     return math.sqrt(total)
 

@@ -1,3 +1,5 @@
+import gzip
+
 import numpy as np
 import pytest
 
@@ -43,17 +45,26 @@ def random_one_hot(rng, classes: int, n: int) -> np.ndarray:
     return y
 
 
+def damaged_gzip(payload: bytes, how: str) -> bytes:
+    """``payload`` gzipped, then cut to half its length ("truncated") or with
+    the header of its first deflate block made invalid ("corrupt")."""
+    raw = bytearray(gzip.compress(payload, mtime=0))
+    if how == "truncated":
+        return bytes(raw[:len(raw) // 2])
+    raw[10] = 0x07      # after the 10-byte gzip header: a final block of reserved type 3
+    return bytes(raw)
+
+
 def small_state(seed: int = 0, sizes=(3, 4, 3, 2), n: int = 5,
-                activation=ns.ActivationKind.RELU, risk=ns.RiskKind.CROSS_ENTROPY,
-                reg=ns.RegKind.NONE, lam: float = 0.0, scatter: float = 0.0):
+                activation=ns.ActivationKind.RELU, reg=ns.RegKind.NONE, lam: float = 0.0,
+                scatter: float = 0.0):
     """A compact feasible state; ``scatter`` optionally perturbs z/a blocks.
 
     With scatter > 0 the blocks are moved off the zero-residual start (a is
     re-projected afterwards so the slab invariant still holds for eps >= 1).
     """
     rng = np.random.default_rng(seed)
-    arch = ns.Architecture(sizes, activation=activation, risk=risk,
-                           regularizer=reg, reg_weight=lam)
+    arch = ns.Architecture(sizes, activation=activation, regularizer=reg, reg_weight=lam)
     x = rng.uniform(0.0, 1.0, (sizes[0], n))
     y = random_one_hot(rng, sizes[-1], n)
     state = ns.initialize(arch, x, y, seed=seed)

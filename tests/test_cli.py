@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import gzip
 import json
+import struct
 import subprocess
 from pathlib import Path
 
@@ -11,7 +13,8 @@ from dlam import baselines as bl
 from dlam import cli
 from dlam import objective as obj
 from dlam import optimizer as opt
-from conftest import nan_before_epoch
+from dlam import data_io
+from conftest import damaged_gzip, nan_before_epoch
 
 
 def _read_rows(path):
@@ -77,6 +80,28 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError,
                            match=f"^{unread} not read by the {optimizer} optimizer$"):
             cfg.validate()
+
+    @pytest.mark.parametrize("dataset,given,unread", [
+        ("blobs", {"train_count": 10}, "train_count"),
+        ("fashion", {"train_count": 10}, "train_count"),
+        ("blobs", {"data_dir": "idx"}, "data_dir"),
+        ("mnist", {"blobs_classes": 3}, "blobs_classes"),
+        ("mnist", {"blobs_features": 5}, "blobs_features"),
+        ("fashion", {"blobs_per_class": 7}, "blobs_per_class"),
+        ("mnist", {"blobs_noise": 0.5}, "blobs_noise")])
+    def test_unread_dataset_key_rejected(self, dataset, given, unread):
+        idx = {} if dataset == "blobs" else {"data_dir": "idx"}
+        cfg = cli.RunConfig(dataset=dataset, **{**idx, **given})
+        with pytest.raises(cli.ConfigError, match=f"^{unread} not read by the {dataset} dataset$"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("dataset,given", [
+        ("blobs", {"blobs_classes": 3, "blobs_features": 5, "blobs_per_class": 7,
+                   "blobs_noise": 0.5}),
+        ("mnist", {"data_dir": "idx", "train_count": 10}),
+        ("fashion", {"data_dir": "idx"})])
+    def test_read_dataset_keys_accepted(self, dataset, given):
+        cli.RunConfig(dataset=dataset, **given).validate()
 
     @pytest.mark.parametrize("optimizer,given", [
         ("dlam", {"rho": 0.01, "eps0": 1.0, "reg": "l2", "reg_weight": 0.5}),
@@ -216,7 +241,9 @@ class TestTrainCommand:
         (["--optimizer", "sgd", "--lr", "0.1", "--reg", "l2", "--reg-weight", "10"],
          "reg, reg_weight not read by the sgd optimizer"),
         (["--optimizer", "adagrad", "--rho", "0.01", "--eps0", "1"],
-         "rho, eps0 not read by the adagrad optimizer")])
+         "rho, eps0 not read by the adagrad optimizer"),
+        (["--train-count", "10", "--data-dir", "/nonexistent"],
+         "data_dir, train_count not read by the blobs dataset")])
     def test_bad_value_is_an_error_before_data_loads(self, tmp_path, capsys, monkeypatch,
                                                       flags, message):
         monkeypatch.setattr(cli, "load_dataset", lambda cfg: pytest.fail("data loaded"))
@@ -224,6 +251,25 @@ class TestTrainCommand:
                          *flags, "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("how", ["truncated", "corrupt"])
+    def test_damaged_gzip_is_an_error_message(self, tmp_path, capsys, how):
+        # a 28x28 IDX pair under each of the four names, the train images damaged
+        images = struct.pack(">IIII", data_io.IMAGE_MAGIC, 4, 28, 28) + bytes(4 * 784)
+        labels = struct.pack(">II", data_io.LABEL_MAGIC, 4) + bytes(range(4))
+        data = tmp_path / "mnist"
+        data.mkdir()
+        for split in ("train", "t10k"):
+            (data / f"{split}-images-idx3-ubyte.gz").write_bytes(gzip.compress(images))
+            (data / f"{split}-labels-idx1-ubyte.gz").write_bytes(gzip.compress(labels))
+        damaged = data / "train-images-idx3-ubyte.gz"
+        damaged.write_bytes(damaged_gzip(images, how))
+        code = cli.main(["train", "--dataset", "mnist", "--data-dir", str(data),
+                         "--epochs", "1", "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {damaged}: unreadable gzip stream (")
+        assert err.count("\n") == 1
 
     def test_nan_mid_run_is_an_error_message(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(opt, "run_epoch", nan_before_epoch(opt.run_epoch, 3))

@@ -1,11 +1,13 @@
 import gzip
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from dlam import data_io
+from conftest import damaged_gzip
 
 
 def _write_idx_pair(tmp_path, images, labels, gz=False):
@@ -69,6 +71,20 @@ class TestLoadIdx:
         lab_path.write_bytes(struct.pack(">II", data_io.LABEL_MAGIC, 4) + b"\x00" * 4)
         with pytest.raises(data_io.IdxFormatError, match="truncated"):
             data_io.load_idx(str(img_path), str(lab_path))
+
+    @pytest.mark.parametrize("how,cause", [("truncated", "end-of-stream marker"),
+                                           ("corrupt", "invalid block type")])
+    def test_damaged_gzip_names_the_path(self, tmp_path, rng, how, cause):
+        images = rng.integers(0, 256, size=(40, 5, 4), dtype=np.uint8)
+        labels = rng.integers(0, 10, size=40, dtype=np.uint8)
+        img_path, lab_path = _write_idx_pair(tmp_path, images, labels, gz=True)
+        with gzip.open(img_path) as f:
+            payload = f.read()
+        with open(img_path, "wb") as f:
+            f.write(damaged_gzip(payload, how))
+        with pytest.raises(data_io.IdxFormatError,
+                           match=f"^{re.escape(img_path)}: unreadable gzip stream .*{cause}"):
+            data_io.load_idx(img_path, lab_path)
 
     def test_count_mismatch(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(3, 2, 2), dtype=np.uint8)

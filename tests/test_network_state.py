@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dlam import baselines as bl
 from dlam import network_state as ns
 from dlam import objective as obj
 from dlam import optimizer as opt
@@ -255,23 +256,22 @@ def test_architecture_validation():
     assert arch.activation == (SIG,)
     assert arch.num_layers == 2 and arch.features == 4 and arch.classes == 2
     # a kind is its member or its string value; a bare one serves every hidden layer
-    arch = ns.Architecture((3, 4, 2), activation="relu", risk="squared", regularizer="l2")
+    arch = ns.Architecture((3, 4, 2), activation="relu", regularizer="l2")
     assert arch.activation == (RELU,)
-    assert arch.risk is ns.RiskKind.SQUARED and arch.regularizer is ns.RegKind.L2
+    assert arch.regularizer is ns.RegKind.L2
     assert ns.Architecture((3, 4, 5, 2), activation="sigmoid").activation == (SIG, SIG)
     assert ns.Architecture((3, 4, 5, 2), activation=("relu", SIG)).activation == (RELU, SIG)
 
 
 @pytest.mark.parametrize("name,kind", [
-    (name, kind) for name, enum in (("activation", ns.ActivationKind), ("risk", ns.RiskKind),
-                                    ("regularizer", ns.RegKind))
+    (name, kind) for name, enum in (("activation", ns.ActivationKind), ("regularizer", ns.RegKind))
     for kind in enum])
 def test_architecture_kind_from_string(name, kind):
     built = getattr(ns.Architecture((3, 4, 5, 2), **{name: kind.value}), name)
     assert built == ((kind, kind) if name == "activation" else kind)
 
 
-@pytest.mark.parametrize("name,enum", [("activation", "ActivationKind"), ("risk", "RiskKind"),
+@pytest.mark.parametrize("name,enum", [("activation", "ActivationKind"),
                                        ("regularizer", "RegKind")])
 def test_architecture_rejects_unknown_kind(name, enum):
     with pytest.raises(ValueError, match=f"^'x' is not a valid {enum}$"):
@@ -344,8 +344,9 @@ def test_initialize_shape_errors(rng):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_initialize_rejects_non_finite_input(rng, bad):
-    # squared risk: no one-hot check stands in front of the finiteness check on y
-    arch = ns.Architecture((3, 4, 2), risk=ns.RiskKind.SQUARED)
+    # the finiteness check on y runs before the one-hot check, which a
+    # non-finite entry would also fail
+    arch = ns.Architecture((3, 4, 2))
     x = rng.uniform(0, 1, (3, 5))
     y = random_one_hot(rng, 2, 5)
     x_bad, y_bad = x.copy(), y.copy()
@@ -355,6 +356,26 @@ def test_initialize_rejects_non_finite_input(rng, bad):
         ns.initialize(arch, x_bad, y)
     with pytest.raises(ValueError, match="y contains non-finite values"):
         ns.initialize(arch, x, y_bad)
+
+
+@pytest.mark.parametrize("y,message", [
+    ([[0.5], [0.5]], "labels must be one-hot columns"),
+    ([[1.0], [1.0]], "labels must be one-hot columns"),
+    ([[0.0], [0.0]], "labels must be one-hot columns"),
+    ([[1.0], [math.nan]], "y contains non-finite values"),
+    ([[math.inf], [0.0]], "y contains non-finite values")])
+def test_both_trainers_share_the_label_check(y, message):
+    # the DLAM and baseline trainers reject a label batch with one message
+    arch = ns.Architecture((2, 3, 2))
+    x, y = np.zeros((2, 1)), np.array(y)
+    cfg = bl.BaselineConfig(epochs=1)
+    messages = []
+    for start in (lambda: ns.initialize(arch, x, y), lambda: bl.train_baseline(cfg, arch, x, y)):
+        with pytest.raises(ValueError) as err:
+            start()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(message)
 
 
 def test_initialize_rejects_empty_batch():

@@ -124,9 +124,6 @@ class TestRisk:
                 ns.initialize(arch, x, y)
             with pytest.raises(ValueError, match="one-hot"):
                 bl.train_baseline(cfg, arch, x, y)
-        # the squared risk takes any real target
-        squared = ns.Architecture((2, 3, 2), risk=ns.RiskKind.SQUARED)
-        ns.initialize(squared, x, np.array([[0.5], [0.5]]))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -137,17 +134,6 @@ class TestRisk:
         y = np.array([[1.0], [0.0]])
         assert obj.risk_cross_entropy(z, y) == pytest.approx(0.0, abs=1e-12)
 
-    def test_squared_and_zero_risks(self, rng):
-        z = rng.normal(size=(3, 4))
-        y = random_one_hot(rng, 3, 4)
-        sq = obj.risk_value(ns.RiskKind.SQUARED, z, y)
-        assert sq == pytest.approx(0.5 * np.sum((z - y) ** 2) / 4, rel=1e-14)
-        g = obj.risk_grad(ns.RiskKind.SQUARED, z, y)
-        f = central_diff(lambda m: obj.risk_value(ns.RiskKind.SQUARED, m, y), z)
-        assert rel_err(f, g) < 1e-6
-        assert obj.risk_value(ns.RiskKind.ZERO, z, y) == 0.0
-        assert np.all(obj.risk_grad(ns.RiskKind.ZERO, z, y) == 0.0)
-
     @pytest.mark.parametrize("rho", [1e-4, 1e-2, 1.0])
     def test_newton_direction_solves_each_column_hessian(self, rho, rng):
         # the composite's Hessian per column, (rho I + (diag p - p p^T) / N) for
@@ -156,22 +142,18 @@ class TestRisk:
         z = rng.normal(0.0, 3.0, (c, n))
         g = rng.normal(size=(c, n))
         p = obj.softmax_columns(z)
-        hessians = {
-            ns.RiskKind.CROSS_ENTROPY: lambda q: rho * np.eye(c) + (np.diag(q) - np.outer(q, q)) / n,
-            ns.RiskKind.SQUARED: lambda q: (rho + 1.0 / n) * np.eye(c),
-            ns.RiskKind.ZERO: lambda q: rho * np.eye(c),
-        }
-        for kind, hessian in hessians.items():
-            got = obj.newton_direction(kind, g, rho, p)
-            for j in range(n):
-                want = np.linalg.solve(hessian(p[:, j]), g[:, j])
-                assert np.allclose(got[:, j], want, rtol=1e-9, atol=0.0)
+        got = obj.newton_direction(g, rho, p)
+        for j in range(n):
+            q = p[:, j]
+            hessian = rho * np.eye(c) + (np.diag(q) - np.outer(q, q)) / n
+            want = np.linalg.solve(hessian, g[:, j])
+            assert np.allclose(got[:, j], want, rtol=1e-9, atol=0.0)
 
     def test_risk_grad_takes_the_formed_softmax(self, rng):
         z = rng.normal(0.0, 5.0, (3, 7))
         y = random_one_hot(rng, 3, 7)
         p = obj.softmax_columns(z)
-        assert obj.risk_grad(ns.RiskKind.CROSS_ENTROPY, z, y, p).tobytes() == \
+        assert obj.grad_risk_cross_entropy(z, y, p).tobytes() == \
             obj.grad_risk_cross_entropy(z, y).tobytes()
 
 

@@ -22,9 +22,9 @@ def _scalar(v):
 
 
 def _scalar_state(W1, b1, z1, a1, W2, b2, z2, x=1.0, y=None,
-                  activation=ns.ActivationKind.RELU, risk=ns.RiskKind.CROSS_ENTROPY):
+                  activation=ns.ActivationKind.RELU):
     """Fully hand-specified (1,1,1) network."""
-    arch = ns.Architecture((1, 1, 1), activation=activation, risk=risk)
+    arch = ns.Architecture((1, 1, 1), activation=activation)
     state = ns.NetworkState(arch=arch, x=_scalar(x),
                             y=_scalar(1.0) if y is None else _scalar(y))
     state.W = [_scalar(W1), _scalar(W2)]
@@ -263,31 +263,6 @@ class TestUpdateZHidden:
 
 
 class TestUpdateZOutput:
-    def test_zero_risk_converges_to_free_step(self, monkeypatch):
-        monkeypatch.setattr(opt, "NEWTON_ITERS", 200)
-        monkeypatch.setattr(opt, "NEWTON_TOL", 1e-12)
-        state = small_state(seed=5, scatter=0.4, risk=ns.RiskKind.ZERO)
-        hp = obj.HyperParams(rho=0.5)
-        L = state.num_layers
-        expect = state.z[L - 1] - obj.grad_phi_z(state.a_prev(L - 1), state.W[L - 1],
-                                                 state.b[L - 1], state.z[L - 1],
-                                                 hp.rho) / hp.rho
-        res = opt.update_z_output(state, hp, _product(state, L - 1))
-        assert res.converged
-        assert np.allclose(state.z[L - 1], expect, atol=1e-9)
-
-    def test_squared_risk_scalar_closed_form(self, monkeypatch):
-        # minimizer of (rho/2)(z-m)^2 + (1/2)(z-y)^2 is (rho m + y)/(rho + 1)
-        monkeypatch.setattr(opt, "NEWTON_ITERS", 500)
-        monkeypatch.setattr(opt, "NEWTON_TOL", 1e-14)
-        state = _scalar_state(W1=1.0, b1=0.0, z1=1.0, a1=1.0, W2=2.0, b2=0.5, z2=0.0,
-                              y=3.0, risk=ns.RiskKind.SQUARED)
-        hp = obj.HyperParams(rho=1.0)
-        m = 2.0 * 1.0 + 0.5
-        opt.update_z_output(state, hp, _product(state, 1))
-        expect = (hp.rho * m + 3.0) / (hp.rho + 1.0)
-        assert state.z[1][0, 0] == pytest.approx(expect, abs=1e-8)
-
     def test_inner_objective_nonincreasing_cross_entropy(self, monkeypatch):
         # the k-iteration run is the k-step prefix of any longer one, so the end
         # values of fresh runs with budgets 1..K are the iterates' objectives
@@ -319,8 +294,8 @@ class TestUpdateZOutput:
         on these fixtures it fires with the gradient under the same bound.
         """
         checks = []
-        risk_value = obj.risk_value
-        monkeypatch.setattr(obj, "risk_value", lambda *a: checks.append(1) or risk_value(*a))
+        risk = obj.risk_cross_entropy
+        monkeypatch.setattr(obj, "risk_cross_entropy", lambda *a: checks.append(1) or risk(*a))
         rho = float(10.0 ** np.random.default_rng(seed).uniform(-4.0, 0.0))
         state = small_state(seed=seed, scatter=1.0, sizes=(3, 4, 3, 4), n=7)
         hp = obj.HyperParams(rho=rho)
@@ -357,15 +332,6 @@ class TestUpdateZOutput:
         res = opt.update_z_output(state, hp, product)
         assert res.converged and res.iterations <= 2
 
-    @pytest.mark.parametrize("risk", [ns.RiskKind.SQUARED, ns.RiskKind.ZERO])
-    def test_quadratic_risks_converge_in_two_iterations(self, risk):
-        # one exact Newton step, then a step under the tolerance ends the solve
-        for seed in range(5):
-            state = small_state(seed=seed, scatter=1.0, risk=risk)
-            res = opt.update_z_output(state, obj.HyperParams(rho=0.3),
-                                      _product(state, state.num_layers - 1))
-            assert res.converged and res.iterations <= 2
-
     def test_nonconverged_flagged(self, monkeypatch):
         monkeypatch.setattr(opt, "NEWTON_ITERS", 3)
         monkeypatch.setattr(opt, "NEWTON_TOL", 1e-14)
@@ -380,7 +346,8 @@ class TestUpdateZOutput:
         # times and stops where it started; the tiny halved steps must not
         # count as converged
         calls = []
-        monkeypatch.setattr(obj, "risk_value", lambda *a: float(len(calls.append(1) or calls)))
+        monkeypatch.setattr(obj, "risk_cross_entropy",
+                            lambda *a: float(len(calls.append(1) or calls)))
         monkeypatch.setattr(opt, "NEWTON_ITERS", 4)
         state = small_state(seed=2, scatter=1.0)
         z = state.z[-1]
@@ -564,7 +531,7 @@ class TestRunEpoch:
     def test_epsilon_shrink_reprojects_activations(self):
         # a caller tightens eps between sweeps; the sweep at the new eps moves
         # every a_l back into the narrower slab and hands back the eps it got
-        state = small_state(seed=12, scatter=0.5, risk=ns.RiskKind.ZERO)
+        state = small_state(seed=12, scatter=0.5)
         hp = obj.HyperParams(rho=0.1, eps0=10.0)
         opt.run_epoch(state, hp, 0, eps=10.0)
         assert ns.feasibility_residual(state, 0.01) > 0.0
@@ -577,8 +544,8 @@ class TestRunEpoch:
         assert report.f_after <= report.f_before
 
     def test_fixed_eps_skips_adaptation(self):
-        # zero risk is far below eps/10; run_epoch still hands back the eps it got
-        state = small_state(seed=12, scatter=0.5, risk=ns.RiskKind.ZERO)
+        # run_epoch hands back the eps it got
+        state = small_state(seed=12, scatter=0.5)
         hp = obj.HyperParams(rho=0.1)
         report = opt.run_epoch(state, hp, 0, eps=10.0)
         assert report.eps_used == report.eps_next == 10.0
@@ -700,15 +667,11 @@ def test_first_hidden_layer_stalls(blobs_run):
     assert all(r.dz_sq[0] == 0.0 for r in trace)
 
 
-def _shrinking_problem(epochs):
-    """Squared-risk blobs whose risk falls under eps/10 by epoch 44.
-
-    A schedule that tightened eps there by clipping the activations into the
-    narrower slab raised F at epochs 44 and 83; a fixed eps must not.
-    """
+def _sigmoid_problem(epochs):
+    """Sigmoid blobs: a smooth activation, where _blobs_problem's is ReLU."""
     ds = synth_gaussian_blobs(classes=3, d=12, n_per_class=10, seed=11, noise=0.05)
     hp = obj.HyperParams(rho=0.01, eps0=1.0, epochs=epochs, seed=0)
-    return ns.Architecture((12, 16, 16, 3), risk=ns.RiskKind.SQUARED), ds.x, ds.y, hp
+    return ns.Architecture((12, 16, 16, 3), activation=ns.ActivationKind.SIGMOID), ds.x, ds.y, hp
 
 
 def _calls_per_epoch(monkeypatch, targets, epochs):
@@ -816,7 +779,7 @@ class TestResidualReuse:
     def test_cache_coherent_through_epsilon_shrink(self, cache_watch):
         # the state of test_epsilon_shrink_reprojects_activations; the F carried
         # from the eps-10 sweep must not stand in for F at the tighter eps
-        state = small_state(seed=12, scatter=0.5, risk=ns.RiskKind.ZERO)
+        state = small_state(seed=12, scatter=0.5)
         hp = obj.HyperParams(rho=0.1, eps0=10.0)
         warm = opt.WarmStart.fresh(state.num_layers)
         report = opt.run_epoch(state, hp, 0, eps=10.0, warm=warm)
@@ -830,9 +793,8 @@ class TestResidualReuse:
         assert cache_watch["compared"] > 3 * len(BLOCKS)
 
     def test_zero_risk_run_holds_eps_and_carries_f(self, cache_watch):
-        # zero risk sits far below eps/10, where a risk-driven schedule would
-        # tighten the slab; eps stays put and each epoch starts from the last F
-        state = small_state(seed=12, scatter=0.5, risk=ns.RiskKind.ZERO)
+        # eps stays put and each epoch starts from the last F
+        state = small_state(seed=12, scatter=0.5)
         hp = obj.HyperParams(rho=0.1, eps0=10.0)
         warm = opt.WarmStart.fresh(state.num_layers)
         trace = []
@@ -873,7 +835,7 @@ class TestResidualReuse:
         assert cache_watch["compared"] > 0
 
     @pytest.mark.parametrize("problem,epochs", [(_blobs_problem, 30),
-                                                (_shrinking_problem, 90)])
+                                                (_sigmoid_problem, 90)])
     def test_reuse_changes_no_bit(self, monkeypatch, problem, epochs):
         arch, x, y, hp = problem(epochs)
         state, trace = opt.train(arch, x, y, hp)
@@ -1018,7 +980,7 @@ def _proxy_oracle(state, hp):
             gw = gw + 2.0 * arch.reg_weight * state.W[l]
         total += _sq(gw) + _sq(obj.grad_phi_b(*operands))
     gz = (obj.grad_phi_z(*operands)
-          + obj.risk_grad(arch.risk, state.z[L - 1], state.y))
+          + obj.grad_risk_cross_entropy(state.z[L - 1], state.y))
     return math.sqrt(total + _sq(gz))
 
 
