@@ -208,7 +208,7 @@ def _git_describe() -> str:
                              capture_output=True, text=True, timeout=10)
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):     # no git, or a hung one
         pass
     return "unknown"
 

@@ -75,7 +75,8 @@ def load_idx(images_path: str, labels_path: str, classes: int = 10,
     """Parse a big-endian IDX image/label pair into a Dataset.
 
     Pixels are scaled by 1/255. Raises IdxFormatError on a damaged gzip
-    stream, a bad magic number, a truncated payload or a count mismatch.
+    stream, a bad magic number, a truncated payload, a count mismatch or a
+    label outside [0, classes).
     """
     raw_img = _read_bytes(images_path)
     magic = _read_u32(raw_img, 0, images_path)
@@ -113,6 +114,10 @@ def load_idx(images_path: str, labels_path: str, classes: int = 10,
             f"(expected {8 + n} bytes)"
         )
     labels = np.frombuffer(raw_lab, dtype=np.uint8, count=n, offset=8)
+    if n and labels.max() >= classes:
+        at = int(np.argmax(labels >= classes))
+        raise IdxFormatError(f"{labels_path}: label {labels[at]} at offset {8 + at} "
+                             f"outside [0, {classes})")
 
     x = (pixels.reshape(n, rows * cols).T / 255.0).astype(np.float64)
     return Dataset(x=x, y=one_hot(labels, classes), name=name, split=split)

@@ -62,24 +62,19 @@ class NonFiniteError(ArithmeticError):
 
 
 @dataclass
-class BacktrackResult:
-    accepted_param: float        # curvature theta (W step) or tau (a step)
-    trials: int
-    phi_value: float             # true penalty at the accepted candidate
-    model_value: float           # majorizer at the accepted candidate
-    move_sq: float               # squared Frobenius norm of the accepted step
-    slab_violation: float = 0.0  # a step: largest slab violation of the accepted block
+class BlockStep:
+    """One block update of the sweep, as the descent ledger and the report read it."""
 
-
-@dataclass
-class NewtonResult:
-    """The output solve's Newton iterations, whether its step fell under the
-    tolerance within the budget, and the composite value before and after."""
-
-    iterations: int
-    converged: bool
-    objective_start: float
-    objective_end: float
+    block: str                   # "W", "b", "z" or "a"
+    layer: int
+    curvature: float             # the ledger's weight on move_sq: theta (W), rho (b, z), tau (a)
+    move_sq: float               # squared Frobenius norm of the step
+    trials: int = 1              # backtracking trials (W, a); Newton iterations (output z)
+    phi: float = math.nan        # value at acceptance: penalty (W, a), composite (output z)
+    model: float = math.nan      # majorizer at acceptance (W, a)
+    converged: bool = False      # the output solve's
+    held: int = 0                # hidden z entries held because their slab was empty
+    slab_violation: float = 0.0  # largest slab violation of the accepted a
 
 
 @dataclass
@@ -145,13 +140,9 @@ class EpochReport:
     wall_time_s: float = 0.0
 
 
-def _sq(delta: np.ndarray) -> float:
-    return obj.inner(delta, delta)
-
-
 def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
                     phi0: float, grad: np.ndarray, param0: float,
-                    candidate, image_sq) -> tuple[np.ndarray, BacktrackResult]:
+                    candidate, image_sq) -> tuple[np.ndarray, BlockStep]:
     """Backtracked quadratic-majorizer step, shared by the W and a blocks.
 
     ``candidate(param)`` minimizes the block's model at curvature ``param``;
@@ -176,7 +167,7 @@ def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
         cand = candidate(param)
         d = np.subtract(cand, current, out=d)
         quad_true = 0.5 * rho * image_sq(d)
-        move_sq = _sq(d)
+        move_sq = obj.inner(d, d)
         quad_model = 0.5 * param * move_sq
         if quad_true <= quad_model:
             break
@@ -188,12 +179,13 @@ def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
         param *= GROWTH
         trials += 1
     base = phi0 + obj.inner(grad, d)
-    return cand, BacktrackResult(param, trials, base + quad_true, base + quad_model, move_sq)
+    return cand, BlockStep(block, layer, param, move_sq, trials, base + quad_true,
+                           base + quad_model)
 
 
 def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, theta0: float,
              resid: np.ndarray, grad: np.ndarray | None = None,
-             gram: np.ndarray | None = None) -> BacktrackResult:
+             gram: np.ndarray | None = None) -> BlockStep:
     """Backtracked majorized step on W at ``layer``; writes the result into state.
 
     The candidate minimizes the quadratic model plus the regularizer in
@@ -213,25 +205,28 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, theta0: fl
         grad = obj.grad_w(resid, a_prev, hp.rho)
     if gram is None:
         gram = a_prev @ a_prev.T
-    state.W[layer], result = _majorized_step(
+    state.W[layer], step = _majorized_step(
         "W", layer, hp.rho, W_k, phi0, grad, theta0,
         lambda theta: obj.solve_w_subproblem(arch.regularizer, arch.reg_weight, W_k, grad, theta),
         lambda d: obj.inner(d @ gram, d))
-    return result
+    return step
 
 
-def update_b(state: ns.NetworkState, layer: int, product: np.ndarray) -> None:
+def update_b(state: ns.NetworkState, layer: int, rho: float, product: np.ndarray) -> BlockStep:
     """Exact intercept step b <- b - mean residual; writes into state.
 
     With the curvature pinned to rho, the majorized step equals the exact
     minimizer: the per-sample mean of z - W a_prev. ``product`` is W a_prev
     with the W already updated this epoch.
     """
-    state.b[layer] = state.b[layer] - obj.mean_residual(product, state.b[layer], state.z[layer])
+    old = state.b[layer]
+    state.b[layer] = new = old - obj.mean_residual(product, old, state.z[layer])
+    d = new - old
+    return BlockStep("b", layer, rho, obj.inner(d, d))
 
 
-def update_z_hidden(state: ns.NetworkState, layer: int, eps: float,
-                    product: np.ndarray) -> int:
+def update_z_hidden(state: ns.NetworkState, layer: int, eps: float, rho: float,
+                    product: np.ndarray) -> BlockStep:
     """Exact hidden pre-activation step: clip the free step onto the slab box.
 
     The penalty in z is (rho/2)||z - m||^2 with m = W a_prev + b the free
@@ -239,7 +234,7 @@ def update_z_hidden(state: ns.NetworkState, layer: int, eps: float,
     [B1, B2] (the z-image of the slab around the current a) yields the exact
     constrained minimizer. An entry whose slab inverts to an empty set keeps
     its current z; the a step that follows projects a into the slab around
-    h(z). Writes only z; returns the count of held entries, zero on clean
+    h(z). Writes only z; the step counts the held entries, zero on clean
     runs.
     """
     kind = state.arch.activation[layer]
@@ -250,12 +245,13 @@ def update_z_hidden(state: ns.NetworkState, layer: int, eps: float,
     held = np.count_nonzero(empty)
     if held:
         np.copyto(z, state.z[layer], where=empty)
+    dz = np.subtract(z, state.z[layer], out=lo)     # in lo's buffer: peak memory
     state.z[layer] = z
-    return held
+    return BlockStep("z", layer, rho, obj.inner(dz, dz), held=held)
 
 
 def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
-                    product: np.ndarray) -> NewtonResult:
+                    product: np.ndarray) -> BlockStep:
     """Safeguarded Newton on the output-layer composite; writes z_L into state.
 
     Minimizes (rho/2)||z - free||_F^2 + risk(z; y) with free = W_L a_{L-1} + b_L
@@ -283,7 +279,7 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
         return obj.penalty(z - free, rho) + obj.risk_cross_entropy(z, y)
 
     z = state.z[-1]
-    f = f_start = value(z)
+    f = value(z)
     converged = False
     iterations = 0
     for iterations in range(1, NEWTON_ITERS + 1):
@@ -303,19 +299,21 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
         else:   # no halving lowered the value
             break
         z, f = cand, f_cand
+    dz = z - state.z[-1]
     state.z[-1] = z
-    return NewtonResult(iterations, converged, f_start, f)
+    return BlockStep("z", state.num_layers - 1, rho, obj.inner(dz, dz), iterations, phi=f,
+                     converged=converged)
 
 
 def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float,
-             tau0: float, resid: np.ndarray) -> BacktrackResult:
+             tau0: float, resid: np.ndarray) -> BlockStep:
     """Backtracked projected step on a hidden activation; writes into state.
 
     The candidate projects the free quadratic step onto the slab around
     h(z) at this epoch's fresh z, which is the exact minimizer of the
     model-plus-indicator for scalar curvature; the curvature starts at
     max(tau0, ALPHA0) and grows by GROWTH (_majorized_step, image W_next d).
-    Feasibility of the accepted block holds by construction, and the result
+    Feasibility of the accepted block holds by construction, and the step
     measures it against the slab it was projected onto, as
     ns.feasibility_residual would. ``resid`` is the next layer's current
     coupling residual W_next a + b_next - z_next. Raises NonFiniteError
@@ -341,12 +339,12 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
         image = W_next @ d
         return obj.inner(image, image)
 
-    _, result = _majorized_step("a", layer, hp.rho, a_k, phi0, grad, tau0, candidate, image_sq)
+    _, step = _majorized_step("a", layer, hp.rho, a_k, phi0, grad, tau0, candidate, image_sq)
     state.a[layer] = cand
     # the trial temporaries go before the violation is formed: peak memory
     del grad
-    result.slab_violation = ns.slab_violation(cand, lo, hi)
-    return result
+    step.slab_violation = ns.slab_violation(cand, lo, hi)
+    return step
 
 
 def _block_norms(state: ns.NetworkState) -> dict:
@@ -380,9 +378,10 @@ def _grad_norm_proxy(state: ns.NetworkState, hp: obj.HyperParams, warm: WarmStar
             warm.grad_w0 = gw
         if arch.regularizer is ns.RegKind.L2 and arch.reg_weight > 0.0:
             gw = gw + 2.0 * arch.reg_weight * state.W[l]
-        total += _sq(gw) + _sq(obj.grad_b(residuals[l], hp.rho))
+        gb = obj.grad_b(residuals[l], hp.rho)
+        total += obj.inner(gw, gw) + obj.inner(gb, gb)
     gz = obj.grad_z(residuals[-1], hp.rho) + obj.grad_risk_cross_entropy(state.z[-1], state.y)
-    total += _sq(gz)
+    total += obj.inner(gz, gz)
     return math.sqrt(total)
 
 
@@ -400,10 +399,10 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     while its operands are unchanged, in the operation order of a fresh
     formation, so reuse changes no bit. The R_l formed after layer l's z
     step holds to the end of the sweep, where the certificates and f_after
-    read it. The other certificates are by-products of the blocks: dw_sq
-    and da_sq are the squared steps the majorization tests formed, dz_sq
-    and the grad-b term share one z difference, and the feasibility
-    residual is the a steps' own slab violation.
+    read it. The other certificates are by-products of the blocks, read
+    from the one BlockStep each block update returns, in sweep order: dw_sq
+    and da_sq are the squared steps the majorization tests formed, and the
+    feasibility residual is the a steps' own slab violation.
 
     ``warm`` carries the residuals, the proxy's layer-0 W gradient, the
     input's Gram matrix and f_after into the next call, which must get the
@@ -431,9 +430,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
         f_before = obj.objective_from_residuals(state, hp, resid,
                                                 ns.feasibility_residual(state, eps)).total
 
-    w_steps, a_steps = [], []       # one BacktrackResult per W and a step
-    db_sq, dz_sq = [], []
-    recoveries = 0
+    steps: list[BlockStep] = []     # one per block update, in sweep order
     grad_b_err = 0.0
     try:
         for l in range(L):
@@ -443,25 +440,22 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
             if r_w is None:
                 r_w = obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
             g_w, warm.grad_w0 = warm.grad_w0, None
-            w_steps.append(update_w(state, l, hp, warm.theta[l] / GROWTH, r_w, g_w,
-                                    warm.gram_x if l == 0 else None))
+            steps.append(update_w(state, l, hp, warm.theta[l] / GROWTH, r_w, g_w,
+                                  warm.gram_x if l == 0 else None))
             del r_w, g_w    # batch-sized temporaries go as soon as they are used: peak memory
-            warm.theta[l] = w_steps[-1].accepted_param
+            warm.theta[l] = steps[-1].curvature
 
             # W_l and a_{l-1} are final for this sweep from here on
             product = state.W[l] @ state.a_prev(l)
-            old_b = state.b[l]
-            update_b(state, l, product)
-            db_sq.append(_sq(state.b[l] - old_b))
+            steps.append(update_b(state, l, hp.rho, product))
 
             old_z = state.z[l]
             if l == L - 1:
-                output = update_z_output(state, hp, product)
+                steps.append(update_z_output(state, hp, product))
             else:
-                recoveries += update_z_hidden(state, l, eps, product)
+                steps.append(update_z_hidden(state, l, eps, hp.rho, product))
             dz = state.z[l] - old_z
             del old_z
-            dz_sq.append(_sq(dz))
             # current to the end of the sweep
             resid[l] = obj.residual(product, state.b[l], state.z[l])
             grad_b_err = max(grad_b_err, grad_b_layer_error(product, state.b[l], state.z[l],
@@ -473,14 +467,14 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
                 # z_l is final, so the accepted a_l's slab violation is layer l's
                 # feasibility residual
                 r_a, resid[l + 1] = resid[l + 1], None
-                a_steps.append(update_a(state, l, hp, eps, warm.tau[l] / GROWTH, r_a))
+                steps.append(update_a(state, l, hp, eps, warm.tau[l] / GROWTH, r_a))
                 del r_a
-                warm.tau[l] = a_steps[-1].accepted_param
+                warm.tau[l] = steps[-1].curvature
     except NonFiniteError as err:
         err.epoch = epoch
         raise
 
-    feas = float(np.max([s.slab_violation for s in a_steps], initial=0.0))   # a NaN propagates
+    feas = float(np.max([s.slab_violation for s in steps], initial=0.0))   # a NaN propagates
     grad_proxy = _grad_norm_proxy(state, hp, warm)
     after = obj.objective_from_residuals(state, hp, resid, feas)
     for what, value in (("objective", after.total), ("gradient proxy", grad_proxy)):
@@ -488,25 +482,26 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
             raise NonFiniteError(what, epoch=epoch)
     warm.f_end = (eps, after.total)
 
+    w_steps, b_steps, z_steps, a_steps = ([s for s in steps if s.block == k] for k in "Wbza")
     report = EpochReport(
         epoch=epoch,
         f_before=f_before,
         f_after=after.total,
         risk=after.risk,
-        theta=[s.accepted_param for s in w_steps],
-        tau=[s.accepted_param for s in a_steps],
+        theta=[s.curvature for s in w_steps],
+        tau=[s.curvature for s in a_steps],
         dw_sq=[s.move_sq for s in w_steps],
-        db_sq=db_sq,
-        dz_sq=dz_sq,
+        db_sq=[s.move_sq for s in b_steps],
+        dz_sq=[s.move_sq for s in z_steps],
         da_sq=[s.move_sq for s in a_steps],
         descent_rhs=math.nan,   # filled in from the movement below
         trials_w=[s.trials for s in w_steps],
         trials_a=[s.trials for s in a_steps],
-        majorization_w=[(s.phi_value, s.model_value) for s in w_steps],
-        majorization_a=[(s.phi_value, s.model_value) for s in a_steps],
-        fista_iterations=output.iterations,
-        fista_converged=output.converged,
-        recoveries=recoveries,
+        majorization_w=[(s.phi, s.model) for s in w_steps],
+        majorization_a=[(s.phi, s.model) for s in a_steps],
+        fista_iterations=z_steps[-1].trials,     # the output solve's
+        fista_converged=z_steps[-1].converged,
+        recoveries=sum(s.held for s in steps),
         feasibility_residual=after.feasibility_residual,
         grad_b_err=grad_b_err,
         grad_norm_proxy=grad_proxy,

@@ -170,6 +170,15 @@ class TestTrainCommand:
         monkeypatch.chdir(tmp_path)
         assert cli._git_describe() == from_checkout != "unknown"
 
+    def test_hung_git_still_writes_the_summary(self, tmp_path, monkeypatch):
+        def hung(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+        monkeypatch.setattr(cli.subprocess, "run", hung)
+        out = tmp_path / "run"
+        assert cli.main(["train", *BLOBS_ARGS, "--epochs", "1", "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["git_describe"] == "unknown"
+
     def test_unknown_optimizer_exits_nonzero(self, tmp_path, capsys):
         code = cli.main(["train", "--dataset", "blobs", "--optimizer", "sgd2",
                          "--out", str(tmp_path)])
@@ -270,6 +279,22 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {damaged}: unreadable gzip stream (")
         assert err.count("\n") == 1
+
+    def test_label_out_of_range_is_an_error_message(self, tmp_path, capsys):
+        # an IDX pair under each of the four names, one train label past the classes
+        images = struct.pack(">IIII", data_io.IMAGE_MAGIC, 4, 28, 28) + bytes(4 * 784)
+        data = tmp_path / "mnist"
+        data.mkdir()
+        for split, last in (("train", 12), ("t10k", 3)):
+            labels = struct.pack(">II", data_io.LABEL_MAGIC, 4) + bytes([0, 1, 2, last])
+            (data / f"{split}-images-idx3-ubyte.gz").write_bytes(gzip.compress(images))
+            (data / f"{split}-labels-idx1-ubyte.gz").write_bytes(gzip.compress(labels))
+        code = cli.main(["train", "--dataset", "mnist", "--data-dir", str(data),
+                         "--epochs", "1", "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        bad = data / "train-labels-idx1-ubyte.gz"
+        assert err == f"error: {bad}: label 12 at offset 11 outside [0, 10)\n"
 
     def test_nan_mid_run_is_an_error_message(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(opt, "run_epoch", nan_before_epoch(opt.run_epoch, 3))

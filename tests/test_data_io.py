@@ -95,6 +95,16 @@ class TestLoadIdx:
         with pytest.raises(data_io.IdxFormatError, match="labels"):
             data_io.load_idx(img_path, str(other))
 
+    def test_label_out_of_range_names_the_file(self, tmp_path, rng):
+        images = rng.integers(0, 256, size=(4, 2, 2), dtype=np.uint8)
+        labels = np.array([3, 9, 10, 0], dtype=np.uint8)
+        img_path, lab_path = _write_idx_pair(tmp_path, images, labels)
+        with pytest.raises(data_io.IdxFormatError,
+                           match=f"^{re.escape(lab_path)}: label 10 at offset 10 "
+                                 r"outside \[0, 10\)$"):
+            data_io.load_idx(img_path, lab_path)
+        assert data_io.load_idx(img_path, lab_path, classes=11).classes == 11
+
 
 class TestDownsample:
     def _dataset(self, x):

@@ -389,12 +389,11 @@ def test_epoch_on_a_copied_state_matches_the_original():
     # run_epoch on a deep copy repeats the original's sweep
     state = small_state(seed=14, scatter=0.3)
     hp = obj.HyperParams(rho=0.1, epochs=4, seed=0)
-    eps = hp.eps0
     for k in range(2):
-        eps = opt.run_epoch(state, hp, k, eps).eps_next
+        opt.run_epoch(state, hp, k, hp.eps0)
     copied = copy.deepcopy(state)
-    r1 = opt.run_epoch(state, hp, 2, eps)
-    r2 = opt.run_epoch(copied, hp, 2, eps)
+    r1 = opt.run_epoch(state, hp, 2, hp.eps0)
+    r2 = opt.run_epoch(copied, hp, 2, hp.eps0)
     assert r1.f_after == r2.f_after
     assert r1.descent_rhs == r2.descent_rhs
 

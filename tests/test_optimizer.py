@@ -13,6 +13,7 @@ from dlam import network_state as ns
 from dlam import objective as obj
 from dlam import optimizer as opt
 from dlam.data_io import one_hot, synth_gaussian_blobs
+from dlam.diagnostics import descent_ledger
 from conftest import (grad_b_identity_check, grid_minimize_1d, nan_before_epoch,
                       random_one_hot, small_state)
 
@@ -87,14 +88,14 @@ class TestUpdateW:
             W_before = state.W[l]
             a_prev, b, z = state.a_prev(l), state.b[l], state.z[l]
             res = _update_w(state, l, hp)
-            assert res.phi_value <= res.model_value
+            assert res.phi <= res.model
             # recompute both sides through the exact quadratic expansion
             d = state.W[l] - W_before
             grad = obj.grad_phi_w(a_prev, W_before, b, z, hp.rho)
             phi0 = obj.penalty_phi(a_prev, W_before, b, z, hp.rho)
             lin = phi0 + float(np.sum(grad * d))
             quad_true = 0.5 * hp.rho * float(np.sum((d @ a_prev) ** 2))
-            quad_model = 0.5 * res.accepted_param * float(np.sum(d * d))
+            quad_model = 0.5 * res.curvature * float(np.sum(d * d))
             assert lin + quad_true <= lin + quad_model
 
     @pytest.mark.parametrize("reg,lam", [(ns.RegKind.NONE, 0.0),
@@ -128,14 +129,14 @@ class TestUpdateB:
     def test_zero_residual_unchanged(self):
         state = small_state(seed=3)
         before = state.b[1]
-        opt.update_b(state, 1, _product(state, 1))
+        opt.update_b(state, 1, 1.0, _product(state, 1))
         assert np.array_equal(state.b[1], before)
 
     def test_scalar_hand_case(self):
         # b=1, W*a=1, z=4: the mean residual is 1+1-4 = -2, so b <- 1 - (-2) = 3,
         # which equals the closed form z - W*a for one sample
         state = _scalar_state(W1=1.0, b1=1.0, z1=4.0, a1=4.0, W2=1.0, b2=0.0, z2=4.0)
-        opt.update_b(state, 0, _product(state, 0))
+        opt.update_b(state, 0, 1.0, _product(state, 0))
         assert state.b[0][0, 0] == pytest.approx(3.0, abs=1e-14)
 
     def test_penalty_never_increases(self):
@@ -145,7 +146,7 @@ class TestUpdateB:
             l = seed % state.num_layers
             a_prev, W, z = state.a_prev(l), state.W[l], state.z[l]
             before = obj.penalty_phi(a_prev, W, state.b[l], z, hp.rho)
-            opt.update_b(state, l, _product(state, l))
+            opt.update_b(state, l, hp.rho, _product(state, l))
             after = obj.penalty_phi(a_prev, W, state.b[l], z, hp.rho)
             assert after <= before + 1e-12
 
@@ -155,7 +156,7 @@ class TestUpdateB:
     def test_step_is_the_exact_minimizer(self, seed, scatter, rho, layer, activation):
         state = small_state(seed=seed, scatter=scatter, activation=activation)
         product, z = _product(state, layer), state.z[layer]
-        opt.update_b(state, layer, product)
+        opt.update_b(state, layer, rho, product)
         b = state.b[layer]
         R = obj.residual(product, b, z)
         # the row sums of R vanish up to the rounding of its entries
@@ -174,8 +175,8 @@ class TestUpdateZHidden:
         hp = obj.HyperParams(rho=0.5)
         expect = state.z[0] - obj.grad_phi_z(state.x, state.W[0], state.b[0],
                                              state.z[0], hp.rho) / hp.rho
-        recoveries = opt.update_z_hidden(state, 0, 50.0, _product(state, 0))
-        assert recoveries == 0
+        step = opt.update_z_hidden(state, 0, 50.0, hp.rho, _product(state, 0))
+        assert step.held == 0
         assert np.allclose(state.z[0], expect, atol=1e-12)
 
     def test_relu_clip_hand_case(self):
@@ -184,8 +185,8 @@ class TestUpdateZHidden:
         state = _scalar_state(W1=1.0, b1=0.0, z1=0.45, a1=0.5, W2=1.0, b2=0.0, z2=0.5,
                               x=1.0)
         # free step goes to W*x + b = 1.0
-        recoveries = opt.update_z_hidden(state, 0, 0.1, _product(state, 0))
-        assert recoveries == 0
+        step = opt.update_z_hidden(state, 0, 0.1, 1.0, _product(state, 0))
+        assert step.held == 0
         assert state.z[0][0, 0] == pytest.approx(0.6, abs=1e-12)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -208,7 +209,7 @@ class TestUpdateZHidden:
         z0 = state.z[0]
         m = r2.normal(0.0, m_scale, shape)
         lo, hi, empty = ns.slab_z_bounds(kind, a, eps)
-        assert opt.update_z_hidden(state, 0, eps, m) == int(empty.sum())
+        assert opt.update_z_hidden(state, 0, eps, 1.0, m).held == int(empty.sum())
         assert state.a[0] is a
         z = state.z[0]
         assert np.array_equal(z[empty], z0[empty])
@@ -225,7 +226,7 @@ class TestUpdateZHidden:
         # its z, a is left to its own step, and the held entry is counted
         state = _empty_slab_state()
         a = state.a[0]
-        held = opt.update_z_hidden(state, 0, 0.1, _product(state, 0))
+        held = opt.update_z_hidden(state, 0, 0.1, 1.0, _product(state, 0)).held
         assert held == 1
         assert state.z[0][0, 0] == 0.5
         assert state.a[0] is a and a[0, 0] == -5.0
@@ -247,7 +248,7 @@ class TestUpdateZHidden:
         assert a[0, 0] == 1.0 + eps and 0.0 < (a[0, 0] - 1.0) - eps < 1e-16
         assert ns.slab_z_bounds(kind, a, eps)[2][0, 0]
         assert ns.feasibility_residual(state, eps) <= 1e-12
-        assert opt.update_z_hidden(state, 0, eps, _product(state, 0)) == 1
+        assert opt.update_z_hidden(state, 0, eps, hp.rho, _product(state, 0)).held == 1
         assert state.z[0][0, 0] == z_sat and state.a[0] is a
         state.z[0] = z
         warm = opt.WarmStart.fresh(state.num_layers)
@@ -272,10 +273,13 @@ class TestUpdateZOutput:
             for k in range(1, 41):
                 monkeypatch.setattr(opt, "NEWTON_ITERS", k)
                 state = small_state(seed=seed, scatter=1.0)
-                res = opt.update_z_output(state, obj.HyperParams(rho=rho),
-                                          _product(state, state.num_layers - 1))
-                assert res.objective_end <= res.objective_start
-                ends.append(res.objective_end)
+                product = _product(state, state.num_layers - 1)
+                free = product + state.b[-1]
+                start = (obj.penalty(state.z[-1] - free, rho)
+                         + obj.risk_cross_entropy(state.z[-1], state.y))
+                res = opt.update_z_output(state, obj.HyperParams(rho=rho), product)
+                assert res.phi <= start
+                ends.append(res.phi)
                 if res.converged:
                     break
             for prev, cur in zip(ends, ends[1:]):
@@ -306,7 +310,7 @@ class TestUpdateZOutput:
         z, n = state.z[-1], state.n_samples
         grad = rho * (z - m) + (obj.softmax_columns(z) - state.y) / n
         # one value check at the start and one per step taken; the rest are halvings
-        halvings = len(checks) - res.iterations
+        halvings = len(checks) - res.trials
         return halvings, np.max(np.abs(grad)), 2.0 * (rho + 1.0 / n) * opt.NEWTON_TOL
 
     @pytest.mark.parametrize("seed", range(8))
@@ -330,7 +334,7 @@ class TestUpdateZOutput:
         product = _product(state, state.num_layers - 1)
         assert opt.update_z_output(state, hp, product).converged
         res = opt.update_z_output(state, hp, product)
-        assert res.converged and res.iterations <= 2
+        assert res.converged and res.trials <= 2
 
     def test_nonconverged_flagged(self, monkeypatch):
         monkeypatch.setattr(opt, "NEWTON_ITERS", 3)
@@ -339,7 +343,7 @@ class TestUpdateZOutput:
         hp = obj.HyperParams(rho=1e-4)
         res = opt.update_z_output(state, hp, _product(state, state.num_layers - 1))
         assert not res.converged
-        assert res.iterations == 3
+        assert res.trials == 3
 
     def test_rising_values_never_report_convergence(self, monkeypatch):
         # every value check rises, so the first iteration halves NEWTON_HALVINGS
@@ -354,7 +358,7 @@ class TestUpdateZOutput:
         hp = obj.HyperParams(rho=1e-3)
         res = opt.update_z_output(state, hp, _product(state, state.num_layers - 1))
         assert not res.converged
-        assert res.iterations == 1
+        assert res.trials == 1
         assert len(calls) == 1 + (opt.NEWTON_HALVINGS + 1)
         assert np.array_equal(state.z[-1], z)
 
@@ -368,7 +372,7 @@ class TestUpdateZOutput:
         product[0, 0] = np.nan
         res = opt.update_z_output(state, obj.HyperParams(), product)
         assert not res.converged
-        assert res.iterations == 1
+        assert res.trials == 1
         assert np.array_equal(state.z[-1], z) and np.all(np.isfinite(state.z[-1]))
         assert math.isnan(obj.penalty(obj.residual(product, state.b[-1], state.z[-1]), 1.0))
 
@@ -388,7 +392,7 @@ class TestUpdateA:
         hp = obj.HyperParams(rho=1.0)
         res = _update_a(state, 0, hp, eps=0.1, tau0=1.0)
         assert state.a[0][0, 0] == pytest.approx(0.6, abs=1e-12)
-        assert res.phi_value <= res.model_value
+        assert res.phi <= res.model
 
     def test_block_objective_nonincreasing(self):
         for seed in range(10):
@@ -400,7 +404,7 @@ class TestUpdateA:
             res = _update_a(state, l, hp, eps=1.0)
             after = obj.penalty_phi(state.a[l], W2, b2, z2, hp.rho)
             assert after <= before + 1e-10
-            assert res.phi_value <= res.model_value
+            assert res.phi <= res.model
             # accepted block is feasible by construction
             h = ns.activation_apply(state.arch.activation[l], state.z[l])
             assert np.all(state.a[l] >= h - 1.0 - 1e-12)
@@ -457,7 +461,7 @@ class TestMajorizedStep:
         for _ in range(res.trials - 1):
             assert not majorizes(param)
             param *= opt.GROWTH
-        assert res.accepted_param == param
+        assert res.curvature == param
         assert majorizes(param)
 
     def test_a_budget_exhaustion_raises_with_param(self, monkeypatch):
@@ -543,8 +547,7 @@ class TestRunEpoch:
         assert report.recoveries == 0
         assert report.f_after <= report.f_before
 
-    def test_fixed_eps_skips_adaptation(self):
-        # run_epoch hands back the eps it got
+    def test_epoch_hands_back_its_eps(self):
         state = small_state(seed=12, scatter=0.5)
         hp = obj.HyperParams(rho=0.1)
         report = opt.run_epoch(state, hp, 0, eps=10.0)
@@ -586,13 +589,13 @@ class TestTrain:
         assert all(r.f_after <= r.f_before + 1e-8 for r in trace)
 
     @pytest.mark.parametrize("eps0", [10.0, 0.004])
-    def test_adaptive_run_starts_at_floor(self, eps0):
+    def test_every_epoch_runs_at_the_capped_eps(self, eps0):
         s = small_state(seed=21, sizes=(4, 6, 5, 3), n=10)
         hp = obj.HyperParams(rho=0.01, eps0=eps0, epochs=3, seed=3)
         _, trace = opt.train(s.arch, s.x, s.y, hp)
         assert all(r.eps_used == r.eps_next == min(eps0, 0.01) for r in trace)
 
-    def test_adaptive_schedule_monotone_on_blobs(self):
+    def test_fixed_eps_monotone_on_blobs(self):
         # the criterion-11 config; moving eps between sweeps would have to clip
         # the activations into the new slab, which is no descent step
         ds = synth_gaussian_blobs(classes=3, d=12, n_per_class=40, seed=11, noise=0.05)
@@ -792,7 +795,7 @@ class TestResidualReuse:
         assert report.f_before == f_carried
         assert cache_watch["compared"] > 3 * len(BLOCKS)
 
-    def test_zero_risk_run_holds_eps_and_carries_f(self, cache_watch):
+    def test_run_holds_eps_and_carries_f(self, cache_watch):
         # eps stays put and each epoch starts from the last F
         state = small_state(seed=12, scatter=0.5)
         hp = obj.HyperParams(rho=0.1, eps0=10.0)
@@ -908,15 +911,16 @@ class TestBlockIsolation:
         calls = {
             "update_w": lambda: opt.update_w(state, layer, hp, opt.ALPHA0,
                                              _fresh_resid(state, layer)),
-            "update_b": lambda: opt.update_b(state, layer, _product(state, layer)),
-            "update_z_hidden": lambda: opt.update_z_hidden(state, layer, eps,
+            "update_b": lambda: opt.update_b(state, layer, hp.rho, _product(state, layer)),
+            "update_z_hidden": lambda: opt.update_z_hidden(state, layer, eps, hp.rho,
                                                            _product(state, layer)),
             "update_z_output": lambda: opt.update_z_output(state, hp, _product(state, layer)),
             "update_a": lambda: opt.update_a(state, layer, hp, eps, opt.ALPHA0,
                                              _fresh_resid(state, layer + 1)),
         }
         before = {name: list(getattr(state, name)) for name in "Wbza"}
-        calls[block]()
+        step = calls[block]()
+        assert (step.block, step.layer) == (self.OWN[block], layer)
         for name in "Wbza":
             for l, (old, new) in enumerate(zip(before[name], getattr(state, name))):
                 if (name, l) != (self.OWN[block], layer):
@@ -938,6 +942,52 @@ class TestBlockIsolation:
         formed.clear()
         opt.run_epoch(state, hp, 1, 0.1, warm)
         assert len(formed) == L - 1
+
+
+class TestBlockSteps:
+    """run_epoch reads its report's per-block lists from the one BlockStep each
+    block update returns, in sweep order."""
+
+    def test_report_lists_are_the_steps_by_block(self, monkeypatch):
+        steps = []
+
+        def keep(inner):
+            def wrapper(*args, **kwargs):
+                steps.append(inner(*args, **kwargs))
+                return steps[-1]
+            return wrapper
+
+        for name in BLOCKS:
+            monkeypatch.setattr(opt, name, keep(getattr(opt, name)))
+        state = small_state(seed=5, scatter=0.5)
+        hp = obj.HyperParams(rho=0.1)
+        L = state.num_layers
+        warm = opt.WarmStart.fresh(L)
+        order = [(block, l) for l in range(L) for block in ("Wbza" if l < L - 1 else "Wbz")]
+        for k in range(3):
+            steps.clear()
+            report = opt.run_epoch(state, hp, k, 1.0, warm)
+            assert [(s.block, s.layer) for s in steps] == order
+            w, b, z, a = ([s for s in steps if s.block == block] for block in "Wbza")
+            assert report.theta == [s.curvature for s in w] == warm.theta
+            assert report.tau == [s.curvature for s in a] == warm.tau
+            assert all(s.curvature == hp.rho and s.trials == 1 for s in b + z[:-1])
+            assert z[-1].curvature == hp.rho
+            for moved, blocks in ((report.dw_sq, w), (report.db_sq, b),
+                                  (report.dz_sq, z), (report.da_sq, a)):
+                assert moved == [s.move_sq for s in blocks]
+            assert report.trials_w == [s.trials for s in w]
+            assert report.trials_a == [s.trials for s in a]
+            assert report.majorization_w == [(s.phi, s.model) for s in w]
+            assert report.majorization_a == [(s.phi, s.model) for s in a]
+            assert (report.fista_iterations, report.fista_converged) == (z[-1].trials,
+                                                                         z[-1].converged)
+            assert report.recoveries == sum(s.held for s in steps)
+            assert report.feasibility_residual == max(s.slab_violation for s in a)
+            ledger = descent_ledger(report, hp.rho)[1]
+            rhs = sum(0.5 * s.curvature * s.move_sq for s in steps)
+            assert rhs > 0.0
+            assert abs(ledger - rhs) <= 1e-12 * rhs
 
 
 class TestSharedFormulas:
@@ -964,10 +1014,6 @@ class TestSharedFormulas:
         assert len(calls) == 1
 
 
-def _sq(v):
-    return obj.inner(v, v)
-
-
 def _proxy_oracle(state, hp):
     """EpochReport.grad_norm_proxy with every residual and gradient formed anew."""
     arch = state.arch
@@ -978,10 +1024,11 @@ def _proxy_oracle(state, hp):
         gw = obj.grad_phi_w(*operands)
         if arch.regularizer is ns.RegKind.L2 and arch.reg_weight > 0.0:
             gw = gw + 2.0 * arch.reg_weight * state.W[l]
-        total += _sq(gw) + _sq(obj.grad_phi_b(*operands))
+        gb = obj.grad_phi_b(*operands)
+        total += obj.inner(gw, gw) + obj.inner(gb, gb)
     gz = (obj.grad_phi_z(*operands)
           + obj.grad_risk_cross_entropy(state.z[L - 1], state.y))
-    return math.sqrt(total + _sq(gz))
+    return math.sqrt(total + obj.inner(gz, gz))
 
 
 class TestCertificatesExact:
@@ -1004,7 +1051,8 @@ class TestCertificatesExact:
             assert report.recoveries == 0      # no slab is empty on these runs
             for name, moved in (("W", report.dw_sq), ("b", report.db_sq),
                                 ("z", report.dz_sq), ("a", report.da_sq)):
-                fresh = [_sq(new - old) for new, old in zip(getattr(state, name), before[name])]
+                fresh = [obj.inner(new - old, new - old)
+                         for new, old in zip(getattr(state, name), before[name])]
                 assert moved == fresh, name
             assert report.grad_b_err == grad_b_identity_check(state, before["z"], hp.rho)
             assert report.feasibility_residual == ns.feasibility_residual(state, eps)
