@@ -6,17 +6,19 @@
 
 Writes ``objective.svg`` (log10 objective vs epoch, one line per trace) and
 ``accuracy.svg`` (train accuracy solid, test accuracy dashed) into ``--out``
-and prints both paths. Labels default to each trace's directory name. The
-output is deterministic and the script needs only the standard library. A
-trace without the ``epoch``, ``F``, ``train_acc`` and ``test_acc`` columns
-(such as ``diagnostics.csv``) ends in ``error: ...`` on stderr and exit
-code 2, and no chart is written.
+and prints both paths. Labels default to each trace's directory name and
+are escaped, so any text is valid in the SVG. The output is deterministic
+and the script needs only the standard library. A trace without the
+``epoch``, ``F``, ``train_acc`` and ``test_acc`` columns (such as
+``diagnostics.csv``) ends in ``error: ...`` on stderr and exit code 2, and
+no chart is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import html
 import math
 import sys
 from pathlib import Path
@@ -74,7 +76,8 @@ def svg_chart(series, title: str, ylabel: str, path: Path) -> None:
         ly = pad + 16 * idx
         parts.append(f'<line x1="{width - pad - 150}" y1="{ly}" x2="{width - pad - 120}" '
                      f'y2="{ly}" stroke="{color}" stroke-width="1.5"{dash}/>')
-        parts.append(f'<text x="{width - pad - 114}" y="{ly + 4}" font-size="11">{label}</text>')
+        parts.append(f'<text x="{width - pad - 114}" y="{ly + 4}" font-size="11">'
+                     f'{html.escape(label)}</text>')
     parts.append("</svg>")
     path.write_text("\n".join(parts))
 

@@ -118,8 +118,8 @@ FLAG_ALIASES = {"subset_size": "--subset", "out_dir": "--out"}
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment."""
-    values: dict = {}
+    """Flat ``key = value`` lines; '#' starts a comment; a key may appear once."""
+    values, first_line = {}, {}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -131,7 +131,9 @@ def parse_config_file(path: str) -> dict:
         key = key.strip()
         if key not in FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value.strip()
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {first_line[key]}")
+        values[key], first_line[key] = value.strip(), lineno
     return values
 
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import objective as obj
-
 
 @dataclass
 class CkSeries:
@@ -66,20 +64,18 @@ def ck_series(trace, rho: float) -> CkSeries:
     return CkSeries(c=c, k_times_c=k_times_c)
 
 
-def grad_b_layer_error(product: np.ndarray, b: np.ndarray, z: np.ndarray,
-                       dz: np.ndarray, rho: float) -> float:
+def grad_b_layer_error(grad_b: np.ndarray, mean_move: np.ndarray, n: int, rho: float) -> float:
     """Max deviation of one layer's intercept gradient from rho * mean(z_old - z_new).
 
     The intercept step is an exact minimizer, so the post-step penalty
     gradient with respect to b collapses to the mean pre-activation
     movement; the returned value is zero up to rounding on a clean epoch.
-    ``product`` is W a_prev after the step, ``z`` the pre-activation after
-    it and ``dz`` its movement z_new - z_old (negating it is exact). Uses
+    ``grad_b`` is the b gradient rho rowsum(R) of the layer's coupling
+    residual R after the step, ``mean_move`` the row means of the
+    pre-activation's movement z_new - z_old and ``n`` the batch size. Uses
     the per-sample mean convention on both sides.
     """
-    mean_resid = obj.mean_residual(product, b, z)
-    predicted = -dz.mean(axis=1, keepdims=True)
-    return float(np.max(np.abs(rho * mean_resid - rho * predicted)))
+    return float(np.max(np.abs(grad_b / n + rho * mean_move)))
 
 
 def subgradient_ratio_series(trace) -> list[float]:

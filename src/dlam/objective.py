@@ -93,8 +93,7 @@ def mean_residual(product: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarr
     """Per-sample mean of the coupling residual, as a column: b + mean(W a_prev - z).
 
     ``product`` is W a_prev. The intercept is added after the mean, so this
-    is the shift the exact intercept step removes and what its identity
-    check measures.
+    is the shift the exact intercept step removes.
     """
     return b + (product - z).mean(axis=1, keepdims=True)
 

@@ -75,6 +75,7 @@ class BlockStep:
     converged: bool = False      # the output solve's
     held: int = 0                # hidden z entries held because their slab was empty
     slab_violation: float = 0.0  # largest slab violation of the accepted a
+    mean_move: np.ndarray | None = None  # z steps: row means of z_new - z_old, a column
 
 
 @dataclass
@@ -247,7 +248,8 @@ def update_z_hidden(state: ns.NetworkState, layer: int, eps: float, rho: float,
         np.copyto(z, state.z[layer], where=empty)
     dz = np.subtract(z, state.z[layer], out=lo)     # in lo's buffer: peak memory
     state.z[layer] = z
-    return BlockStep("z", layer, rho, obj.inner(dz, dz), held=held)
+    return BlockStep("z", layer, rho, obj.inner(dz, dz), held=held,
+                     mean_move=dz.mean(axis=1, keepdims=True))
 
 
 def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
@@ -302,7 +304,7 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
     dz = z - state.z[-1]
     state.z[-1] = z
     return BlockStep("z", state.num_layers - 1, rho, obj.inner(dz, dz), iterations, phi=f,
-                     converged=converged)
+                     converged=converged, mean_move=dz.mean(axis=1, keepdims=True))
 
 
 def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float,
@@ -356,22 +358,24 @@ def _block_norms(state: ns.NetworkState) -> dict:
     }
 
 
-def _grad_norm_proxy(state: ns.NetworkState, hp: obj.HyperParams, warm: WarmStart) -> float:
-    """Norm of the computable smooth components of the objective gradient.
+def _gradient_certificates(state: ns.NetworkState, hp: obj.HyperParams, warm: WarmStart,
+                           z_steps: list[BlockStep]) -> tuple[float, float]:
+    """(gradient proxy, grad_b_err), the end-of-sweep gradient certificates.
 
-    Covers the W and b penalty gradients (plus the l2 regularizer term when
-    active) and the output pre-activation's penalty-plus-risk gradient. The
-    hidden z and a components involve indicator subdifferentials and are
-    left out; the ratio of this proxy to the block movement is logged by the
-    diagnostics as the weak form of the subgradient bound. ``warm.resid``
-    holds every layer's current coupling residual; layer 0's penalty
-    gradient, which is the next sweep's first W gradient, is left in
-    ``warm.grad_w0``.
+    The proxy is the norm of the computable smooth gradient components: the
+    W and b penalty gradients (plus the l2 regularizer term when active) and
+    the output pre-activation's penalty-plus-risk gradient. The hidden z and
+    a components involve indicator subdifferentials and are left out; the
+    diagnostics log the proxy's ratio to the block movement as the weak form
+    of the subgradient bound. grad_b_err checks each b gradient against
+    ``z_steps[l].mean_move`` (grad_b_layer_error). ``warm.resid`` holds
+    every layer's current coupling residual; layer 0's penalty gradient, the
+    next sweep's first W gradient, is left in ``warm.grad_w0``.
     """
     arch = state.arch
     L = state.num_layers
     residuals = warm.resid
-    total = 0.0
+    total = grad_b_err = 0.0
     for l in range(L):
         gw = obj.grad_w(residuals[l], state.a_prev(l), hp.rho)
         if l == 0:
@@ -380,9 +384,11 @@ def _grad_norm_proxy(state: ns.NetworkState, hp: obj.HyperParams, warm: WarmStar
             gw = gw + 2.0 * arch.reg_weight * state.W[l]
         gb = obj.grad_b(residuals[l], hp.rho)
         total += obj.inner(gw, gw) + obj.inner(gb, gb)
+        grad_b_err = max(grad_b_err, grad_b_layer_error(gb, z_steps[l].mean_move,
+                                                        state.n_samples, hp.rho))
     gz = obj.grad_z(residuals[-1], hp.rho) + obj.grad_risk_cross_entropy(state.z[-1], state.y)
     total += obj.inner(gz, gz)
-    return math.sqrt(total)
+    return math.sqrt(total), grad_b_err
 
 
 def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
@@ -401,8 +407,9 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     step holds to the end of the sweep, where the certificates and f_after
     read it. The other certificates are by-products of the blocks, read
     from the one BlockStep each block update returns, in sweep order: dw_sq
-    and da_sq are the squared steps the majorization tests formed, and the
-    feasibility residual is the a steps' own slab violation.
+    and da_sq are the squared steps the majorization tests formed, grad_b_err
+    reads the z steps' mean moves, and the feasibility residual is the a
+    steps' own slab violation.
 
     ``warm`` carries the residuals, the proxy's layer-0 W gradient, the
     input's Gram matrix and f_after into the next call, which must get the
@@ -431,7 +438,6 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
                                                 ns.feasibility_residual(state, eps)).total
 
     steps: list[BlockStep] = []     # one per block update, in sweep order
-    grad_b_err = 0.0
     try:
         for l in range(L):
             # the slot is empty for l >= 1: update_a(l - 1) took R_l and moved a_{l-1}.
@@ -449,18 +455,13 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
             product = state.W[l] @ state.a_prev(l)
             steps.append(update_b(state, l, hp.rho, product))
 
-            old_z = state.z[l]
             if l == L - 1:
                 steps.append(update_z_output(state, hp, product))
             else:
                 steps.append(update_z_hidden(state, l, eps, hp.rho, product))
-            dz = state.z[l] - old_z
-            del old_z
-            # current to the end of the sweep
-            resid[l] = obj.residual(product, state.b[l], state.z[l])
-            grad_b_err = max(grad_b_err, grad_b_layer_error(product, state.b[l], state.z[l],
-                                                            dz, hp.rho))
-            del product, dz
+            # current to the end of the sweep; nothing reads the product after the z step
+            resid[l] = obj.residual(product, state.b[l], state.z[l], out=product)
+            del product
 
             if l < L - 1:
                 # R_{l+1} leaves the cache with update_a, which moves a_l under it;
@@ -475,14 +476,14 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
         raise
 
     feas = float(np.max([s.slab_violation for s in steps], initial=0.0))   # a NaN propagates
-    grad_proxy = _grad_norm_proxy(state, hp, warm)
+    w_steps, b_steps, z_steps, a_steps = ([s for s in steps if s.block == k] for k in "Wbza")
+    grad_proxy, grad_b_err = _gradient_certificates(state, hp, warm, z_steps)
     after = obj.objective_from_residuals(state, hp, resid, feas)
     for what, value in (("objective", after.total), ("gradient proxy", grad_proxy)):
         if not math.isfinite(value):
             raise NonFiniteError(what, epoch=epoch)
     warm.f_end = (eps, after.total)
 
-    w_steps, b_steps, z_steps, a_steps = ([s for s in steps if s.block == k] for k in "Wbza")
     report = EpochReport(
         epoch=epoch,
         f_before=f_before,

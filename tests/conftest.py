@@ -5,6 +5,7 @@ import pytest
 
 from dlam import network_state as ns
 from dlam import objective as obj
+from dlam.diagnostics import grad_b_layer_error
 
 
 def central_diff(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -81,16 +82,18 @@ def small_state(seed: int = 0, sizes=(3, 4, 3, 2), n: int = 5,
 def grad_b_identity_check(state_after, z_before, rho: float) -> float:
     """Fresh-recompute oracle for EpochReport.grad_b_err: every product formed anew.
 
-    Takes the movement as z_before - z_after, where grad_b_layer_error
-    negates z_after - z_before; the two must agree bit for bit.
+    Forms each layer's coupling residual and movement z_after - z_before
+    from the states alone and hands their b gradient and row means to
+    grad_b_layer_error, as the sweep does with what it already holds; the
+    two must agree bit for bit.
     """
     worst = 0.0
     for l in range(state_after.num_layers):
         z = state_after.z[l]
-        product = state_after.W[l] @ state_after.a_prev(l)
-        mean_resid = obj.mean_residual(product, state_after.b[l], z)
-        predicted = (z_before[l] - z).mean(axis=1, keepdims=True)
-        worst = max(worst, float(np.max(np.abs(rho * mean_resid - rho * predicted))))
+        R = obj.coupling_residual(state_after.a_prev(l), state_after.W[l], state_after.b[l], z)
+        mean_move = (z - z_before[l]).mean(axis=1, keepdims=True)
+        worst = max(worst, grad_b_layer_error(obj.grad_b(R, rho), mean_move,
+                                              state_after.n_samples, rho))
     return worst
 
 

@@ -47,6 +47,22 @@ class TestConfigParsing:
             with pytest.raises(cli.ConfigError, match=f"unknown key '{key}'"):
                 cli.parse_config_file(str(cfg_file))
 
+    def test_repeated_key_rejected(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("epochs = 2\n# more\nepochs = 3\n")
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config_file(str(cfg_file))
+        assert str(err.value) == f"{cfg_file}:3: key 'epochs' already set on line 1"
+
+    def test_repeated_key_fails_a_run(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("dataset = blobs\nepochs = 2\nepochs = 3\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg_file}:3: key 'epochs' already set on line 2\n"
+        assert not (out / "trace.csv").exists()
+
     def test_validation_messages(self):
         cfg = cli.RunConfig(dataset="blobs", optimizer="sgdx")
         with pytest.raises(cli.ConfigError) as err:

@@ -117,11 +117,32 @@ class TestGradBIdentity:
         err_poisoned = grad_b_identity_check(state, z_pre, hp.rho)
         assert err_poisoned == pytest.approx(err_clean + hp.rho * 1e-3, rel=1e-6)
 
-    def test_recorded_error_equals_fresh_oracle(self):
-        # run_epoch takes each layer's term from its cached product mid-sweep
+    @staticmethod
+    def _blobs_state():
+        """Criterion 11's blobs problem: 12-16-16-3 at rho = 0.01."""
         ds = synth_gaussian_blobs(classes=3, d=12, n_per_class=40, seed=11, noise=0.05)
         hp = obj.HyperParams(rho=0.01, seed=0)
-        state = ns.initialize(ns.Architecture((12, 16, 16, 3)), ds.x, ds.y, hp)
+        return ns.initialize(ns.Architecture((12, 16, 16, 3)), ds.x, ds.y, hp), hp
+
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    def test_recorded_error_catches_a_faulty_intercept_step(self, layer, monkeypatch):
+        delta = 1e-3
+        update_b = opt.update_b
+
+        def faulty(state, l, rho, product):
+            step = update_b(state, l, rho, product)
+            if l == layer:
+                state.b[l] = state.b[l] + delta
+            return step
+
+        monkeypatch.setattr(opt, "update_b", faulty)
+        state, hp = self._blobs_state()
+        report = opt.run_epoch(state, hp, 0, 0.01)
+        assert report.grad_b_err == pytest.approx(hp.rho * delta, rel=1e-6)
+
+    def test_recorded_error_equals_fresh_oracle(self):
+        # run_epoch takes each layer's term from the residual and move the sweep formed
+        state, hp = self._blobs_state()
         warm = opt.WarmStart.fresh(state.num_layers)
         for k in range(50):
             z_before = list(state.z)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import importlib.util
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,16 @@ class TestPlotCommand:
         code = plot.main(["--in", str(trace), "--labels", "run",
                           "--out", str(tmp_path / "plots")])
         assert code == 0
+
+    def test_markup_in_labels_is_escaped(self, tmp_path):
+        # the default label is a directory name, which may hold any character
+        trace = tmp_path / "trace.csv"
+        _trace(trace, [[0, 2.0, 0.3, 0.25, 0.1], [1, 1.0, 0.5, 0.45, 0.1]])
+        out = tmp_path / "plots"
+        assert plot.main(["--in", str(trace), "--labels", "R&D <v2>", "--out", str(out)]) == 0
+        for name, label in (("objective.svg", "R&D <v2>"), ("accuracy.svg", "R&D <v2> train")):
+            texts = [t.text for t in ET.parse(out / name).iter("{http://www.w3.org/2000/svg}text")]
+            assert label in texts, name
 
     def test_missing_column_is_an_error_message(self, tmp_path, capsys):
         # diagnostics.csv is a per-epoch table too, but holds no accuracies
