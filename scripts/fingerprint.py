@@ -5,12 +5,13 @@
     python scripts/fingerprint.py --runs tanh-l1-blobs adagrad-blobs
 
 Each DLAM run trains from a fixed seed with ``dlam.train`` and hashes the
-final W, b, z and a bytes together with every ``EpochReport`` field except
-``wall_time_s``. Each baseline run trains with ``train_baseline`` and
-hashes the final W and b bytes together with every per-epoch record field
-except ``wall_time_s``. Run it at two commits of a source checkout (it
-imports the package from that checkout's ``src/``) and compare the lines:
-equal hashes mean bit-identical training. Hashes depend on the numpy build
+final W, b, z and a bytes together with the ``EpochReport`` fields named in
+``REPORT_FIELDS``, a fixed list without ``wall_time_s``, so a field the
+report gains later moves no hash. Each baseline run trains with
+``train_baseline`` and hashes the final W and b bytes together with every
+per-epoch record field except ``wall_time_s``. Run it at two commits of a
+source checkout (it imports the package from that checkout's ``src/``) and
+compare the lines: equal hashes mean bit-identical training. Hashes depend on the numpy build
 and its BLAS, so compare them on one machine only; the BLAS pools are
 pinned to one thread unless the environment already sets them.
 
@@ -21,7 +22,6 @@ at rounding level from one that moves the result.
 """
 
 import argparse
-import dataclasses
 import hashlib
 import os
 import sys
@@ -72,6 +72,14 @@ BASELINE_RUNS = {
                                               epochs=100)),
 }
 
+# the EpochReport fields a DLAM hash covers, in the report's order; wall time
+# is left out because it varies from run to run
+REPORT_FIELDS = ("epoch", "f_before", "f_after", "risk", "theta", "tau", "dw_sq", "db_sq",
+                 "dz_sq", "da_sq", "trials_w", "trials_a", "majorization_w",
+                 "majorization_a", "fista_iterations", "fista_converged", "recoveries",
+                 "feasibility_residual", "grad_b_err", "grad_norm_proxy", "eps_used",
+                 "eps_next", "block_norms")
+
 
 def _digest(records, blocks) -> str:
     """SHA-256 of every record field but wall time, then the blocks' bytes."""
@@ -85,8 +93,9 @@ def _digest(records, blocks) -> str:
 
 
 def fingerprint(state: ns.NetworkState, trace) -> str:
-    """SHA-256 of the final blocks' bytes and every report field but wall time."""
-    return _digest(map(dataclasses.asdict, trace), [*state.W, *state.b, *state.z, *state.a])
+    """SHA-256 of the final blocks' bytes and every report's REPORT_FIELDS."""
+    records = ({name: getattr(report, name) for name in REPORT_FIELDS} for report in trace)
+    return _digest(records, [*state.W, *state.b, *state.z, *state.a])
 
 
 def baseline_fingerprint(W, b, trace) -> str:

@@ -91,7 +91,8 @@ def train_baseline(cfg: BaselineConfig, arch: ns.Architecture, x: np.ndarray,
     pass, the update, and the one forward pass at the new weights that gives
     the epoch's loss and accuracy and the next epoch's gradient; epoch 0
     also forms the first pass. Every pass is written into the same
-    batch-sized arrays.
+    batch-sized arrays. A NaN or inf loss raises ns.NonFiniteError naming
+    the update rule and the epoch.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -125,9 +126,12 @@ def train_baseline(cfg: BaselineConfig, arch: ns.Architecture, x: np.ndarray,
             params[i] = p - step
         W, b = params[:L], params[L:]
         logits = ns.forward_pass(arch, W, b, x, out=forward)[0][-1]
+        loss = obj.risk_cross_entropy(logits, y)
+        if not np.isfinite(loss):
+            raise ns.NonFiniteError(f"{cfg.kind.value} loss", epoch=epoch)
         record = {
             "epoch": epoch,
-            "loss": obj.risk_cross_entropy(logits, y),
+            "loss": loss,
             "train_acc": obj.accuracy_from_logits(logits, y),
             "wall_time_s": time.perf_counter() - t0,
         }
@@ -143,14 +147,18 @@ def select_learning_rate(kind: BaselineKind, arch: ns.Architecture, x: np.ndarra
     """Pick the grid learning rate with the best training accuracy.
 
     Short probe runs on the given batch; ties break toward the larger rate
-    because the grid is ordered descending.
+    because the grid is ordered descending. A rate whose probe diverges
+    (ns.NonFiniteError) is skipped.
     """
     if probe_epochs < 1:
         raise ValueError("probe_epochs must be >= 1")
     best_lr, best_acc = grid[0], -1.0
     for lr in grid:
         cfg = BaselineConfig(kind=kind, lr=lr, epochs=probe_epochs, seed=seed)
-        acc = train_baseline(cfg, arch, x, y)[2][-1]["train_acc"]
+        try:
+            acc = train_baseline(cfg, arch, x, y)[2][-1]["train_acc"]
+        except ns.NonFiniteError:
+            continue
         if acc > best_acc:
             best_lr, best_acc = lr, acc
     return best_lr

@@ -22,7 +22,7 @@ from . import baselines, data_io, diagnostics, network_state as ns, objective as
 from . import optimizer as opt
 
 DATASETS = ("mnist", "fashion", "blobs")
-OPTIMIZERS = ("dlam", "sgd", "adagrad", "adadelta")
+OPTIMIZERS = ("dlam", *(k.value for k in baselines.BaselineKind))
 
 
 class ConfigError(ValueError):
@@ -36,11 +36,11 @@ class RunConfig:
     hidden: str = "100,100"
     activation: str = "relu"
     optimizer: str = "dlam"
-    rho: float = 1e-4
-    eps0: float = 10.0
-    epochs: int = 150
+    rho: float = obj.HyperParams.rho
+    eps0: float = obj.HyperParams.eps0
+    epochs: int = obj.HyperParams.epochs
     reg: str = "none"
-    reg_weight: float = 0.0
+    reg_weight: float = ns.Architecture.reg_weight
     lr: float = 0.0            # 0 means grid-search per baseline
     subset_size: int = 0       # 0 means the full split
     train_count: int = 55000   # cap applied to the mnist train split
@@ -48,7 +48,7 @@ class RunConfig:
     blobs_features: int = 30
     blobs_per_class: int = 50
     blobs_noise: float = 0.08
-    seed: int = 0
+    seed: int = obj.HyperParams.seed
     out_dir: str = "runs/out"
 
     def validate(self) -> None:
@@ -60,9 +60,6 @@ class RunConfig:
             )
         if self.dataset in ("mnist", "fashion") and not self.data_dir:
             raise ConfigError(f"dataset {self.dataset!r} needs --data-dir with IDX files")
-        for size in self.hidden_sizes():
-            if size < 1:
-                raise ConfigError("hidden sizes must be >= 1")
         if self.subset_size < 0 or self.train_count < 0:
             raise ConfigError("subset_size and train_count must be >= 0")
         if self.epochs < 1:
@@ -89,7 +86,7 @@ class RunConfig:
 
     def hidden_sizes(self) -> list[int]:
         try:
-            return [int(part) for part in self.hidden.split(",") if part.strip()]
+            return [int(part) for part in self.hidden.split(",")]
         except ValueError:
             raise ConfigError(f"bad hidden spec {self.hidden!r}; expected e.g. 100,100") from None
 
@@ -272,7 +269,6 @@ def run(cfg: RunConfig) -> int:
     _write_trace(out_dir / "trace.csv", rows)
     summary = {
         "config": asdict(cfg),
-        "seed": cfg.seed,
         "git_describe": _git_describe(),
         "dataset": {"name": train_ds.name, "train_samples": train_ds.n_samples,
                     "features": train_ds.features, "classes": train_ds.classes},
@@ -352,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         rhos = _parse_list("--rhos", args.rhos, float)
         print(scaling_table(cfg, sizes, rhos))
         return 0
-    except (ValueError, OSError, opt.BacktrackError, opt.NonFiniteError) as exc:
+    except (ValueError, OSError, opt.BacktrackError, ns.NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,6 +25,23 @@ from .tensor_core import ShapeError
 SATURATION_GUARD = 1e-12
 
 
+class NonFiniteError(ArithmeticError):
+    """A NaN or inf reached a training objective; names the epoch, layer and block.
+
+    The alternating trainer's block updates raise it with their layer, and
+    run_epoch adds the epoch; train_baseline raises it for its loss.
+    """
+
+    def __init__(self, block: str, layer: int | None = None, epoch: int | None = None):
+        super().__init__(block, layer, epoch)
+        self.block, self.layer, self.epoch = block, layer, epoch
+
+    def __str__(self) -> str:
+        where = (("epoch", self.epoch), ("layer", self.layer))
+        at = ", ".join(f"{name} {v}" for name, v in where if v is not None)
+        return f"NaN or inf in the {self.block} at {at}"
+
+
 class ActivationKind(Enum):
     RELU = "relu"
     SIGMOID = "sigmoid"

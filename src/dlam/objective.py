@@ -63,7 +63,6 @@ class ObjectiveBreakdown:
     penalty_per_layer: list[float]
     feasible: bool
     total: float
-    feasibility_residual: float   # largest slab violation at the eps in force
 
 
 def inner(u: np.ndarray, v: np.ndarray) -> float:
@@ -239,7 +238,7 @@ def objective_from_residuals(state: ns.NetworkState, hp: HyperParams,
     feasible = feas <= FEASIBILITY_TOL
     total = risk + reg + sum(penalties) if feasible else math.inf
     return ObjectiveBreakdown(risk=risk, reg=reg, penalty_per_layer=penalties,
-                              feasible=feasible, total=total, feasibility_residual=feas)
+                              feasible=feasible, total=total)
 
 
 def evaluate_f(state: ns.NetworkState, hp: HyperParams, eps: float) -> ObjectiveBreakdown:

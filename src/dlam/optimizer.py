@@ -24,7 +24,8 @@ import numpy as np
 
 from . import network_state as ns
 from . import objective as obj
-from .diagnostics import descent_ledger, grad_b_layer_error
+from .diagnostics import grad_b_layer_error
+from .network_state import NonFiniteError
 
 # The solver's constants; a run varies only HyperParams.
 ALPHA0 = 1e-3           # smallest curvature either backtracking tries
@@ -43,22 +44,6 @@ class BacktrackError(RuntimeError):
     def __init__(self, message: str, last_param: float):
         super().__init__(message)
         self.last_param = last_param
-
-
-class NonFiniteError(ArithmeticError):
-    """A NaN or inf reached the objective; names the epoch, layer and block.
-
-    The block updates raise it with their layer, and run_epoch adds the epoch.
-    """
-
-    def __init__(self, block: str, layer: int | None = None, epoch: int | None = None):
-        super().__init__(block, layer, epoch)
-        self.block, self.layer, self.epoch = block, layer, epoch
-
-    def __str__(self) -> str:
-        where = (("epoch", self.epoch), ("layer", self.layer))
-        at = ", ".join(f"{name} {v}" for name, v in where if v is not None)
-        return f"NaN or inf in the {self.block} at {at}"
 
 
 @dataclass
@@ -124,7 +109,6 @@ class EpochReport:
     db_sq: list[float]
     dz_sq: list[float]
     da_sq: list[float]
-    descent_rhs: float
     trials_w: list[int]
     trials_a: list[int]
     majorization_w: list[tuple[float, float]]    # (phi, model) at acceptance
@@ -484,7 +468,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
             raise NonFiniteError(what, epoch=epoch)
     warm.f_end = (eps, after.total)
 
-    report = EpochReport(
+    return EpochReport(
         epoch=epoch,
         f_before=f_before,
         f_after=after.total,
@@ -495,7 +479,6 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
         db_sq=[s.move_sq for s in b_steps],
         dz_sq=[s.move_sq for s in z_steps],
         da_sq=[s.move_sq for s in a_steps],
-        descent_rhs=math.nan,   # filled in from the movement below
         trials_w=[s.trials for s in w_steps],
         trials_a=[s.trials for s in a_steps],
         majorization_w=[(s.phi, s.model) for s in w_steps],
@@ -503,7 +486,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
         fista_iterations=z_steps[-1].trials,     # the output solve's
         fista_converged=z_steps[-1].converged,
         recoveries=sum(s.held for s in steps),
-        feasibility_residual=after.feasibility_residual,
+        feasibility_residual=feas,
         grad_b_err=grad_b_err,
         grad_norm_proxy=grad_proxy,
         eps_used=eps,
@@ -511,8 +494,6 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
         block_norms=_block_norms(state),
         wall_time_s=time.perf_counter() - t0,
     )
-    report.descent_rhs = descent_ledger(report, hp.rho)[1]
-    return report
 
 
 def train(arch: ns.Architecture, x: np.ndarray, y: np.ndarray, hp: obj.HyperParams,

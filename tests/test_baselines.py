@@ -187,6 +187,14 @@ class TestTrainBaseline:
         _, _, trace = bl.train_baseline(cfg, arch, x, y)
         assert trace[-1]["loss"] < trace[0]["loss"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_loss_raises_non_finite_error(self, rng):
+        arch, x, y = self._data(rng)
+        cfg = bl.BaselineConfig(kind=bl.BaselineKind.SGD, lr=1e308, epochs=3)
+        with pytest.raises(ns.NonFiniteError) as err:
+            bl.train_baseline(cfg, arch, x, y)
+        assert str(err.value) == "NaN or inf in the sgd loss at epoch 0"
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             bl.BaselineConfig(lr=-1.0)
@@ -246,6 +254,14 @@ class TestLearningRateSelection:
         W, b, _ = bl.train_baseline(cfg, arch, ds.x, ds.y)
         acc = obj.accuracy_from_logits(ns.forward_logits(arch, W, b, ds.x), ds.y)
         assert acc == 1.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_rate_is_skipped(self):
+        ds = data_io.synth_gaussian_blobs(3, 12, 40, seed=11, noise=0.05)   # criterion 11's
+        arch = ns.Architecture((12, 16, 16, 3))
+        lr = bl.select_learning_rate(bl.BaselineKind.SGD, arch, ds.x, ds.y,
+                                     grid=(1e308, 0.3, 0.1), probe_epochs=30, seed=0)
+        assert lr == 0.3
 
     def test_needs_at_least_one_probe_epoch(self):
         ds = data_io.synth_gaussian_blobs(3, 8, 10, seed=5)

@@ -79,6 +79,16 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match="hidden"):
             cfg.hidden_sizes()
 
+    @pytest.mark.parametrize("spec", ["8,,8", "8,", ","])
+    def test_empty_hidden_item_fails_a_run(self, tmp_path, capsys, spec):
+        out = tmp_path / "run"
+        code = cli.main(["train", "--dataset", "blobs", "--hidden", spec, "--epochs", "1",
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: bad hidden spec {spec!r}; expected e.g. 100,100\n"
+        assert not (out / "trace.csv").exists()
+
     @pytest.mark.parametrize("key", ["subset_size", "train_count"])
     def test_negative_sample_counts_rejected(self, key):
         cfg = cli.RunConfig(dataset="blobs", **{key: -5})
@@ -168,7 +178,7 @@ class TestTrainCommand:
         assert (out / "diagnostics.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["dataset"] == "blobs"
-        assert summary["config"]["seed"] == 3
+        assert summary["config"]["seed"] == 3 and "seed" not in summary
         assert "git_describe" in summary
         assert summary["final"]["epoch"] == 5
 
@@ -245,6 +255,15 @@ class TestTrainCommand:
         assert err == f"error: blobs noise must be finite and >= 0, got {shown}\n"
         assert not (out / "trace.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_baseline_is_an_error_message(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = cli.main(["train", "--dataset", "blobs", "--hidden", "8", "--epochs", "3",
+                         "--optimizer", "sgd", "--lr", "1e308", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: NaN or inf in the sgd loss at epoch 0\n"
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize("optimizer", ["dlam", "sgd"])
     def test_zero_epochs_is_an_error_message(self, tmp_path, capsys, optimizer):
         out = tmp_path / "run"
@@ -268,7 +287,8 @@ class TestTrainCommand:
         (["--optimizer", "adagrad", "--rho", "0.01", "--eps0", "1"],
          "rho, eps0 not read by the adagrad optimizer"),
         (["--train-count", "10", "--data-dir", "/nonexistent"],
-         "data_dir, train_count not read by the blobs dataset")])
+         "data_dir, train_count not read by the blobs dataset"),
+        (["--hidden", "8,0"], "every layer size must be >= 1")])
     def test_bad_value_is_an_error_before_data_loads(self, tmp_path, capsys, monkeypatch,
                                                       flags, message):
         monkeypatch.setattr(cli, "load_dataset", lambda cfg: pytest.fail("data loaded"))

@@ -44,6 +44,23 @@ def test_hash_covers_state_and_reports_but_not_wall_time():
     assert fp.fingerprint(state, trace) != base
 
 
+def test_hash_reads_a_fixed_list_of_report_fields():
+    fp = _load_script()
+    names = [f.name for f in dataclasses.fields(fp.opt.EpochReport)]
+    assert [n for n in names if n in fp.REPORT_FIELDS] == list(fp.REPORT_FIELDS)
+    arch, data, hp = fp.RUNS["tanh-l1-blobs"]
+    ds = fp.synth_gaussian_blobs(**data)
+    state, trace = fp.opt.train(arch, ds.x, ds.y, dataclasses.replace(hp, epochs=3))
+    base = fp.fingerprint(state, trace)
+    # a field the report gains later moves no hash
+    grown = dataclasses.make_dataclass("GrownReport", [("certificate", float, 0.0)],
+                                       bases=(fp.opt.EpochReport,))
+    assert fp.fingerprint(state, [grown(**vars(r), certificate=1.0) for r in trace]) == base
+    # a listed field does
+    moved = dataclasses.replace(trace[1], grad_b_err=trace[1].grad_b_err + 1.0)
+    assert fp.fingerprint(state, [trace[0], moved, *trace[2:]]) != base
+
+
 def test_baseline_hash_is_stable_and_covers_weights_and_records_but_not_wall_time(capsys):
     fp = _load_script()
     for _ in range(2):

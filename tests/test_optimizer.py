@@ -258,7 +258,7 @@ class TestUpdateZHidden:
             assert report.feasibility_residual <= 1e-12
             assert ns.feasibility_residual(state, eps) <= 1e-12
             assert report.f_after <= report.f_before <= f_last
-            margin = report.f_before - report.f_after - report.descent_rhs
+            margin = descent_ledger(report, hp.rho)[2]
             assert margin >= -1e-6 * max(1.0, abs(report.f_before))
             f_last = report.f_after
 
@@ -519,8 +519,8 @@ class TestRunEpoch:
             state = small_state(seed=seed, scatter=0.4, sizes=(4, 5, 4, 3), n=8)
             hp = obj.HyperParams(rho=0.05)
             report = opt.run_epoch(state, hp, 0, eps=1.0)
-            lhs = report.f_before - report.f_after
-            assert lhs >= report.descent_rhs - 1e-6 * max(1.0, abs(report.f_before))
+            lhs, rhs, _ = descent_ledger(report, hp.rho)
+            assert lhs >= rhs - 1e-6 * max(1.0, abs(report.f_before))
 
     def test_feasibility_and_recovery_clean(self):
         state = small_state(seed=11, scatter=0.3)
