@@ -92,7 +92,8 @@ def train_baseline(cfg: BaselineConfig, arch: ns.Architecture, x: np.ndarray,
     the epoch's loss and accuracy and the next epoch's gradient; epoch 0
     also forms the first pass. Every pass is written into the same
     batch-sized arrays. A NaN or inf loss raises ns.NonFiniteError naming
-    the update rule and the epoch.
+    the update rule and the epoch, and numpy warns of none of the overflows
+    on the way to it.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -108,25 +109,27 @@ def train_baseline(cfg: BaselineConfig, arch: ns.Architecture, x: np.ndarray,
     L = arch.num_layers
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        if epoch == 0:
-            forward = ns.forward_pass(arch, W, b, x)
-        dW, db = backprop_grads(arch, W, b, x, y, forward)
-        grads = dW + db
-        for i, (p, g) in enumerate(zip(params, grads)):
-            if cfg.kind is BaselineKind.SGD:
-                step = cfg.lr * g
-            elif cfg.kind is BaselineKind.ADAGRAD:
-                accum[i] = accum[i] + g * g
-                step = cfg.lr * g / np.sqrt(accum[i] + ADAGRAD_EPS)
-            else:
-                avg_g2[i] = ADADELTA_RHO * avg_g2[i] + (1 - ADADELTA_RHO) * g * g
-                delta = np.sqrt((avg_d2[i] + ADADELTA_EPS) / (avg_g2[i] + ADADELTA_EPS)) * g
-                avg_d2[i] = ADADELTA_RHO * avg_d2[i] + (1 - ADADELTA_RHO) * delta * delta
-                step = cfg.lr * delta
-            params[i] = p - step
-        W, b = params[:L], params[L:]
-        logits = ns.forward_pass(arch, W, b, x, out=forward)[0][-1]
-        loss = obj.risk_cross_entropy(logits, y)
+        # an overflow or NaN reaches the loss, whose check below is the one report of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if epoch == 0:
+                forward = ns.forward_pass(arch, W, b, x)
+            dW, db = backprop_grads(arch, W, b, x, y, forward)
+            grads = dW + db
+            for i, (p, g) in enumerate(zip(params, grads)):
+                if cfg.kind is BaselineKind.SGD:
+                    step = cfg.lr * g
+                elif cfg.kind is BaselineKind.ADAGRAD:
+                    accum[i] = accum[i] + g * g
+                    step = cfg.lr * g / np.sqrt(accum[i] + ADAGRAD_EPS)
+                else:
+                    avg_g2[i] = ADADELTA_RHO * avg_g2[i] + (1 - ADADELTA_RHO) * g * g
+                    delta = np.sqrt((avg_d2[i] + ADADELTA_EPS) / (avg_g2[i] + ADADELTA_EPS)) * g
+                    avg_d2[i] = ADADELTA_RHO * avg_d2[i] + (1 - ADADELTA_RHO) * delta * delta
+                    step = cfg.lr * delta
+                params[i] = p - step
+            W, b = params[:L], params[L:]
+            logits = ns.forward_pass(arch, W, b, x, out=forward)[0][-1]
+            loss = obj.risk_cross_entropy(logits, y)
         if not np.isfinite(loss):
             raise ns.NonFiniteError(f"{cfg.kind.value} loss", epoch=epoch)
         record = {

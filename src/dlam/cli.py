@@ -2,7 +2,9 @@
 
 ``train`` runs one optimizer on one dataset and writes trace.csv,
 diagnostics.csv (alternating trainer only), and summary.json into the output
-directory. ``scale`` times the trainer over a sample-size x rho grid. Config
+directory; trace.csv's ``train_risk`` is the cross-entropy of the network's
+forward pass on the training split, which for a baseline is its loss F.
+``scale`` times the trainer over a sample-size x rho grid. Config
 files are flat ``key = value`` lines; command-line flags override them.
 """
 
@@ -215,10 +217,11 @@ def _git_describe() -> str:
 def _write_trace(path: Path, rows: list[dict]) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["epoch", "F", "train_acc", "test_acc", "wall_time_s"])
+        writer.writerow(["epoch", "F", "train_acc", "test_acc", "wall_time_s", "train_risk"])
         for row in rows:
             writer.writerow([row["epoch"], repr(row["F"]), repr(row["train_acc"]),
-                             repr(row["test_acc"]), repr(row["wall_time_s"])])
+                             repr(row["test_acc"]), repr(row["wall_time_s"]),
+                             repr(row["train_risk"])])
 
 
 def run(cfg: RunConfig) -> int:
@@ -242,7 +245,8 @@ def run(cfg: RunConfig) -> int:
                 test_acc = obj.accuracy_from_logits(test_logits, test_ds.y)
             rows.append({"epoch": report.epoch, "F": report.f_after,
                          "train_acc": train_acc, "test_acc": test_acc,
-                         "wall_time_s": report.wall_time_s})
+                         "wall_time_s": report.wall_time_s,
+                         "train_risk": obj.risk_cross_entropy(logits, train_ds.y)})
 
         state, trace = opt.train(arch, train_ds.x, train_ds.y, hp, per_epoch=per_epoch)
         diagnostics.write_diagnostics_csv(trace, hp.rho, str(out_dir / "diagnostics.csv"))
@@ -262,7 +266,7 @@ def run(cfg: RunConfig) -> int:
                 test_acc = obj.accuracy_from_logits(logits, test_ds.y)
             rows.append({"epoch": record["epoch"], "F": record["loss"],
                          "train_acc": record["train_acc"], "test_acc": test_acc,
-                         "wall_time_s": record["wall_time_s"]})
+                         "wall_time_s": record["wall_time_s"], "train_risk": record["loss"]})
 
         baselines.train_baseline(bcfg, arch, train_ds.x, train_ds.y, per_epoch=per_epoch)
 

@@ -84,7 +84,9 @@ def subgradient_ratio_series(trace) -> list[float]:
     The theory bounds the objective subgradient at each new iterate by a
     constant times the total block movement; the constant has no formula, so
     this series is logged for inspection rather than asserted against a
-    bound. A zero-movement epoch with a zero proxy reports 0.
+    bound. The movement sums the step lengths ||d|| of every block step, so
+    a W block contributes each of its inner steps, not the length of its net
+    move. A zero-movement epoch with a zero proxy reports 0.
     """
     out = []
     for report in trace:

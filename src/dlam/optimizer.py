@@ -4,10 +4,11 @@ One epoch sweeps the layers front to back and, within each layer, updates
 W, b, z, and finally a (hidden layers only), each block against the freshest
 values of the others. W and a are solved through a backtracked quadratic
 majorizer whose curvature is grown geometrically until it dominates the true
-penalty at the candidate point; b and hidden z have exact closed forms; the
-output z solves a strongly convex composite (quadratic tether plus risk) by
-a safeguarded Newton iteration. No gradient is ever propagated through more
-than one layer.
+penalty at the candidate point, W in several such steps per sweep, all but
+the first through the Gram matrix of the layer's input; b and hidden z have
+exact closed forms; the output z solves a strongly convex composite
+(quadratic tether plus risk) by a safeguarded Newton iteration. No gradient
+is ever propagated through more than one layer.
 
 Every accepted step decreases the objective by at least the weighted squared
 block movement, which run_epoch records so the diagnostics module can audit
@@ -35,6 +36,7 @@ NEWTON_ITERS = 50       # the output solve's Newton iteration budget
 NEWTON_TOL = 1e-8       # full Newton steps below this have converged
 NEWTON_DECREMENT = 1e-16  # so has a Newton decrement g.s/2 at most this times |value|
 NEWTON_HALVINGS = 30    # halvings of a rising Newton step before the solve stops
+W_STEPS = 20            # majorized steps per W block: the first reads the batch, the rest G only
 EPS_MAX = 0.01          # largest slab tolerance train uses: eps = min(eps0, EPS_MAX)
 
 
@@ -48,7 +50,7 @@ class BacktrackError(RuntimeError):
 
 @dataclass
 class BlockStep:
-    """One block update of the sweep, as the descent ledger and the report read it."""
+    """One block step of the sweep, as the descent ledger and the report read it."""
 
     block: str                   # "W", "b", "z" or "a"
     layer: int
@@ -97,7 +99,12 @@ class WarmStart:
 
 @dataclass
 class EpochReport:
-    """Everything the diagnostics need from one epoch, norms and deltas only."""
+    """Everything the diagnostics need from one epoch, norms and deltas only.
+
+    The W lists (``theta``, ``dw_sq``, ``trials_w``, ``majorization_w``)
+    hold one entry per W step, in sweep order: update_w takes one or more
+    per layer. The other per-block lists hold one entry per layer.
+    """
 
     epoch: int
     f_before: float
@@ -170,31 +177,55 @@ def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
 
 def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, theta0: float,
              resid: np.ndarray, grad: np.ndarray | None = None,
-             gram: np.ndarray | None = None) -> BlockStep:
-    """Backtracked majorized step on W at ``layer``; writes the result into state.
+             gram: np.ndarray | None = None, f_before: float = 0.0) -> list[BlockStep]:
+    """Up to W_STEPS backtracked majorized steps on W at ``layer``; writes the result into state.
 
-    The candidate minimizes the quadratic model plus the regularizer in
-    closed form; the curvature starts at max(theta0, ALPHA0) and grows by
-    GROWTH (_majorized_step). A trial's image d a_prev enters only through
-    ||d a_prev||^2 = <d G, d> with G = a_prev a_prev^T, so no trial touches
-    the batch. ``resid`` is the layer's current coupling residual
-    W a_prev + b - z, ``grad`` the penalty gradient rho resid a_prev^T and
-    ``gram`` G when the caller already formed them. Raises NonFiniteError
-    when the penalty is NaN or inf: every operand of the step enters it.
+    Each candidate minimizes the quadratic model plus the regularizer in
+    closed form (_majorized_step). A trial's image d a_prev enters only
+    through ||d a_prev||^2 = <d G, d> with G = a_prev a_prev^T, so no trial
+    touches the batch. The first step reads the batch: its penalty comes
+    from ``resid``, the layer's current coupling residual W a_prev + b - z,
+    and ``grad`` (the penalty gradient rho resid a_prev^T) and ``gram`` (G)
+    are formed unless the caller already formed them; its curvature starts
+    at max(theta0, ALPHA0). A later step reads only G: it starts from the
+    last step's phi, the last gradient plus rho d G and the last accepted
+    curvature over GROWTH, so it costs O(n_l n_{l-1}^2). The loop stops
+    after a step whose guaranteed decrease (theta/2)||d||^2 is at most
+    NEWTON_DECREMENT |f_before|, below the rounding of the objective the
+    sweep started from; so does a step that moves nothing. Returns one
+    record per step, in order. Raises NonFiniteError when the penalty is
+    NaN or inf: every operand of the step enters it.
     """
     arch = state.arch
+    rho = hp.rho
     a_prev = state.a_prev(layer)
-    W_k = state.W[layer]
-    phi0 = obj.penalty(resid, hp.rho)
+    phi = obj.penalty(resid, rho)
     if grad is None:
-        grad = obj.grad_w(resid, a_prev, hp.rho)
+        grad = obj.grad_w(resid, a_prev, rho)
     if gram is None:
         gram = a_prev @ a_prev.T
-    state.W[layer], step = _majorized_step(
-        "W", layer, hp.rho, W_k, phi0, grad, theta0,
-        lambda theta: obj.solve_w_subproblem(arch.regularizer, arch.reg_weight, W_k, grad, theta),
-        lambda d: obj.inner(d @ gram, d))
-    return step
+    W = state.W[layer]
+    image = None        # the last trial's d G; after a step, the accepted d's
+
+    def candidate(theta):
+        return obj.solve_w_subproblem(arch.regularizer, arch.reg_weight, W, grad, theta)
+
+    def image_sq(d):
+        nonlocal image
+        image = d @ gram
+        return obj.inner(image, d)
+
+    steps: list[BlockStep] = []
+    for _ in range(W_STEPS):
+        W_new, step = _majorized_step("W", layer, rho, W, phi, grad, theta0, candidate,
+                                      image_sq)
+        steps.append(step)
+        if 0.5 * step.curvature * step.move_sq <= NEWTON_DECREMENT * abs(f_before):
+            break
+        grad = grad + rho * image
+        W, phi, theta0 = W_new, step.phi, step.curvature / GROWTH
+    state.W[layer] = W_new
+    return steps
 
 
 def update_b(state: ns.NetworkState, layer: int, rho: float, product: np.ndarray) -> BlockStep:
@@ -385,15 +416,16 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     ``eps_used`` and f_after describes the state this call leaves.
 
     The sweep forms every coupling residual R_l = W_l a_{l-1} + b_l - z_l
-    and hands each W and a step the one it steps on; it reuses one only
+    and hands each W and a update the one it steps on; it reuses one only
     while its operands are unchanged, in the operation order of a fresh
     formation, so reuse changes no bit. The R_l formed after layer l's z
     step holds to the end of the sweep, where the certificates and f_after
-    read it. The other certificates are by-products of the blocks, read
-    from the one BlockStep each block update returns, in sweep order: dw_sq
-    and da_sq are the squared steps the majorization tests formed, grad_b_err
-    reads the z steps' mean moves, and the feasibility residual is the a
-    steps' own slab violation.
+    read it. Each W update also gets f_before, for the stop rule of its
+    inner steps. The other certificates are by-products of the blocks,
+    read from the BlockSteps the block updates return (one each, one per
+    step from update_w), in sweep order: dw_sq and da_sq are the squared
+    steps the majorization tests formed, grad_b_err reads the z steps' mean
+    moves, and the feasibility residual is the a steps' own slab violation.
 
     ``warm`` carries the residuals, the proxy's layer-0 W gradient, the
     input's Gram matrix and f_after into the next call, which must get the
@@ -421,7 +453,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
         f_before = obj.objective_from_residuals(state, hp, resid,
                                                 ns.feasibility_residual(state, eps)).total
 
-    steps: list[BlockStep] = []     # one per block update, in sweep order
+    steps: list[BlockStep] = []     # one per block step, in sweep order
     try:
         for l in range(L):
             # the slot is empty for l >= 1: update_a(l - 1) took R_l and moved a_{l-1}.
@@ -430,8 +462,8 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
             if r_w is None:
                 r_w = obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
             g_w, warm.grad_w0 = warm.grad_w0, None
-            steps.append(update_w(state, l, hp, warm.theta[l] / GROWTH, r_w, g_w,
-                                  warm.gram_x if l == 0 else None))
+            steps.extend(update_w(state, l, hp, warm.theta[l] / GROWTH, r_w, g_w,
+                                  warm.gram_x if l == 0 else None, f_before))
             del r_w, g_w    # batch-sized temporaries go as soon as they are used: peak memory
             warm.theta[l] = steps[-1].curvature
 

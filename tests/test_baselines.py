@@ -187,7 +187,7 @@ class TestTrainBaseline:
         _, _, trace = bl.train_baseline(cfg, arch, x, y)
         assert trace[-1]["loss"] < trace[0]["loss"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_loss_raises_non_finite_error(self, rng):
         arch, x, y = self._data(rng)
         cfg = bl.BaselineConfig(kind=bl.BaselineKind.SGD, lr=1e308, epochs=3)
@@ -255,7 +255,7 @@ class TestLearningRateSelection:
         acc = obj.accuracy_from_logits(ns.forward_logits(arch, W, b, ds.x), ds.y)
         assert acc == 1.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_rate_is_skipped(self):
         ds = data_io.synth_gaussian_blobs(3, 12, 40, seed=11, noise=0.05)   # criterion 11's
         arch = ns.Architecture((12, 16, 16, 3))

@@ -2,8 +2,10 @@ import csv
 import dataclasses
 import gzip
 import json
+import os
 import struct
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from dlam import baselines as bl
 from dlam import cli
+from dlam import network_state as ns
 from dlam import objective as obj
 from dlam import optimizer as opt
 from dlam import data_io
@@ -173,7 +176,7 @@ class TestTrainCommand:
         code = cli.main(["train", *BLOBS_ARGS, "--out", str(out)])
         assert code == 0
         rows = _read_rows(out / "trace.csv")
-        assert rows[0] == ["epoch", "F", "train_acc", "test_acc", "wall_time_s"]
+        assert rows[0] == ["epoch", "F", "train_acc", "test_acc", "wall_time_s", "train_risk"]
         assert len(rows) == 1 + 6
         assert (out / "diagnostics.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
@@ -226,9 +229,30 @@ class TestTrainCommand:
                          "--seed", "1", "--out", str(out)])
         assert code == 0
         rows = _read_rows(out / "trace.csv")
-        assert rows[0] == ["epoch", "F", "train_acc", "test_acc", "wall_time_s"]
+        assert rows[0] == ["epoch", "F", "train_acc", "test_acc", "wall_time_s", "train_risk"]
         assert len(rows) == 5
+        assert all(row[5] == row[1] for row in rows[1:])     # a baseline's loss is its risk
         assert not (out / "diagnostics.csv").exists()
+
+    def test_train_risk_is_the_forward_pass_risk(self, tmp_path, monkeypatch):
+        expected = []
+        train = cli.opt.train
+
+        def spy(arch, x, y, hp, per_epoch):
+            def both(state, report):
+                logits = ns.forward_logits(arch, state.W, state.b, x)
+                expected.append(obj.risk_cross_entropy(logits, y))
+                per_epoch(state, report)
+            return train(arch, x, y, hp, per_epoch=both)
+
+        monkeypatch.setattr(cli.opt, "train", spy)
+        out = tmp_path / "run"
+        assert cli.main(["train", *BLOBS_ARGS, "--out", str(out)]) == 0
+        with open(out / "trace.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [float(row["train_risk"]) for row in rows] == expected
+        assert json.loads((out / "summary.json").read_text())["final"]["train_risk"] == expected[-1]
+        assert float(rows[-1]["train_risk"]) != float(rows[-1]["F"])
 
     def test_backtrack_failure_is_an_error_message(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.opt, "MAX_BACKTRACK", 1)
@@ -255,7 +279,7 @@ class TestTrainCommand:
         assert err == f"error: blobs noise must be finite and >= 0, got {shown}\n"
         assert not (out / "trace.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_baseline_is_an_error_message(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = cli.main(["train", "--dataset", "blobs", "--hidden", "8", "--epochs", "3",
@@ -263,6 +287,19 @@ class TestTrainCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: NaN or inf in the sgd loss at epoch 0\n"
         assert not (out / "summary.json").exists()
+
+    def test_diverging_baseline_prints_only_its_error_line(self, tmp_path):
+        # in a fresh process, where no test harness catches numpy's warnings
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = tmp_path / "run"
+        done = subprocess.run(
+            [sys.executable, "-m", "dlam.cli", "train", "--dataset", "blobs", "--hidden", "8",
+             "--epochs", "3", "--optimizer", "sgd", "--lr", "1e308", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr == "error: NaN or inf in the sgd loss at epoch 0\n"
 
     @pytest.mark.parametrize("optimizer", ["dlam", "sgd"])
     def test_zero_epochs_is_an_error_message(self, tmp_path, capsys, optimizer):

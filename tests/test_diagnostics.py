@@ -37,12 +37,24 @@ class TestDescentLedger:
         lhs, rhs, margin = diag.descent_ledger(r, rho=0.5)
         assert lhs == 0.0 and rhs == 0.0 and margin == 0.0
 
-    def test_scalar_toy_epoch_matches_hand_computation(self):
+    def test_scalar_toy_epoch_matches_hand_computation(self, monkeypatch):
+        # every W step's scalar move, squared by hand from the W it started
+        # at and the W it accepted
+        w_moves = []
+        step = opt._majorized_step
+
+        def spy(block, layer, rho, current, *rest):
+            cand, record = step(block, layer, rho, current, *rest)
+            if block == "W":
+                w_moves.append(float(cand[0, 0]) - float(current[0, 0]))
+            return cand, record
+
+        monkeypatch.setattr(opt, "_majorized_step", spy)
         state = small_state(seed=8, sizes=(1, 1, 1), n=1, scatter=0.3)
         hp = obj.HyperParams(rho=2.0)
         report = opt.run_epoch(state, hp, 0, eps=1.0)
-        hand = (0.5 * report.theta[0] * report.dw_sq[0]
-                + 0.5 * report.theta[1] * report.dw_sq[1]
+        assert len(w_moves) == len(report.theta) > 2
+        hand = (sum(0.5 * theta * move * move for theta, move in zip(report.theta, w_moves))
                 + 0.5 * hp.rho * (report.db_sq[0] + report.db_sq[1])
                 + 0.5 * hp.rho * (report.dz_sq[0] + report.dz_sq[1])
                 + 0.5 * report.tau[0] * report.da_sq[0])

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -60,43 +61,90 @@ def _update_a(state, l, hp, eps, tau0=None):
                         _fresh_resid(state, l + 1))
 
 
+def _w_steps(state, l, hp, theta0=None):
+    """_update_w with each step's inputs as _majorized_step got them:
+    (steps, [(W, phi0, grad, param0), ...]). Each step starts from the W the
+    one before it accepted; the last accepted W is state.W[l]."""
+    starts, accepted = [], []
+    step = opt._majorized_step
+
+    def spy(block, layer, rho, current, phi0, grad, param0, *rest):
+        assert not accepted or current is accepted[-1]
+        starts.append((current, phi0, grad, param0))
+        cand, record = step(block, layer, rho, current, phi0, grad, param0, *rest)
+        accepted.append(cand)
+        return cand, record
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opt, "_majorized_step", spy)
+        steps = _update_w(state, l, hp, theta0)
+    assert len(steps) == len(starts) and state.W[l] is accepted[-1]
+    return steps, starts
+
+
+def _assert_w_steps_fresh(state, l, hp, theta0, steps, starts):
+    """Every step of _w_steps against the penalty formed afresh from the batch.
+
+    Each step starts from the curvature the last one accepted over GROWTH
+    (the first from theta0); its move_sq is ||W_i - W_{i-1}||^2; its phi is
+    the penalty at W_i and its model the majorizer at W_i, both built from a
+    fresh residual, within the rounding of the block's starting penalty; and
+    the loop ends after W_STEPS steps or a step that moves nothing.
+    """
+    a_prev, b, z, rho = state.a_prev(l), state.b[l], state.z[l], hp.rho
+    ends = [W for W, *_ in starts[1:]] + [state.W[l]]
+    tol = 1e-12 * max(obj.penalty_phi(a_prev, starts[0][0], b, z, rho), np.finfo(float).tiny)
+    param0 = theta0
+    for s, (W, phi0, _, p0), W_new in zip(steps, starts, ends):
+        assert p0 == param0
+        d = W_new - W
+        assert s.move_sq == obj.inner(d, d)
+        phi_start = obj.penalty_phi(a_prev, W, b, z, rho)
+        assert abs(phi0 - phi_start) <= tol
+        model = (phi_start + obj.inner(obj.grad_phi_w(a_prev, W, b, z, rho), d)
+                 + 0.5 * s.curvature * s.move_sq)
+        assert abs(s.phi - obj.penalty_phi(a_prev, W_new, b, z, rho)) <= tol
+        assert abs(s.model - model) <= tol
+        assert s.phi <= s.model
+        param0 = s.curvature / opt.GROWTH
+    assert len(steps) == opt.W_STEPS or steps[-1].move_sq == 0.0
+    assert all(s.move_sq > 0.0 for s in steps[:-1])
+
+
 class TestUpdateW:
     def test_stationary_block_unchanged(self):
+        # a zero gradient: the one step moves nothing and ends the loop
         state = small_state(seed=1)
         before = state.W[0]
-        res = _update_w(state, 0, obj.HyperParams())
-        assert res.trials == 1
+        steps = _update_w(state, 0, obj.HyperParams())
+        assert [(s.trials, s.move_sq) for s in steps] == [(1, 0.0)]
         assert np.array_equal(state.W[0], before)
 
     def test_scalar_matches_grid_minimizer(self):
         # rho=1, a=1, b=0, z=0, W=1; curvature of phi in W is rho*a^2 = 1,
         # so theta0 at the curvature accepts immediately with the exact step
+        # W = 0 (move 1). The second step starts at theta 1/2 with the gradient
+        # 1 + rho d G = 0, moves nothing and ends the loop
         state = _scalar_state(W1=1.0, b1=0.0, z1=0.0, a1=0.0, W2=1.0, b2=0.0, z2=0.0)
         hp = obj.HyperParams(rho=1.0)
-        res = _update_w(state, 0, hp, theta0=1.0)
+        steps = _update_w(state, 0, hp, theta0=1.0)
         def phi(w):
             return 0.5 * (0.0 - w * 1.0 - 0.0) ** 2
         expect = grid_minimize_1d(phi, -2.0, 2.0)
-        assert res.trials == 1
+        assert [(s.trials, s.curvature, s.move_sq, s.phi) for s in steps] == [
+            (1, 1.0, 1.0, 0.0), (1, 0.5, 0.0, 0.0)]
         assert state.W[0][0, 0] == pytest.approx(expect, abs=1e-6)
 
     def test_majorization_holds_at_acceptance(self, rng):
-        for seed in range(8):
-            state = small_state(seed=seed, scatter=0.5)
+        regs = [(ns.RegKind.NONE, 0.0), (ns.RegKind.L2, 0.3), (ns.RegKind.L1, 0.1)]
+        for seed in range(24):
+            reg, lam = regs[seed % 3]
+            state = small_state(seed=seed, scatter=0.5, reg=reg, lam=lam)
             hp = obj.HyperParams(rho=0.3)
             l = int(rng.integers(0, state.num_layers))
-            W_before = state.W[l]
-            a_prev, b, z = state.a_prev(l), state.b[l], state.z[l]
-            res = _update_w(state, l, hp)
-            assert res.phi <= res.model
-            # recompute both sides through the exact quadratic expansion
-            d = state.W[l] - W_before
-            grad = obj.grad_phi_w(a_prev, W_before, b, z, hp.rho)
-            phi0 = obj.penalty_phi(a_prev, W_before, b, z, hp.rho)
-            lin = phi0 + float(np.sum(grad * d))
-            quad_true = 0.5 * hp.rho * float(np.sum((d @ a_prev) ** 2))
-            quad_model = 0.5 * res.curvature * float(np.sum(d * d))
-            assert lin + quad_true <= lin + quad_model
+            steps, starts = _w_steps(state, l, hp)
+            assert len(steps) > 1
+            _assert_w_steps_fresh(state, l, hp, opt.ALPHA0, steps, starts)
 
     @pytest.mark.parametrize("reg,lam", [(ns.RegKind.NONE, 0.0),
                                          (ns.RegKind.L2, 0.3),
@@ -123,6 +171,54 @@ class TestUpdateW:
                            match="^W update at layer 0 did not majorize after 2 trials$") as err:
             _update_w(state, 0, hp)
         assert err.value.last_param > 1e-12
+
+    def test_stop_rule_reads_f_before(self):
+        # the loop ends after the first step whose guaranteed decrease
+        # (theta/2)||d||^2 is at most NEWTON_DECREMENT |f_before|; at f_before 0
+        # only a step that moves nothing ends it
+        hp = obj.HyperParams(rho=0.3)
+
+        def decreases(f_before):
+            state = small_state(seed=4, scatter=0.5)
+            steps = opt.update_w(state, 2, hp, opt.ALPHA0, _fresh_resid(state, 2),
+                                 f_before=f_before)
+            return [0.5 * s.curvature * s.move_sq for s in steps]
+
+        full = decreases(0.0)
+        assert len(full) > 3 and all(d > 0.0 for d in full[:-1])
+        for k in range(len(full)):
+            f_before = -full[k] / opt.NEWTON_DECREMENT
+            bound = opt.NEWTON_DECREMENT * abs(f_before)
+            stop = next(i for i, d in enumerate(full) if d <= bound)
+            assert decreases(f_before) == full[:stop + 1]
+
+    def test_later_steps_form_no_batch_sized_array(self):
+        # steps 2.. read only G: with a batch of N columns, nothing they
+        # allocate reaches the 8N bytes of one batch-sized row
+        n = 200_000
+        state = small_state(seed=6, scatter=0.5, n=n)
+        hp = obj.HyperParams(rho=0.3)
+        base = []
+        step = opt._majorized_step
+
+        def spy(*args):
+            out = step(*args)
+            if not base:            # measure from the end of the first step on
+                tracemalloc.reset_peak()
+                base.append(tracemalloc.get_traced_memory()[0])
+            return out
+
+        resid = _fresh_resid(state, 1)
+        tracemalloc.start()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(opt, "_majorized_step", spy)
+                steps = opt.update_w(state, 1, hp, opt.ALPHA0, resid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(steps) > 2
+        assert peak - base[0] < 8 * n
 
 
 class TestUpdateB:
@@ -411,15 +507,6 @@ class TestUpdateA:
             assert np.all(state.a[l] <= h + 1.0 + 1e-12)
 
 
-def _w_block(state, l, hp):
-    """update_w's backtracking inputs, formed afresh: (current, candidate, image)."""
-    arch, a_prev, W_k = state.arch, state.a_prev(l), state.W[l]
-    grad = obj.grad_phi_w(a_prev, W_k, state.b[l], state.z[l], hp.rho)
-    return (W_k, lambda p: obj.solve_w_subproblem(arch.regularizer, arch.reg_weight, W_k,
-                                                  grad, p),
-            lambda d: d @ a_prev)
-
-
 def _a_block(state, l, hp, eps):
     """update_a's backtracking inputs, formed afresh: (current, candidate, image)."""
     a_k, W_next = state.a[l], state.W[l + 1]
@@ -445,24 +532,37 @@ class TestMajorizedStep:
         hp = obj.HyperParams(rho=rho)
         eps = 1.0
         if block == "W":
+            # every W step, from its own start: the W and gradient the last
+            # step left and the curvature it accepted over GROWTH
             l = seed % state.num_layers
-            current, candidate, image = _w_block(state, l, hp)
-            res = _update_w(state, l, hp, theta0=param0)
+            arch, a_prev = state.arch, state.a_prev(l)
+            steps, starts = _w_steps(state, l, hp, theta0=param0)
+            _assert_w_steps_fresh(state, l, hp, param0, steps, starts)
+
+            def w_candidate(W, grad):
+                return lambda p: obj.solve_w_subproblem(arch.regularizer, arch.reg_weight,
+                                                        W, grad, p)
+
+            checks = [(s, W, w_candidate(W, g), lambda d: d @ a_prev, p0)
+                      for s, (W, _, g, p0) in zip(steps, starts)]
         else:
             l = seed % (state.num_layers - 1)
             current, candidate, image = _a_block(state, l, hp, eps)
             res = _update_a(state, l, hp, eps, tau0=param0)
+            checks = [(res, current, candidate, image, param0)]
 
-        def majorizes(p):
-            d = candidate(p) - current
-            return 0.5 * rho * float(np.sum(image(d) ** 2)) <= 0.5 * p * float(np.sum(d * d))
+        for res, current, candidate, image, p0 in checks:
+            def majorizes(p):
+                d = candidate(p) - current
+                return (0.5 * rho * float(np.sum(image(d) ** 2))
+                        <= 0.5 * p * float(np.sum(d * d)))
 
-        param = max(param0, opt.ALPHA0)
-        for _ in range(res.trials - 1):
-            assert not majorizes(param)
-            param *= opt.GROWTH
-        assert res.curvature == param
-        assert majorizes(param)
+            param = max(p0, opt.ALPHA0)
+            for _ in range(res.trials - 1):
+                assert not majorizes(param)
+                param *= opt.GROWTH
+            assert res.curvature == param
+            assert majorizes(param)
 
     def test_a_budget_exhaustion_raises_with_param(self, monkeypatch):
         monkeypatch.setattr(opt, "ALPHA0", 1e-12)
@@ -500,8 +600,8 @@ class TestMajorizedStep:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(opt, "_majorized_step", spy)
-            res = _update_w(state, l, obj.HyperParams(rho=rho), theta0=param0)
-        assert len(pairs) == res.trials
+            steps = _update_w(state, l, obj.HyperParams(rho=rho), theta0=param0)
+        assert len(pairs) == sum(s.trials for s in steps)
         for got, direct in pairs:
             assert abs(got - direct) <= 1e-12 * max(direct, np.finfo(float).tiny)
 
@@ -670,6 +770,24 @@ def test_first_hidden_layer_stalls(blobs_run):
     assert all(r.dz_sq[0] == 0.0 for r in trace)
 
 
+def test_stalled_layer_takes_one_w_step(monkeypatch):
+    """Under the stall R_0 = 0, so layer 0's W gradient is zero: its one W
+    step moves nothing and ends its inner loop, while the top layer's go on."""
+    seen = []
+    update_w = opt.update_w
+
+    def spy(state, layer, *args):
+        steps = update_w(state, layer, *args)
+        seen.append((layer, len(steps), steps[-1].move_sq))
+        return steps
+
+    monkeypatch.setattr(opt, "update_w", spy)
+    arch, x, y, hp = _blobs_problem(epochs=10)
+    opt.train(arch, x, y, hp)
+    assert [(n, moved) for l, n, moved in seen if l == 0] == [(1, 0.0)] * hp.epochs
+    assert max(n for l, n, _ in seen if l == arch.num_layers - 1) > 1
+
+
 def _sigmoid_problem(epochs):
     """Sigmoid blobs: a smooth activation, where _blobs_problem's is ReLU."""
     ds = synth_gaussian_blobs(classes=3, d=12, n_per_class=10, seed=11, noise=0.05)
@@ -767,10 +885,10 @@ class TestResidualReuse:
         grams = []
         update_w = opt.update_w
 
-        def spy(state, layer, hp, theta0, resid, grad=None, gram=None):
+        def spy(state, layer, hp, theta0, resid, grad=None, gram=None, *rest):
             if layer == 0:
                 grams.append(gram)
-            return update_w(state, layer, hp, theta0, resid, grad, gram)
+            return update_w(state, layer, hp, theta0, resid, grad, gram, *rest)
 
         monkeypatch.setattr(opt, "update_w", spy)
         arch, x, y, hp = _blobs_problem(epochs=5)
@@ -919,8 +1037,9 @@ class TestBlockIsolation:
                                              _fresh_resid(state, layer + 1)),
         }
         before = {name: list(getattr(state, name)) for name in "Wbza"}
-        step = calls[block]()
-        assert (step.block, step.layer) == (self.OWN[block], layer)
+        out = calls[block]()
+        for step in out if block == "update_w" else [out]:
+            assert (step.block, step.layer) == (self.OWN[block], layer)
         for name in "Wbza":
             for l, (old, new) in enumerate(zip(before[name], getattr(state, name))):
                 if (name, l) != (self.OWN[block], layer):
@@ -945,16 +1064,17 @@ class TestBlockIsolation:
 
 
 class TestBlockSteps:
-    """run_epoch reads its report's per-block lists from the one BlockStep each
-    block update returns, in sweep order."""
+    """run_epoch reads its report's per-block lists from the BlockSteps the block
+    updates return (one per W step, one per other block), in sweep order."""
 
     def test_report_lists_are_the_steps_by_block(self, monkeypatch):
         steps = []
 
         def keep(inner):
             def wrapper(*args, **kwargs):
-                steps.append(inner(*args, **kwargs))
-                return steps[-1]
+                out = inner(*args, **kwargs)
+                steps.extend(out if isinstance(out, list) else [out])
+                return out
             return wrapper
 
         for name in BLOCKS:
@@ -963,13 +1083,17 @@ class TestBlockSteps:
         hp = obj.HyperParams(rho=0.1)
         L = state.num_layers
         warm = opt.WarmStart.fresh(L)
-        order = [(block, l) for l in range(L) for block in ("Wbza" if l < L - 1 else "Wbz")]
         for k in range(3):
             steps.clear()
             report = opt.run_epoch(state, hp, k, 1.0, warm)
+            w_steps = Counter(s.layer for s in steps if s.block == "W")
+            assert max(w_steps.values()) > 1
+            order = [(block, l) for l in range(L)
+                     for block in ["W"] * w_steps[l] + list("bza" if l < L - 1 else "bz")]
             assert [(s.block, s.layer) for s in steps] == order
             w, b, z, a = ([s for s in steps if s.block == block] for block in "Wbza")
-            assert report.theta == [s.curvature for s in w] == warm.theta
+            assert report.theta == [s.curvature for s in w]
+            assert warm.theta == [[s for s in w if s.layer == l][-1].curvature for l in range(L)]
             assert report.tau == [s.curvature for s in a] == warm.tau
             assert all(s.curvature == hp.rho and s.trials == 1 for s in b + z[:-1])
             assert z[-1].curvature == hp.rho
@@ -1038,19 +1162,36 @@ class TestCertificatesExact:
     @pytest.mark.parametrize("activation,reg,lam,epochs", [
         (ns.ActivationKind.RELU, ns.RegKind.NONE, 0.0, 20),         # criterion 11
         (ns.ActivationKind.SIGMOID, ns.RegKind.L2, 1e-3, 10)])
-    def test_certificates_equal_fresh_recompute(self, activation, reg, lam, epochs):
+    def test_certificates_equal_fresh_recompute(self, activation, reg, lam, epochs,
+                                                monkeypatch):
         _, x, y, hp = _blobs_problem(epochs)
         arch = ns.Architecture((12, 16, 16, 3), activation=activation, regularizer=reg,
                                reg_weight=lam)
         state = ns.initialize(arch, x, y, hp)
         warm = opt.WarmStart.fresh(arch.num_layers)
         eps = min(hp.eps0, opt.EPS_MAX)
+        w_moves = []        # (layer, W_{i-1}, W_i) of every W step, in sweep order
+        step = opt._majorized_step
+
+        def spy(block, layer, rho, current, *rest):
+            cand, record = step(block, layer, rho, current, *rest)
+            if block == "W":
+                w_moves.append((layer, current, cand))
+            return cand, record
+
+        monkeypatch.setattr(opt, "_majorized_step", spy)
         for k in range(epochs):
             before = {name: list(getattr(state, name)) for name in "Wbza"}
+            w_moves.clear()
             report = opt.run_epoch(state, hp, k, eps, warm)
             assert report.recoveries == 0      # no slab is empty on these runs
-            for name, moved in (("W", report.dw_sq), ("b", report.db_sq),
-                                ("z", report.dz_sq), ("a", report.da_sq)):
+            # each W step moves its layer's block from where the last step left it
+            for l in range(arch.num_layers):
+                chain = [(old, new) for layer, old, new in w_moves if layer == l]
+                assert chain[0][0] is before["W"][l] and chain[-1][1] is state.W[l]
+                assert all(new is old for (_, new), (old, _) in zip(chain, chain[1:]))
+            assert report.dw_sq == [obj.inner(new - old, new - old) for _, old, new in w_moves]
+            for name, moved in (("b", report.db_sq), ("z", report.dz_sq), ("a", report.da_sq)):
                 fresh = [obj.inner(new - old, new - old)
                          for new, old in zip(getattr(state, name), before[name])]
                 assert moved == fresh, name
