@@ -5,7 +5,8 @@ W, b, z, and finally a (hidden layers only), each block against the freshest
 values of the others. W and a are solved through a backtracked quadratic
 majorizer whose curvature is grown geometrically until it dominates the true
 penalty at the candidate point, W in several such steps per sweep, all but
-the first through the Gram matrix of the layer's input; b and hidden z have
+the first through the Gram matrix of the layer's input, each starting at
+the exact curvature along its direction; b and hidden z have
 exact closed forms; the output z solves a strongly convex composite
 (quadratic tether plus risk) by a safeguarded Newton iteration. No gradient
 is ever propagated through more than one layer.
@@ -31,6 +32,8 @@ from .network_state import NonFiniteError
 # The solver's constants; a run varies only HyperParams.
 ALPHA0 = 1e-3           # smallest curvature either backtracking tries
 GROWTH = 2.0            # curvature growth per rejected trial, W and a alike
+RQ_SLACK = 1e-9         # a W step's start over its Rayleigh quotient, for the test's rounding
+GRAM_RESOLVE = 1e-3     # <d G, d> over its rounding scale below which the batch forms it
 MAX_BACKTRACK = 60      # trials before a backtracking gives up
 NEWTON_ITERS = 50       # the output solve's Newton iteration budget
 NEWTON_TOL = 1e-8       # full Newton steps below this have converged
@@ -69,9 +72,11 @@ class BlockStep:
 class WarmStart:
     """What one epoch hands the next: curvatures, residuals and the end objective.
 
-    ``theta``/``tau`` are each layer's last accepted curvatures. ``resid[l]``
-    is layer l's coupling residual W_l a_{l-1} + b_l - z_l while none of its
-    operands has moved since it was formed, and None otherwise; run_epoch
+    ``tau`` holds each hidden layer's last accepted a curvature; the W
+    steps carry none, since each starts at its own Rayleigh quotient
+    (update_w). ``resid[l]`` is layer l's coupling residual
+    W_l a_{l-1} + b_l - z_l while none of its operands has moved since it
+    was formed, and None otherwise; run_epoch
     fills the empty ones and leaves every slot current. ``grad_w0`` is layer 0's
     penalty gradient rho R_0 x^T formed from ``resid[0]``, held only while
     that slot is and cleared with it. ``gram_x`` is the input's Gram matrix
@@ -84,7 +89,6 @@ class WarmStart:
     never mutated in place.
     """
 
-    theta: list[float]
     tau: list[float]
     resid: list[np.ndarray | None]
     grad_w0: np.ndarray | None = None
@@ -93,8 +97,7 @@ class WarmStart:
 
     @classmethod
     def fresh(cls, num_layers: int) -> "WarmStart":
-        return cls(theta=[ALPHA0] * num_layers, tau=[ALPHA0] * (num_layers - 1),
-                   resid=[None] * num_layers)
+        return cls(tau=[ALPHA0] * (num_layers - 1), resid=[None] * num_layers)
 
 
 @dataclass
@@ -143,7 +146,10 @@ def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
     phi0 + <grad, d> + (rho/2) image_sq(d). This is the acceptance test of
     Beck & Teboulle's backtracking: the curvature starts at
     max(param0, ALPHA0) and grows by GROWTH until that last term is at most
-    (param/2)||d||^2, which holds once it dominates rho||image||^2. Testing
+    (param/2)||d||^2, which holds once it dominates rho||image||^2. A W step
+    passes its Rayleigh quotient as param0 (update_w), which the first trial
+    accepts unless an l1 threshold bends the step; an a step passes its
+    last accepted curvature over GROWTH. Testing
     the expansion stays exact where a direct phi evaluation is cancellation
     noise and can stall the loop. Returns the accepted candidate and its
     record; raises NonFiniteError for a non-finite phi0 or a NaN trial,
@@ -175,26 +181,35 @@ def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
                            base + quad_model)
 
 
-def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, theta0: float,
-             resid: np.ndarray, grad: np.ndarray | None = None,
-             gram: np.ndarray | None = None, f_before: float = 0.0) -> list[BlockStep]:
+def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, resid: np.ndarray,
+             grad: np.ndarray | None = None, gram: np.ndarray | None = None,
+             f_before: float = 0.0) -> list[BlockStep]:
     """Up to W_STEPS backtracked majorized steps on W at ``layer``; writes the result into state.
 
     Each candidate minimizes the quadratic model plus the regularizer in
     closed form (_majorized_step). A trial's image d a_prev enters only
-    through ||d a_prev||^2 = <d G, d> with G = a_prev a_prev^T, so no trial
-    touches the batch. The first step reads the batch: its penalty comes
-    from ``resid``, the layer's current coupling residual W a_prev + b - z,
-    and ``grad`` (the penalty gradient rho resid a_prev^T) and ``gram`` (G)
-    are formed unless the caller already formed them; its curvature starts
-    at max(theta0, ALPHA0). A later step reads only G: it starts from the
-    last step's phi, the last gradient plus rho d G and the last accepted
-    curvature over GROWTH, so it costs O(n_l n_{l-1}^2). The loop stops
-    after a step whose guaranteed decrease (theta/2)||d||^2 is at most
-    NEWTON_DECREMENT |f_before|, below the rounding of the objective the
-    sweep started from; so does a step that moves nothing. Returns one
-    record per step, in order. Raises NonFiniteError when the penalty is
-    NaN or inf: every operand of the step enters it.
+    through ||d a_prev||^2 = <d G, d> with G = a_prev a_prev^T, and the
+    rounding of that form is about eps ||(|d| s)||^2, s_i = sqrt(G_ii),
+    since |G_ij| <= s_i s_j. Only where d is a direction G nearly
+    annihilates, so that <d G, d> falls below GRAM_RESOLVE of that scale
+    and the rounding would swamp it, is ||d a_prev||^2 formed from the
+    batch. The first step reads the batch: its penalty comes from
+    ``resid``, the layer's current coupling residual W a_prev + b - z, and
+    ``grad`` (the penalty gradient rho resid a_prev^T) and ``gram`` (G) are
+    formed unless the caller already formed them. A later step reads only
+    G: it starts from the last step's phi and the last gradient plus
+    rho d G, so it costs O(n_l n_{l-1}^2). Every step's curvature starts at
+    rho <v G, v>/<v, v> (1 + RQ_SLACK), the exact curvature of the penalty
+    along the step's direction v (the gradient, plus 2 lam W under l2),
+    and at ALPHA0 for a zero v. Without a regularizer and under l2 the
+    candidate moves along -v, so that first trial majorizes and the step is
+    the exact line-search (Cauchy) step; under l1 it is a guess that
+    backtracking grows. The loop stops after a step whose guaranteed
+    decrease (theta/2)||d||^2 is at most NEWTON_DECREMENT |f_before|, below
+    the rounding of the objective the sweep started from; so does a step
+    that moves nothing. Returns one record per step, in order. Raises
+    NonFiniteError when the penalty is NaN or inf: every operand of the
+    step enters it.
     """
     arch = state.arch
     rho = hp.rho
@@ -204,6 +219,8 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, theta0: fl
         grad = obj.grad_w(resid, a_prev, rho)
     if gram is None:
         gram = a_prev @ a_prev.T
+    l2 = arch.regularizer is ns.RegKind.L2 and arch.reg_weight != 0.0
+    scale = np.sqrt(np.diag(gram))      # ||a_prev row i||, so |G_ij| <= scale_i scale_j
     W = state.W[layer]
     image = None        # the last trial's d G; after a step, the accepted d's
 
@@ -213,17 +230,25 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, theta0: fl
     def image_sq(d):
         nonlocal image
         image = d @ gram
-        return obj.inner(image, d)
+        quad = obj.inner(image, d)
+        size = np.abs(d) @ scale
+        if quad < GRAM_RESOLVE * obj.inner(size, size):
+            direct = d @ a_prev
+            quad = obj.inner(direct, direct)
+        return quad
 
     steps: list[BlockStep] = []
     for _ in range(W_STEPS):
+        v = grad + 2.0 * arch.reg_weight * W if l2 else grad
+        vv = obj.inner(v, v)
+        theta0 = rho * image_sq(v) / vv * (1.0 + RQ_SLACK) if vv > 0.0 else 0.0
         W_new, step = _majorized_step("W", layer, rho, W, phi, grad, theta0, candidate,
                                       image_sq)
         steps.append(step)
         if 0.5 * step.curvature * step.move_sq <= NEWTON_DECREMENT * abs(f_before):
             break
         grad = grad + rho * image
-        W, phi, theta0 = W_new, step.phi, step.curvature / GROWTH
+        W, phi = W_new, step.phi
     state.W[layer] = W_new
     return steps
 
@@ -430,10 +455,11 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     ``warm`` carries the residuals, the proxy's layer-0 W gradient, the
     input's Gram matrix and f_after into the next call, which must get the
     state as this call left it; there only R_l for l >= 1 is formed anew,
-    and f_before is the carried F when eps is unchanged. Without ``warm`` the epoch starts from
-    fresh curvatures and residuals. A NaN or inf in a block's penalty or
-    trial step, in f_after or in the proxy raises NonFiniteError naming
-    the epoch (and the layer and block where it is known).
+    and f_before is the carried F when eps is unchanged. Without ``warm`` the
+    epoch starts from fresh a curvatures and residuals. A NaN or inf in a
+    block's penalty or trial step, in f_after or in the proxy raises
+    NonFiniteError naming the epoch (and the layer and block where it is
+    known).
     """
     t0 = time.perf_counter()
     L = state.num_layers
@@ -462,10 +488,9 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
             if r_w is None:
                 r_w = obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
             g_w, warm.grad_w0 = warm.grad_w0, None
-            steps.extend(update_w(state, l, hp, warm.theta[l] / GROWTH, r_w, g_w,
-                                  warm.gram_x if l == 0 else None, f_before))
+            steps.extend(update_w(state, l, hp, r_w, g_w, warm.gram_x if l == 0 else None,
+                                  f_before))
             del r_w, g_w    # batch-sized temporaries go as soon as they are used: peak memory
-            warm.theta[l] = steps[-1].curvature
 
             # W_l and a_{l-1} are final for this sweep from here on
             product = state.W[l] @ state.a_prev(l)
