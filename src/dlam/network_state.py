@@ -107,14 +107,15 @@ def slab_z_bounds(kind: ActivationKind, a: np.ndarray, eps: float):
         floor, inverse = -1.0, lambda c: np.arctanh(c, out=c)
     else:
         raise ValueError(f"unknown activation {kind!r}")
-    # each side's temporaries are released before the other side is built:
-    # this is the peak memory of the hidden z step
+    # each bound is built in its target's buffer, the saturated entries marked
+    # first: this is the peak memory of the hidden z step
     empty = (t_hi <= floor) | (t_lo >= 1.0)
-    lo = inverse(np.clip(t_lo, floor + d, 1.0 - d))
-    np.putmask(lo, t_lo <= floor + d, -np.inf)
-    del t_lo
-    hi = inverse(np.clip(t_hi, floor + d, 1.0 - d))
-    np.putmask(hi, t_hi >= 1.0 - d, np.inf)
+    saturated = t_lo <= floor + d
+    lo = inverse(np.clip(t_lo, floor + d, 1.0 - d, out=t_lo))
+    np.putmask(lo, saturated, -np.inf)
+    saturated = t_hi >= 1.0 - d
+    hi = inverse(np.clip(t_hi, floor + d, 1.0 - d, out=t_hi))
+    np.putmask(hi, saturated, np.inf)
     if empty.any():
         np.putmask(lo, empty, 0.0)
         np.putmask(hi, empty, 0.0)
@@ -271,10 +272,17 @@ def initialize(arch: Architecture, x: np.ndarray, y: np.ndarray, hp=None,
     return NetworkState(arch, x, y, W, b, *forward_pass(arch, W, b, x))
 
 
-def slab_violation(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """||a - clip(a, lo, hi)||_inf, NaN for a NaN entry; overwrites ``lo`` (peak memory)."""
-    np.clip(a, lo, hi, out=lo)
-    return float(np.max(np.abs(np.subtract(a, lo, out=lo), out=lo), initial=0.0))
+def slab_violation(a: np.ndarray, h: np.ndarray, eps: float,
+                   out: np.ndarray | None = None) -> float:
+    """||a - clip(a, h - eps, h + eps)||_inf, NaN for a NaN entry.
+
+    Overwrites ``h`` with h + eps, and ``out`` (a batch-sized buffer, made
+    when not given) with the rest: peak memory. The clip is taken as
+    np.maximum, then np.minimum, which equals np.clip bit for bit.
+    """
+    c = np.maximum(a, np.subtract(h, eps, out=out), out=out)
+    np.minimum(c, np.add(h, eps, out=h), out=c)
+    return float(np.max(np.abs(np.subtract(a, c, out=c), out=c), initial=0.0))
 
 
 def feasibility_residual(state: NetworkState, eps: float) -> float:
@@ -288,7 +296,7 @@ def feasibility_residual(state: NetworkState, eps: float) -> float:
     for l in range(state.num_layers - 1):
         h = activation_apply(state.arch.activation[l], state.z[l])
         # np.maximum, unlike max(), keeps a NaN: a NaN entry must not read as feasible
-        worst = float(np.maximum(worst, slab_violation(state.a[l], h - eps, h + eps)))
+        worst = float(np.maximum(worst, slab_violation(state.a[l], h, eps)))
     return worst
 
 

@@ -222,19 +222,18 @@ def solve_w_subproblem(kind: ns.RegKind, lam: float, W_k: np.ndarray,
     raise ValueError(f"unknown regularizer {kind!r}")
 
 
-def objective_from_residuals(state: ns.NetworkState, hp: HyperParams,
-                             residuals: list[np.ndarray], feas: float) -> ObjectiveBreakdown:
-    """Full objective at the current state, given every layer's coupling residual.
+def objective_from_penalties(state: ns.NetworkState, hp: HyperParams,
+                             penalties: list[float], feas: float) -> ObjectiveBreakdown:
+    """Full objective at the current state, given every layer's coupling penalty.
 
-    ``residuals[l]`` must be W_l a_{l-1} + b_l - z_l at the current state and
-    ``feas`` its largest slab violation, ns.feasibility_residual at the eps
-    in force. A state violating the slab beyond float slack reports
+    ``penalties[l]`` must be phi_l = penalty(R_l, rho) at the current state
+    and ``feas`` its largest slab violation, ns.feasibility_residual at the
+    eps in force. A state violating the slab beyond float slack reports
     feasible=False and an infinite total instead of raising.
     """
     arch = state.arch
     risk = risk_cross_entropy(state.z[-1], state.y)
     reg = sum(regularizer_value(arch.regularizer, arch.reg_weight, W) for W in state.W)
-    penalties = [penalty(r, hp.rho) for r in residuals]
     feasible = feas <= FEASIBILITY_TOL
     total = risk + reg + sum(penalties) if feasible else math.inf
     return ObjectiveBreakdown(risk=risk, reg=reg, penalty_per_layer=penalties,
@@ -245,11 +244,11 @@ def evaluate_f(state: ns.NetworkState, hp: HyperParams, eps: float) -> Objective
     """Full objective at the current state, broken into its terms.
 
     ``eps`` is the slab tolerance in force. Forms every coupling residual
-    afresh; see objective_from_residuals.
+    afresh, one at a time; see objective_from_penalties.
     """
-    residuals = [coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
+    penalties = [penalty_phi(state.a_prev(l), state.W[l], state.b[l], state.z[l], hp.rho)
                  for l in range(state.num_layers)]
-    return objective_from_residuals(state, hp, residuals, ns.feasibility_residual(state, eps))
+    return objective_from_penalties(state, hp, penalties, ns.feasibility_residual(state, eps))
 
 
 def accuracy_from_logits(logits: np.ndarray, y: np.ndarray) -> float:

@@ -74,30 +74,45 @@ class WarmStart:
 
     ``tau`` holds each hidden layer's last accepted a curvature; the W
     steps carry none, since each starts at its own Rayleigh quotient
-    (update_w). ``resid[l]`` is layer l's coupling residual
-    W_l a_{l-1} + b_l - z_l while none of its operands has moved since it
-    was formed, and None otherwise; run_epoch
-    fills the empty ones and leaves every slot current. ``grad_w0`` is layer 0's
-    penalty gradient rho R_0 x^T formed from ``resid[0]``, held only while
-    that slot is and cleared with it. ``gram_x`` is the input's Gram matrix
-    x x^T, which layer 0's W trials read; no block moves x, so the first
-    sweep forms it and every later one reuses it. ``f_end`` is (eps, F) at
-    the end of the last sweep; the next sweep starts from that F when it
-    runs at the same eps. The slots hold values derived from the state,
-    never the operand arrays themselves, and describe only the state they
-    were formed on: between epochs that state may have blocks replaced,
-    never mutated in place.
+    (update_w). ``resid[l]`` for l >= 1 is layer l's coupling residual
+    R_l = W_l a_{l-1} + b_l - z_l while none of its operands has moved
+    since it was formed, and None otherwise; its one reader is the next
+    sweep's update_a(l - 1), which uses it up. run_epoch fills the empty
+    ones and leaves every slot current. ``resid[0]`` stays None: after
+    layer 0's z step nothing reads R_0 but its own end-of-sweep terms, so
+    layer 0 carries only ``layer0``, the pair (penalty, W gradient) of R_0,
+    (rho/2)||R_0||^2 and rho R_0 x^T, which the next sweep's first W step
+    starts from. ``gram_x`` is the input's Gram matrix x x^T, which layer
+    0's W trials read; no block moves x, so the first sweep forms it and
+    every later one reuses it. ``f_end`` is (eps, F) at the end of the last
+    sweep; the next sweep starts from that F when it runs at the same eps.
+    The slots hold values derived from the state, never the operand arrays
+    themselves, and describe only the state they were formed on: between
+    epochs that state may have blocks replaced, never mutated in place.
     """
 
     tau: list[float]
     resid: list[np.ndarray | None]
-    grad_w0: np.ndarray | None = None
+    layer0: tuple[float, np.ndarray] | None = None
     gram_x: np.ndarray | None = None
     f_end: tuple[float, float] | None = None
 
     @classmethod
     def fresh(cls, num_layers: int) -> "WarmStart":
         return cls(tau=[ALPHA0] * (num_layers - 1), resid=[None] * num_layers)
+
+
+@dataclass
+class ClosedLayer:
+    """Layer l's end-of-sweep terms, taken from R_l when its z step ends.
+
+    From then on nothing moves W_l, b_l, z_l or a_{l-1} for the rest of the
+    sweep, so these are the terms the certificates and f_after read.
+    """
+
+    penalty: float               # (rho/2)||R_l||^2
+    grad_w: np.ndarray           # rho R_l a_{l-1}^T, without the regularizer's term
+    grad_b: np.ndarray           # rho rowsum(R_l)
 
 
 @dataclass
@@ -137,7 +152,8 @@ class EpochReport:
 
 def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
                     phi0: float, grad: np.ndarray, param0: float,
-                    candidate, image_sq) -> tuple[np.ndarray, BlockStep]:
+                    candidate, image_sq, d: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, BlockStep]:
     """Backtracked quadratic-majorizer step, shared by the W and a blocks.
 
     ``candidate(param)`` minimizes the block's model at curvature ``param``;
@@ -154,13 +170,13 @@ def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
     noise and can stall the loop. Returns the accepted candidate and its
     record; raises NonFiniteError for a non-finite phi0 or a NaN trial,
     which no curvature repairs, and BacktrackError after MAX_BACKTRACK
-    trials.
+    trials. Each trial's step is written into ``d`` when given, a buffer
+    shaped like ``current`` that ``candidate`` may use as scratch.
     """
     if not math.isfinite(phi0):
         raise NonFiniteError(f"{block} update", layer)
     param = max(param0, ALPHA0)
     trials = 1
-    d = None
     while True:
         cand = candidate(param)
         d = np.subtract(cand, current, out=d)
@@ -181,8 +197,8 @@ def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
                            base + quad_model)
 
 
-def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, resid: np.ndarray,
-             grad: np.ndarray | None = None, gram: np.ndarray | None = None,
+def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, phi: float,
+             grad: np.ndarray, gram: np.ndarray | None = None,
              f_before: float = 0.0) -> list[BlockStep]:
     """Up to W_STEPS backtracked majorized steps on W at ``layer``; writes the result into state.
 
@@ -193,18 +209,19 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, resid: np.
     since |G_ij| <= s_i s_j. Only where d is a direction G nearly
     annihilates, so that <d G, d> falls below GRAM_RESOLVE of that scale
     and the rounding would swamp it, is ||d a_prev||^2 formed from the
-    batch. The first step reads the batch: its penalty comes from
-    ``resid``, the layer's current coupling residual W a_prev + b - z, and
-    ``grad`` (the penalty gradient rho resid a_prev^T) and ``gram`` (G) are
-    formed unless the caller already formed them. A later step reads only
-    G: it starts from the last step's phi and the last gradient plus
-    rho d G, so it costs O(n_l n_{l-1}^2). Every step's curvature starts at
-    rho <v G, v>/<v, v> (1 + RQ_SLACK), the exact curvature of the penalty
-    along the step's direction v (the gradient, plus 2 lam W under l2),
-    and at ALPHA0 for a zero v. Without a regularizer and under l2 the
-    candidate moves along -v, so that first trial majorizes and the step is
-    the exact line-search (Cauchy) step; under l1 it is a guess that
-    backtracking grows. The loop stops after a step whose guaranteed
+    batch. The first step starts from ``phi`` and ``grad``, the layer's
+    current penalty (rho/2)||R||^2 and its gradient rho R a_prev^T, R the
+    coupling residual W a_prev + b - z, which the caller forms (run_epoch
+    drops R before this call, so no W step holds a batch-sized array);
+    ``gram`` (G) is formed unless the caller already formed it. A later
+    step reads only G: it starts from the last step's phi and the last
+    gradient plus rho d G, so it costs O(n_l n_{l-1}^2). Every step's
+    curvature starts at rho <v G, v>/<v, v> (1 + RQ_SLACK), the exact
+    curvature of the penalty along the step's direction v (the gradient,
+    plus 2 lam W under l2), and at ALPHA0 for a zero v. Without a
+    regularizer and under l2 the candidate moves along -v, so that first
+    trial majorizes and the step is the exact line-search (Cauchy) step;
+    under l1 it is a guess that backtracking grows. The loop stops after a step whose guaranteed
     decrease (theta/2)||d||^2 is at most NEWTON_DECREMENT |f_before|, below
     the rounding of the objective the sweep started from; so does a step
     that moves nothing. Returns one record per step, in order. Raises
@@ -214,9 +231,6 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, resid: np.
     arch = state.arch
     rho = hp.rho
     a_prev = state.a_prev(layer)
-    phi = obj.penalty(resid, rho)
-    if grad is None:
-        grad = obj.grad_w(resid, a_prev, rho)
     if gram is None:
         gram = a_prev @ a_prev.T
     l2 = arch.regularizer is ns.RegKind.L2 and arch.reg_weight != 0.0
@@ -358,35 +372,39 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
     Feasibility of the accepted block holds by construction, and the step
     measures it against the slab it was projected onto, as
     ns.feasibility_residual would. ``resid`` is the next layer's current
-    coupling residual W_next a + b_next - z_next. Raises NonFiniteError
-    when the penalty or a trial step is NaN or inf; a NaN in h(z) reaches
-    only the trials.
+    coupling residual W_next a + b_next - z_next, and this step uses it up:
+    once its penalty and gradient are formed, each trial writes its image
+    W_next d into that buffer. The step holds h(z), not the slab's two
+    bounds: each trial builds each bound in turn in its step buffer, and
+    the slab check reuses the gradient's. Raises NonFiniteError when the
+    penalty or a trial step is NaN or inf; a NaN in h(z) reaches only the
+    trials.
     """
     kind = state.arch.activation[layer]
     a_k = state.a[layer]
     W_next = state.W[layer + 1]
-    hi = ns.activation_apply(kind, state.z[layer])
-    lo = hi - eps
-    hi += eps
+    h = ns.activation_apply(kind, state.z[layer])
     phi0 = obj.penalty(resid, hp.rho)
     grad = obj.grad_a(resid, W_next, hp.rho)
     cand = np.empty_like(a_k)       # every trial's candidate, and the accepted one
+    step = np.empty_like(a_k)       # each bound in turn, then the trial's step
 
     def candidate(tau):
+        # np.clip(cand, h - eps, h + eps) bit for bit, one bound at a time
         np.divide(grad, tau, out=cand)
         np.subtract(a_k, cand, out=cand)
-        return np.clip(cand, lo, hi, out=cand)
+        np.maximum(cand, np.subtract(h, eps, out=step), out=cand)
+        return np.minimum(cand, np.add(h, eps, out=step), out=cand)
 
     def image_sq(d):
-        image = W_next @ d
+        image = np.matmul(W_next, d, out=resid)
         return obj.inner(image, image)
 
-    _, step = _majorized_step("a", layer, hp.rho, a_k, phi0, grad, tau0, candidate, image_sq)
+    _, record = _majorized_step("a", layer, hp.rho, a_k, phi0, grad, tau0, candidate,
+                                image_sq, step)
     state.a[layer] = cand
-    # the trial temporaries go before the violation is formed: peak memory
-    del grad
-    step.slab_violation = ns.slab_violation(cand, lo, hi)
-    return step
+    record.slab_violation = ns.slab_violation(cand, h, eps, out=grad)
+    return record
 
 
 def _block_norms(state: ns.NetworkState) -> dict:
@@ -398,8 +416,9 @@ def _block_norms(state: ns.NetworkState) -> dict:
     }
 
 
-def _gradient_certificates(state: ns.NetworkState, hp: obj.HyperParams, warm: WarmStart,
-                           z_steps: list[BlockStep]) -> tuple[float, float]:
+def _gradient_certificates(state: ns.NetworkState, hp: obj.HyperParams,
+                           closed: list[ClosedLayer], z_steps: list[BlockStep],
+                           R_out: np.ndarray) -> tuple[float, float]:
     """(gradient proxy, grad_b_err), the end-of-sweep gradient certificates.
 
     The proxy is the norm of the computable smooth gradient components: the
@@ -408,25 +427,20 @@ def _gradient_certificates(state: ns.NetworkState, hp: obj.HyperParams, warm: Wa
     a components involve indicator subdifferentials and are left out; the
     diagnostics log the proxy's ratio to the block movement as the weak form
     of the subgradient bound. grad_b_err checks each b gradient against
-    ``z_steps[l].mean_move`` (grad_b_layer_error). ``warm.resid`` holds
-    every layer's current coupling residual; layer 0's penalty gradient, the
-    next sweep's first W gradient, is left in ``warm.grad_w0``.
+    ``z_steps[l].mean_move`` (grad_b_layer_error). ``closed`` holds every
+    layer's end-of-sweep terms and ``R_out`` the output layer's current
+    coupling residual.
     """
     arch = state.arch
-    L = state.num_layers
-    residuals = warm.resid
     total = grad_b_err = 0.0
-    for l in range(L):
-        gw = obj.grad_w(residuals[l], state.a_prev(l), hp.rho)
-        if l == 0:
-            warm.grad_w0 = gw
+    for l, c in enumerate(closed):
+        gw = c.grad_w
         if arch.regularizer is ns.RegKind.L2 and arch.reg_weight > 0.0:
             gw = gw + 2.0 * arch.reg_weight * state.W[l]
-        gb = obj.grad_b(residuals[l], hp.rho)
-        total += obj.inner(gw, gw) + obj.inner(gb, gb)
-        grad_b_err = max(grad_b_err, grad_b_layer_error(gb, z_steps[l].mean_move,
+        total += obj.inner(gw, gw) + obj.inner(c.grad_b, c.grad_b)
+        grad_b_err = max(grad_b_err, grad_b_layer_error(c.grad_b, z_steps[l].mean_move,
                                                         state.n_samples, hp.rho))
-    gz = obj.grad_z(residuals[-1], hp.rho) + obj.grad_risk_cross_entropy(state.z[-1], state.y)
+    gz = obj.grad_z(R_out, hp.rho) + obj.grad_risk_cross_entropy(state.z[-1], state.y)
     total += obj.inner(gz, gz)
     return math.sqrt(total), grad_b_err
 
@@ -441,21 +455,28 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     ``eps_used`` and f_after describes the state this call leaves.
 
     The sweep forms every coupling residual R_l = W_l a_{l-1} + b_l - z_l
-    and hands each W and a update the one it steps on; it reuses one only
-    while its operands are unchanged, in the operation order of a fresh
-    formation, so reuse changes no bit. The R_l formed after layer l's z
-    step holds to the end of the sweep, where the certificates and f_after
-    read it. Each W update also gets f_before, for the stop rule of its
-    inner steps. The other certificates are by-products of the blocks,
-    read from the BlockSteps the block updates return (one each, one per
-    step from update_w), in sweep order: dw_sq and da_sq are the squared
-    steps the majorization tests formed, grad_b_err reads the z steps' mean
-    moves, and the feasibility residual is the a steps' own slab violation.
+    and hands each block what it steps on; it reuses one only while its
+    operands are unchanged, in the operation order of a fresh formation,
+    so reuse changes no bit. A layer's W steps get its penalty and W
+    gradient: for l >= 1 the sweep forms R_l at the start of the layer and
+    drops it before the W steps. A layer closes when its z step ends: from
+    then on nothing moves W_l, b_l, z_l or a_{l-1}, so the R_l formed there
+    yields the layer's end-of-sweep terms (ClosedLayer: penalty, W and b
+    gradients), which the certificates and f_after sum. R_l itself is kept
+    only while a later block reads it, the next sweep's update_a(l - 1),
+    which uses it up; R_0 is dropped at once, and layer 0 carries only its
+    (penalty, W gradient) pair. Each W update also gets f_before, for the
+    stop rule of its inner steps. The other certificates are by-products
+    of the blocks, read from the BlockSteps the block updates return (one
+    each, one per step from update_w), in sweep order: dw_sq and da_sq are
+    the squared steps the majorization tests formed, grad_b_err reads the
+    z steps' mean moves, and the feasibility residual is the a steps' own
+    slab violation.
 
-    ``warm`` carries the residuals, the proxy's layer-0 W gradient, the
-    input's Gram matrix and f_after into the next call, which must get the
-    state as this call left it; there only R_l for l >= 1 is formed anew,
-    and f_before is the carried F when eps is unchanged. Without ``warm`` the
+    ``warm`` carries R_l for l >= 1, layer 0's pair, the input's Gram
+    matrix and f_after into the next call, which must get the state as
+    this call left it; there only R_l for l >= 1 is formed anew, and
+    f_before is the carried F when eps is unchanged. Without ``warm`` the
     epoch starts from fresh a curvatures and residuals. A NaN or inf in a
     block's penalty or trial step, in f_after or in the proxy raises
     NonFiniteError naming the epoch (and the layer and block where it is
@@ -463,34 +484,46 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     """
     t0 = time.perf_counter()
     L = state.num_layers
+    rho = hp.rho
     if warm is None:
         warm = WarmStart.fresh(L)
     resid = warm.resid
-    if resid[0] is None:        # the carried W gradient was formed from R_0
-        warm.grad_w0 = None
+
+    def fresh_resid(l):
+        return obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
+
+    def w_inputs(l):
+        """Layer l's penalty and W gradient; the R_l they come from is dropped."""
+        R = fresh_resid(l)
+        return obj.penalty(R, rho), obj.grad_w(R, state.a_prev(l), rho)
+
     if warm.gram_x is None:
         warm.gram_x = state.x @ state.x.T
-    for l in range(L):
+    if warm.layer0 is None:
+        warm.layer0 = w_inputs(0)
+    for l in range(1, L):
         if resid[l] is None:
-            resid[l] = obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
+            resid[l] = fresh_resid(l)
     if warm.f_end is not None and warm.f_end[0] == eps:
         f_before = warm.f_end[1]
     else:
-        f_before = obj.objective_from_residuals(state, hp, resid,
+        penalties = [warm.layer0[0], *(obj.penalty(r, rho) for r in resid[1:])]
+        f_before = obj.objective_from_penalties(state, hp, penalties,
                                                 ns.feasibility_residual(state, eps)).total
 
     steps: list[BlockStep] = []     # one per block step, in sweep order
+    closed: list[ClosedLayer] = []  # one per layer, in sweep order
     try:
         for l in range(L):
-            # the slot is empty for l >= 1: update_a(l - 1) took R_l and moved a_{l-1}.
-            # The carried W gradient goes with R_0 (the slot is empty after layer 0).
-            r_w, resid[l] = resid[l], None
-            if r_w is None:
-                r_w = obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
-            g_w, warm.grad_w0 = warm.grad_w0, None
-            steps.extend(update_w(state, l, hp, r_w, g_w, warm.gram_x if l == 0 else None,
+            if l == 0:
+                (phi, g_w), warm.layer0 = warm.layer0, None
+            else:
+                # update_a(l - 1) took R_l and moved a_{l-1}; R_l goes before the
+                # W steps: peak memory
+                phi, g_w = w_inputs(l)
+            steps.extend(update_w(state, l, hp, phi, g_w, warm.gram_x if l == 0 else None,
                                   f_before))
-            del r_w, g_w    # batch-sized temporaries go as soon as they are used: peak memory
+            del g_w     # before the closing W gradient is formed
 
             # W_l and a_{l-1} are final for this sweep from here on
             product = state.W[l] @ state.a_prev(l)
@@ -500,14 +533,21 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
                 steps.append(update_z_output(state, hp, product))
             else:
                 steps.append(update_z_hidden(state, l, eps, hp.rho, product))
-            # current to the end of the sweep; nothing reads the product after the z step
-            resid[l] = obj.residual(product, state.b[l], state.z[l], out=product)
+            # the layer closes; nothing reads the product after the z step
+            R = obj.residual(product, state.b[l], state.z[l], out=product)
             del product
+            closed.append(ClosedLayer(obj.penalty(R, rho), obj.grad_w(R, state.a_prev(l), rho),
+                                      obj.grad_b(R, rho)))
+            if l == 0:
+                warm.layer0 = (closed[0].penalty, closed[0].grad_w)
+            else:
+                resid[l] = R
+            del R       # R_0 goes before update_a(0): peak memory
 
             if l < L - 1:
-                # R_{l+1} leaves the cache with update_a, which moves a_l under it;
-                # z_l is final, so the accepted a_l's slab violation is layer l's
-                # feasibility residual
+                # R_{l+1} leaves the cache with update_a, which uses it up and
+                # moves a_l under it; z_l is final, so the accepted a_l's slab
+                # violation is layer l's feasibility residual
                 r_a, resid[l + 1] = resid[l + 1], None
                 steps.append(update_a(state, l, hp, eps, warm.tau[l] / GROWTH, r_a))
                 del r_a
@@ -518,8 +558,8 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
 
     feas = float(np.max([s.slab_violation for s in steps], initial=0.0))   # a NaN propagates
     w_steps, b_steps, z_steps, a_steps = ([s for s in steps if s.block == k] for k in "Wbza")
-    grad_proxy, grad_b_err = _gradient_certificates(state, hp, warm, z_steps)
-    after = obj.objective_from_residuals(state, hp, resid, feas)
+    grad_proxy, grad_b_err = _gradient_certificates(state, hp, closed, z_steps, resid[-1])
+    after = obj.objective_from_penalties(state, hp, [c.penalty for c in closed], feas)
     for what, value in (("objective", after.total), ("gradient proxy", grad_proxy)):
         if not math.isfinite(value):
             raise NonFiniteError(what, epoch=epoch)
@@ -560,7 +600,7 @@ def train(arch: ns.Architecture, x: np.ndarray, y: np.ndarray, hp: obj.HyperPara
     ``per_epoch(state, report)`` is called after each epoch when given (the
     CLI uses it to record accuracies); it may read the state but must not
     mutate its blocks in place, because the next epoch reuses residuals
-    formed from them.
+    and layer 0's penalty and W gradient formed from them.
 
     Every sweep runs at the one slab tolerance min(eps0, EPS_MAX): the
     descent guarantees hold for a fixed eps, so F never rises from one

@@ -101,15 +101,15 @@ def nan_before_epoch(run_epoch, at_epoch: int):
     """run_epoch that puts a NaN into z_0 before sweep ``at_epoch``.
 
     The block is replaced, not mutated, and what the warm start derived
-    from it (R_0 and its W gradient) is dropped, as a caller that changes
-    the state between sweeps must.
+    from it (layer 0's penalty and W gradient; it holds no R_0) is dropped,
+    as a caller that changes the state between sweeps must.
     """
     def poisoned(state, hp, k, eps, warm=None):
         if k == at_epoch:
             z = state.z[0].copy()
             z[0, 0] = np.nan
             state.z[0] = z
-            warm.resid[0] = warm.grad_w0 = None
+            warm.layer0 = None
         return run_epoch(state, hp, k, eps, warm)
     return poisoned
 

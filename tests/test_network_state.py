@@ -11,6 +11,7 @@ from dlam import baselines as bl
 from dlam import network_state as ns
 from dlam import objective as obj
 from dlam import optimizer as opt
+from dlam.data_io import synth_gaussian_blobs
 from dlam.diagnostics import descent_ledger
 from dlam.tensor_core import ShapeError
 from conftest import random_one_hot, small_state
@@ -318,6 +319,74 @@ def test_feasibility_residual_measures_slab_violation():
     assert ns.feasibility_residual(state, 0.3) == 0.0
     with pytest.raises(ValueError, match="eps"):
         ns.feasibility_residual(state, -1e-3)
+
+
+def _clip_slab_violation(a, h, eps):
+    """The slab violation as np.clip forms it, bounds h -/+ eps: the oracle."""
+    lo = h - eps
+    np.clip(a, lo, h + eps, out=lo)
+    return float(np.max(np.abs(np.subtract(a, lo, out=lo), out=lo), initial=0.0))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_slab_violation_equals_the_clip_form_bit_for_bit(seed):
+    # NaN, +-inf and +-0.0 in a and h, and entries exactly at h -/+ eps and one
+    # float beyond; NaN entries must still give NaN
+    rng = np.random.default_rng(seed)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0])
+    eps = float(rng.choice([0.0, 1e-3, 0.25, 1.0]))
+    for nan_ok in (True, False):
+        pool = specials if nan_ok else specials[1:]
+        h = np.where(rng.random((7, 400)) < 0.2, rng.choice(pool, (7, 400)),
+                     rng.normal(size=(7, 400)))
+        a = np.where(rng.random(h.shape) < 0.2, rng.choice(pool, h.shape),
+                     h + rng.normal(scale=2 * eps + 0.1, size=h.shape))
+        edge = rng.integers(0, 4, h.shape)
+        a = np.where(edge == 0, h - eps, a)
+        a = np.where(edge == 1, h + eps, a)
+        a[:, :8] = np.nextafter(h[:, :8] + eps, np.inf)
+        a[:, 8:16] = np.nextafter(h[:, 8:16] - eps, -np.inf)
+        # the whole block, an empty one, and every entry alone: one NaN entry
+        # makes a block's violation NaN, which would hide the others
+        blocks = [(a, h), (a[:0], h[:0])] + list(zip(a.reshape(-1, 1, 1), h.reshape(-1, 1, 1)))
+        with np.errstate(invalid="ignore"):     # inf - inf
+            for a_b, h_b in blocks:
+                want = _clip_slab_violation(a_b, h_b, eps)
+                got = ns.slab_violation(a_b, h_b.copy(), eps)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert math.isnan(ns.slab_violation(a, h.copy(), eps)) or not nan_ok
+    # finite arrays whose violation sits at the nudged edge entries
+    h = rng.normal(size=(3, 50))
+    a = h.copy()
+    a[0, 0] = np.nextafter(h[0, 0] + eps, np.inf)
+    assert ns.slab_violation(a, h.copy(), eps) == _clip_slab_violation(a, h, eps) > 0.0
+
+
+def test_slab_violation_uses_its_buffers():
+    # h becomes h + eps and ``out`` holds the rest: no batch-sized array of its own
+    rng = np.random.default_rng(3)
+    h = rng.normal(size=(4, 9))
+    a = h + rng.normal(scale=0.5, size=h.shape)
+    h_in, out = h.copy(), np.empty_like(h)
+    assert ns.slab_violation(a, h_in, 0.25, out=out) == _clip_slab_violation(a, h, 0.25)
+    assert h_in.tobytes() == (h + 0.25).tobytes()
+
+
+@pytest.mark.parametrize("activation", [RELU, SIG])
+def test_feasibility_residual_unchanged_on_blobs(activation):
+    # the 12-16-16-3 blobs run, trained a few sweeps so every layer sits off
+    # h(z): each eps gives the np.clip form's value, folded over the layers
+    ds = synth_gaussian_blobs(classes=3, d=12, n_per_class=40, seed=11, noise=0.05)
+    hp = obj.HyperParams(rho=0.01, eps0=1.0, epochs=5, seed=0)
+    arch = ns.Architecture((12, 16, 16, 3), activation=activation)
+    state, _ = opt.train(arch, ds.x, ds.y, hp)
+    for eps in (0.0, 1e-3, opt.EPS_MAX, 0.1):
+        want = 0.0
+        for l in range(state.num_layers - 1):
+            h = ns.activation_apply(arch.activation[l], state.z[l])
+            want = float(np.maximum(want, _clip_slab_violation(state.a[l], h, eps)))
+        assert ns.feasibility_residual(state, eps) == want
+    assert ns.feasibility_residual(state, 0.0) > 0.0
 
 
 def test_nan_activation_reads_infeasible():

@@ -49,9 +49,15 @@ def _fresh_resid(state, l):
     return obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
 
 
-def _update_w(state, l, hp):
-    """update_w on layer l's freshly formed residual."""
-    return opt.update_w(state, l, hp, _fresh_resid(state, l))
+def _w_inputs(state, l, hp):
+    """Layer l's penalty and W gradient, formed from a fresh residual."""
+    R = _fresh_resid(state, l)
+    return obj.penalty(R, hp.rho), obj.grad_w(R, state.a_prev(l), hp.rho)
+
+
+def _update_w(state, l, hp, **kwargs):
+    """update_w on layer l's penalty and W gradient, freshly formed."""
+    return opt.update_w(state, l, hp, *_w_inputs(state, l, hp), **kwargs)
 
 
 def _update_a(state, l, hp, eps, tau0=None):
@@ -149,7 +155,7 @@ class TestUpdateW:
         # RQ_SLACK^2, and its decrease is below the rounding of f_before
         state = _scalar_state(W1=1.0, b1=0.0, z1=0.0, a1=0.0, W2=1.0, b2=0.0, z2=0.0)
         hp = obj.HyperParams(rho=1.0)
-        steps = opt.update_w(state, 0, hp, _fresh_resid(state, 0), f_before=0.5)
+        steps = _update_w(state, 0, hp, f_before=0.5)
         def phi(w):
             return 0.5 * (0.0 - w * 1.0 - 0.0) ** 2
         expect = grid_minimize_1d(phi, -2.0, 2.0)
@@ -206,7 +212,7 @@ class TestUpdateW:
 
         def decreases(f_before):
             state = small_state(seed=4, scatter=0.5)
-            steps = opt.update_w(state, 2, hp, _fresh_resid(state, 2), f_before=f_before)
+            steps = _update_w(state, 2, hp, f_before=f_before)
             return [0.5 * s.curvature * s.move_sq for s in steps]
 
         full = decreases(0.0)
@@ -233,12 +239,12 @@ class TestUpdateW:
                 base.append(tracemalloc.get_traced_memory()[0])
             return out
 
-        resid = _fresh_resid(state, 1)
+        phi, grad = _w_inputs(state, 1, hp)
         tracemalloc.start()
         try:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(opt, "_majorized_step", spy)
-                steps = opt.update_w(state, 1, hp, resid)
+                steps = opt.update_w(state, 1, hp, phi, grad)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -929,19 +935,29 @@ def _calls_per_epoch(monkeypatch, targets, epochs):
 
 @pytest.fixture
 def cache_watch(monkeypatch):
-    """Each residual, product, W gradient or Gram matrix handed to a block update,
-    and after every block update and every epoch each residual the sweep holds,
-    must equal a fresh one byte for byte."""
-    watch = {"warm": None, "compared": 0, "grads": 0, "grams": 0}
+    """Each residual, product, penalty, W gradient or Gram matrix handed to a block
+    update, and after every block update and every epoch each residual and
+    layer 0's (penalty, W gradient) pair the sweep holds, must equal a fresh
+    one byte for byte. ``carried`` counts the W steps of layer 0 that start
+    from the pair the sweep before left."""
+    watch = {"warm": None, "compared": 0, "grads": 0, "grams": 0, "carried": 0,
+             "pair": None}
 
     def same(held, fresh, what):
-        assert held.tobytes() == fresh.tobytes(), what
+        assert np.asarray(held).tobytes() == np.asarray(fresh).tobytes(), what
         watch["compared"] += 1
 
     def check(state, where):
-        for l, r in enumerate(watch["warm"].resid):
+        warm = watch["warm"]
+        assert warm.resid[0] is None, f"R_0 kept after {where}"
+        for l, r in enumerate(warm.resid):
             if r is not None:
                 same(r, _fresh_resid(state, l), f"stale R_{l} after {where}")
+        if warm.layer0 is not None:
+            R0 = _fresh_resid(state, 0)
+            same(warm.layer0[0], obj.penalty(R0, watch["rho"]), f"stale phi_0 after {where}")
+            same(warm.layer0[1], watch["rho"] * (R0 @ state.x.T),
+                 f"stale W_0 gradient after {where}")
 
     def wrap(name, inner):
         signature = inspect.signature(inner)
@@ -954,10 +970,15 @@ def cache_watch(monkeypatch):
                 same(given["resid"], _fresh_resid(state, l_r), f"stale R_{l_r} into {name}")
             if given.get("product") is not None:
                 same(given["product"], state.W[l] @ state.a_prev(l), f"stale product into {name}")
-            if given.get("grad") is not None:
-                fresh = given["hp"].rho * (_fresh_resid(state, l) @ state.a_prev(l).T)
+            if name == "update_w":
+                R = _fresh_resid(state, l)
+                same(given["phi"], obj.penalty(R, given["hp"].rho), f"stale penalty into {name}")
+                fresh = given["hp"].rho * (R @ state.a_prev(l).T)
                 same(given["grad"], fresh, f"stale W gradient into {name}")
                 watch["grads"] += 1
+                if l == 0 and watch["pair"] is not None:
+                    assert given["grad"] is watch["pair"][1]
+                    watch["carried"] += 1
             if given.get("gram") is not None:
                 a_prev = state.a_prev(l)
                 same(given["gram"], a_prev @ a_prev.T, f"stale Gram matrix into {name}")
@@ -972,7 +993,7 @@ def cache_watch(monkeypatch):
     run_epoch = opt.run_epoch
 
     def epoch(state, hp, k, eps, warm=None):
-        watch["warm"] = warm
+        watch["warm"], watch["rho"], watch["pair"] = warm, hp.rho, warm.layer0
         report = run_epoch(state, hp, k, eps, warm)
         check(state, f"epoch {k}")
         return report
@@ -986,19 +1007,21 @@ class TestResidualReuse:
         arch, x, y, hp = _blobs_problem(epochs=20)
         opt.train(arch, x, y, hp)
         assert cache_watch["compared"] > 20 * len(BLOCKS)
-        # every epoch after the first takes layer 0's W gradient from the proxy,
-        # and every epoch its Gram matrix from the warm start
-        assert cache_watch["grads"] == 19
+        # every epoch after the first takes layer 0's penalty and W gradient from
+        # the sweep before, where layer 0 closed, and every epoch its Gram matrix
+        # from the warm start
+        assert cache_watch["grads"] == 20 * arch.num_layers
+        assert cache_watch["carried"] == 19
         assert cache_watch["grams"] == 20
 
     def test_input_gram_is_formed_once_per_run(self, monkeypatch):
         grams = []
         update_w = opt.update_w
 
-        def spy(state, layer, hp, resid, grad=None, gram=None, *rest):
+        def spy(state, layer, hp, phi, grad, gram=None, *rest):
             if layer == 0:
                 grams.append(gram)
-            return update_w(state, layer, hp, resid, grad, gram, *rest)
+            return update_w(state, layer, hp, phi, grad, gram, *rest)
 
         monkeypatch.setattr(opt, "update_w", spy)
         arch, x, y, hp = _blobs_problem(epochs=5)
@@ -1041,18 +1064,23 @@ class TestResidualReuse:
         assert cache_watch["compared"] > 5 * len(BLOCKS)
 
     def test_gradient_without_its_residual_is_dropped(self):
-        # a caller that clears R_0 between sweeps but leaves its W gradient
+        # layer 0 carries no R_0, only its penalty and W gradient, as one slot:
+        # a caller that drops it, or also plants an R_0, gets the sweep that
+        # keeps it, the pair formed anew from the state and the R_0 never read
         arch, x, y, hp = _blobs_problem(epochs=2)
         runs = []
-        for stale in (False, True):
+        for dropped, planted in ((False, False), (True, False), (True, True)):
             state = ns.initialize(arch, x, y, hp)
             warm = opt.WarmStart.fresh(arch.num_layers)
             opt.run_epoch(state, hp, 0, 0.01, warm)
-            warm.resid[0] = None
-            warm.grad_w0 = np.full_like(state.W[0], np.nan) if stale else None
+            assert warm.resid[0] is None
+            if dropped:
+                warm.layer0 = None
+            if planted:
+                warm.resid[0] = np.full_like(state.z[0], np.nan)
             report = opt.run_epoch(state, hp, 1, 0.01, warm)
             runs.append((report.f_after, [W.tobytes() for W in state.W]))
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
 
     def test_cache_coherent_through_recovery(self, cache_watch):
         # the state of test_empty_interval_holds_z, as a whole sweep: the held
@@ -1074,7 +1102,7 @@ class TestResidualReuse:
 
         def forgetful(state, hp, k, eps, warm=None):
             warm.resid = [None] * arch.num_layers
-            warm.grad_w0 = None
+            warm.layer0 = None
             warm.f_end = None
             return run_epoch(state, hp, k, eps, warm)
 
@@ -1122,6 +1150,41 @@ class TestResidualReuse:
             assert spent[k]["coupling_residual"] <= L - 1
 
 
+class TestSweepPeak:
+    """The traced heap peak of one warm sweep, counted in n x N arrays."""
+
+    @pytest.mark.parametrize("activation", [ns.ActivationKind.RELU,
+                                            ns.ActivationKind.SIGMOID])
+    def test_sweep_holds_at_most_six_batch_arrays_beyond_the_state(self, activation):
+        # each 64 x N array is 4 MB, so small arrays are noise. Beyond the state
+        # a sweep holds R_l for l >= 1 and its largest block's temporaries: the
+        # a step's h(z), gradient, candidate and step, R_{l+1} taking its image,
+        # or the hidden z step's product, slab bounds and new z; about 5.3 here.
+        # Each array the sweep keeps beyond these, such as R_0, counts one
+        n, N = 64, 8000
+        arch = ns.Architecture((n, n, n, 3), activation=activation)
+        hp = obj.HyperParams(rho=1e-4, eps0=10.0, epochs=3, seed=0)
+        peaks = []
+
+        def per_epoch(state, report):
+            if report.epoch == 1:       # two warm epochs, then one measured sweep
+                tracemalloc.reset_peak()
+            elif report.epoch == 2:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+
+        tracemalloc.start()     # before the state is made, so its blocks are traced
+        try:
+            rng = np.random.default_rng(0)
+            x = rng.normal(size=(n, N))
+            y = random_one_hot(rng, 3, N)
+            state, _ = opt.train(arch, x, y, hp, per_epoch=per_epoch)
+        finally:
+            tracemalloc.stop()
+        blocks = sum(v.nbytes for v in (state.x, state.y, *state.W, *state.b, *state.z,
+                                        *state.a))
+        assert (peaks[0] - blocks) / (n * N * 8) <= 6.0
+
+
 class TestBlockIsolation:
     """Each block update writes only its own block, so the descent ledger's
     one term per block covers every move and no cached residual goes stale
@@ -1137,7 +1200,7 @@ class TestBlockIsolation:
         state = _empty_slab_state()
         hp, eps = obj.HyperParams(rho=1.0), 0.1
         calls = {
-            "update_w": lambda: opt.update_w(state, layer, hp, _fresh_resid(state, layer)),
+            "update_w": lambda: _update_w(state, layer, hp),
             "update_b": lambda: opt.update_b(state, layer, hp.rho, _product(state, layer)),
             "update_z_hidden": lambda: opt.update_z_hidden(state, layer, eps, hp.rho,
                                                            _product(state, layer)),
@@ -1307,8 +1370,10 @@ class TestCertificatesExact:
             assert report.feasibility_residual == ns.feasibility_residual(state, eps)
             assert report.f_after == obj.evaluate_f(state, hp, eps).total
             assert report.grad_norm_proxy == _proxy_oracle(state, hp)
-            fresh_grad = obj.grad_phi_w(state.x, state.W[0], state.b[0], state.z[0], hp.rho)
-            assert warm.grad_w0.tobytes() == fresh_grad.tobytes()
+            # layer 0's pair, carried into the next sweep's first W step
+            operands = (state.x, state.W[0], state.b[0], state.z[0], hp.rho)
+            assert warm.layer0[0] == obj.penalty_phi(*operands)
+            assert warm.layer0[1].tobytes() == obj.grad_phi_w(*operands).tobytes()
 
 
 class TestNonFinite:
