@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import subprocess
 import sys
 import time
@@ -159,43 +158,33 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def load_dataset(cfg: RunConfig) -> tuple[data_io.Dataset, data_io.Dataset | None]:
-    """Train split (subset applied) plus the test split when one exists."""
+def load_dataset(cfg: RunConfig) -> tuple[data_io.Dataset, data_io.Dataset]:
+    """Train split (subset applied) and test split."""
     if cfg.dataset == "blobs":
-        train = data_io.synth_gaussian_blobs(cfg.blobs_classes, cfg.blobs_features,
-                                             cfg.blobs_per_class, cfg.seed,
-                                             noise=cfg.blobs_noise)
-        test = data_io.synth_gaussian_blobs(cfg.blobs_classes, cfg.blobs_features,
-                                            max(cfg.blobs_per_class // 4, 1),
-                                            cfg.seed, noise=cfg.blobs_noise,
-                                            split="test")
-        if cfg.subset_size:
-            train = data_io.take_subset(train, cfg.subset_size, cfg.seed)
-        return train, test
-    root = Path(cfg.data_dir)
-    names = {
-        "train_images": "train-images-idx3-ubyte",
-        "train_labels": "train-labels-idx1-ubyte",
-        "test_images": "t10k-images-idx3-ubyte",
-        "test_labels": "t10k-labels-idx1-ubyte",
-    }
+        train, test = (data_io.synth_gaussian_blobs(cfg.blobs_classes, cfg.blobs_features,
+                                                    per_class, cfg.seed, noise=cfg.blobs_noise,
+                                                    split=split)
+                       for per_class, split in ((cfg.blobs_per_class, "train"),
+                                                (max(cfg.blobs_per_class // 4, 1), "test")))
+    else:
+        root = Path(cfg.data_dir)
 
-    def find(stem: str) -> str:
-        for suffix in ("", ".gz"):
-            candidate = root / (stem + suffix)
-            if candidate.exists():
-                return str(candidate)
-        raise ConfigError(f"missing {stem}[.gz] under {root}")
+        def find(stem: str) -> str:
+            for suffix in ("", ".gz"):
+                candidate = root / (stem + suffix)
+                if candidate.exists():
+                    return str(candidate)
+            raise ConfigError(f"missing {stem}[.gz] under {root}")
 
-    train = data_io.load_idx(find(names["train_images"]), find(names["train_labels"]),
-                             name=cfg.dataset, split="train")
-    test = data_io.load_idx(find(names["test_images"]), find(names["test_labels"]),
-                            name=cfg.dataset, split="test")
-    if cfg.dataset == "mnist":
-        if cfg.train_count and cfg.train_count < train.n_samples:
-            train = data_io.take_subset(train, cfg.train_count, cfg.seed)
-        train = data_io.downsample_196(train)
-        test = data_io.downsample_196(test)
+        train, test = (data_io.load_idx(find(f"{prefix}-images-idx3-ubyte"),
+                                        find(f"{prefix}-labels-idx1-ubyte"),
+                                        name=cfg.dataset, split=split)
+                       for prefix, split in (("train", "train"), ("t10k", "test")))
+        if cfg.dataset == "mnist":
+            if cfg.train_count and cfg.train_count < train.n_samples:
+                train = data_io.take_subset(train, cfg.train_count, cfg.seed)
+            train = data_io.downsample_196(train)
+            test = data_io.downsample_196(test)
     if cfg.subset_size:
         train = data_io.take_subset(train, cfg.subset_size, cfg.seed)
     return train, test
@@ -233,18 +222,17 @@ def run(cfg: RunConfig) -> int:
     arch = cfg.architecture(train_ds.features, train_ds.classes)
     rows: list[dict] = []
 
+    def test_acc(W, b):
+        return obj.accuracy_from_logits(ns.forward_logits(arch, W, b, test_ds.x), test_ds.y)
+
     if cfg.optimizer == "dlam":
         hp = cfg.hyper_params()
 
         def per_epoch(state, report):
             logits = ns.forward_logits(arch, state.W, state.b, train_ds.x)
-            train_acc = obj.accuracy_from_logits(logits, train_ds.y)
-            test_acc = math.nan
-            if test_ds is not None:
-                test_logits = ns.forward_logits(arch, state.W, state.b, test_ds.x)
-                test_acc = obj.accuracy_from_logits(test_logits, test_ds.y)
             rows.append({"epoch": report.epoch, "F": report.f_after,
-                         "train_acc": train_acc, "test_acc": test_acc,
+                         "train_acc": obj.accuracy_from_logits(logits, train_ds.y),
+                         "test_acc": test_acc(state.W, state.b),
                          "wall_time_s": report.wall_time_s,
                          "train_risk": obj.risk_cross_entropy(logits, train_ds.y)})
 
@@ -255,20 +243,17 @@ def run(cfg: RunConfig) -> int:
             probe = train_ds
             if probe.n_samples > 5000:
                 probe = data_io.take_subset(probe, 5000, cfg.seed)
-            cfg.lr = baselines.select_learning_rate(baselines.BaselineKind(cfg.optimizer),
-                                                    arch, probe.x, probe.y, seed=cfg.seed)
-        bcfg = cfg.baseline_config()
+            # the chosen rate goes into a copy: the caller's config still asks for the search
+            cfg = replace(cfg, lr=baselines.select_learning_rate(
+                baselines.BaselineKind(cfg.optimizer), arch, probe.x, probe.y, seed=cfg.seed))
 
         def per_epoch(W, b, record):
-            test_acc = math.nan
-            if test_ds is not None:
-                logits = ns.forward_logits(arch, W, b, test_ds.x)
-                test_acc = obj.accuracy_from_logits(logits, test_ds.y)
             rows.append({"epoch": record["epoch"], "F": record["loss"],
-                         "train_acc": record["train_acc"], "test_acc": test_acc,
+                         "train_acc": record["train_acc"], "test_acc": test_acc(W, b),
                          "wall_time_s": record["wall_time_s"], "train_risk": record["loss"]})
 
-        baselines.train_baseline(bcfg, arch, train_ds.x, train_ds.y, per_epoch=per_epoch)
+        baselines.train_baseline(cfg.baseline_config(), arch, train_ds.x, train_ds.y,
+                                 per_epoch=per_epoch)
 
     _write_trace(out_dir / "trace.csv", rows)
     summary = {
@@ -285,6 +270,7 @@ def run(cfg: RunConfig) -> int:
 
 def scaling_table(cfg: RunConfig, sizes: list[int], rhos: list[float]) -> Path:
     """Mean per-epoch wall time of the dlam trainer over a size x rho grid; writes a CSV."""
+    cfg.validate()
     if cfg.optimizer != "dlam":
         raise ConfigError(f"scale times the dlam trainer only, not {cfg.optimizer!r}")
     out_dir = Path(cfg.out_dir)

@@ -8,6 +8,7 @@ gzip signature).
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -70,6 +71,30 @@ def _read_u32(raw: bytes, offset: int, path: str) -> int:
     return struct.unpack_from(">I", raw, offset)[0]
 
 
+def _read_idx(path: str, magic: int, count: tuple[str, int] | None = None
+              ) -> tuple[list[int], np.ndarray]:
+    """The dimensions and uint8 payload of the IDX file at ``path``.
+
+    ``magic`` is the expected magic number, whose low byte is the number of
+    dimensions. ``count``, when given, is (images path, image count), which
+    the first dimension must equal; it is checked before the payload.
+    """
+    kind, unit = {IMAGE_MAGIC: ("image", "pixel"), LABEL_MAGIC: ("label", "label")}[magic]
+    raw = _read_bytes(path)
+    found = _read_u32(raw, 0, path)
+    if found != magic:
+        raise IdxFormatError(
+            f"{path}: bad {kind} magic 0x{found:08X} at offset 0 (expected 0x{magic:08X})")
+    dims = [_read_u32(raw, 4 * i, path) for i in range(1, 1 + (magic & 0xFF))]
+    if count is not None and dims[0] != count[1]:
+        raise IdxFormatError(f"{path}: {dims[0]} {kind}s but {count[0]} has {count[1]} images")
+    start, size = 4 + 4 * len(dims), math.prod(dims)
+    if len(raw) < start + size:
+        raise IdxFormatError(f"{path}: truncated {unit} data at offset {len(raw)} "
+                             f"(expected {start + size} bytes)")
+    return dims, np.frombuffer(raw, dtype=np.uint8, count=size, offset=start)
+
+
 def load_idx(images_path: str, labels_path: str, classes: int = 10,
              name: str = "idx", split: str = "train") -> Dataset:
     """Parse a big-endian IDX image/label pair into a Dataset.
@@ -78,42 +103,8 @@ def load_idx(images_path: str, labels_path: str, classes: int = 10,
     stream, a bad magic number, a truncated payload, a count mismatch or a
     label outside [0, classes).
     """
-    raw_img = _read_bytes(images_path)
-    magic = _read_u32(raw_img, 0, images_path)
-    if magic != IMAGE_MAGIC:
-        raise IdxFormatError(
-            f"{images_path}: bad image magic 0x{magic:08X} at offset 0 "
-            f"(expected 0x{IMAGE_MAGIC:08X})"
-        )
-    n = _read_u32(raw_img, 4, images_path)
-    rows = _read_u32(raw_img, 8, images_path)
-    cols = _read_u32(raw_img, 12, images_path)
-    need = 16 + n * rows * cols
-    if len(raw_img) < need:
-        raise IdxFormatError(
-            f"{images_path}: truncated pixel data at offset {len(raw_img)} "
-            f"(expected {need} bytes)"
-        )
-    pixels = np.frombuffer(raw_img, dtype=np.uint8, count=n * rows * cols, offset=16)
-
-    raw_lab = _read_bytes(labels_path)
-    magic = _read_u32(raw_lab, 0, labels_path)
-    if magic != LABEL_MAGIC:
-        raise IdxFormatError(
-            f"{labels_path}: bad label magic 0x{magic:08X} at offset 0 "
-            f"(expected 0x{LABEL_MAGIC:08X})"
-        )
-    n_lab = _read_u32(raw_lab, 4, labels_path)
-    if n_lab != n:
-        raise IdxFormatError(
-            f"{labels_path}: {n_lab} labels but {images_path} has {n} images"
-        )
-    if len(raw_lab) < 8 + n:
-        raise IdxFormatError(
-            f"{labels_path}: truncated label data at offset {len(raw_lab)} "
-            f"(expected {8 + n} bytes)"
-        )
-    labels = np.frombuffer(raw_lab, dtype=np.uint8, count=n, offset=8)
+    (n, rows, cols), pixels = _read_idx(images_path, IMAGE_MAGIC)
+    _, labels = _read_idx(labels_path, LABEL_MAGIC, (images_path, n))
     if n and labels.max() >= classes:
         at = int(np.argmax(labels >= classes))
         raise IdxFormatError(f"{labels_path}: label {labels[at]} at offset {8 + at} "

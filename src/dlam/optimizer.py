@@ -103,19 +103,6 @@ class WarmStart:
 
 
 @dataclass
-class ClosedLayer:
-    """Layer l's end-of-sweep terms, taken from R_l when its z step ends.
-
-    From then on nothing moves W_l, b_l, z_l or a_{l-1} for the rest of the
-    sweep, so these are the terms the certificates and f_after read.
-    """
-
-    penalty: float               # (rho/2)||R_l||^2
-    grad_w: np.ndarray           # rho R_l a_{l-1}^T, without the regularizer's term
-    grad_b: np.ndarray           # rho rowsum(R_l)
-
-
-@dataclass
 class EpochReport:
     """Everything the diagnostics need from one epoch, norms and deltas only.
 
@@ -416,35 +403,6 @@ def _block_norms(state: ns.NetworkState) -> dict:
     }
 
 
-def _gradient_certificates(state: ns.NetworkState, hp: obj.HyperParams,
-                           closed: list[ClosedLayer], z_steps: list[BlockStep],
-                           R_out: np.ndarray) -> tuple[float, float]:
-    """(gradient proxy, grad_b_err), the end-of-sweep gradient certificates.
-
-    The proxy is the norm of the computable smooth gradient components: the
-    W and b penalty gradients (plus the l2 regularizer term when active) and
-    the output pre-activation's penalty-plus-risk gradient. The hidden z and
-    a components involve indicator subdifferentials and are left out; the
-    diagnostics log the proxy's ratio to the block movement as the weak form
-    of the subgradient bound. grad_b_err checks each b gradient against
-    ``z_steps[l].mean_move`` (grad_b_layer_error). ``closed`` holds every
-    layer's end-of-sweep terms and ``R_out`` the output layer's current
-    coupling residual.
-    """
-    arch = state.arch
-    total = grad_b_err = 0.0
-    for l, c in enumerate(closed):
-        gw = c.grad_w
-        if arch.regularizer is ns.RegKind.L2 and arch.reg_weight > 0.0:
-            gw = gw + 2.0 * arch.reg_weight * state.W[l]
-        total += obj.inner(gw, gw) + obj.inner(c.grad_b, c.grad_b)
-        grad_b_err = max(grad_b_err, grad_b_layer_error(c.grad_b, z_steps[l].mean_move,
-                                                        state.n_samples, hp.rho))
-    gz = obj.grad_z(R_out, hp.rho) + obj.grad_risk_cross_entropy(state.z[-1], state.y)
-    total += obj.inner(gz, gz)
-    return math.sqrt(total), grad_b_err
-
-
 def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
               eps: float, warm: WarmStart | None = None) -> EpochReport:
     """One full sweep at slab tolerance ``eps``: per layer W, b, z, then a.
@@ -461,17 +419,26 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     gradient: for l >= 1 the sweep forms R_l at the start of the layer and
     drops it before the W steps. A layer closes when its z step ends: from
     then on nothing moves W_l, b_l, z_l or a_{l-1}, so the R_l formed there
-    yields the layer's end-of-sweep terms (ClosedLayer: penalty, W and b
-    gradients), which the certificates and f_after sum. R_l itself is kept
-    only while a later block reads it, the next sweep's update_a(l - 1),
-    which uses it up; R_0 is dropped at once, and layer 0 carries only its
-    (penalty, W gradient) pair. Each W update also gets f_before, for the
-    stop rule of its inner steps. The other certificates are by-products
-    of the blocks, read from the BlockSteps the block updates return (one
-    each, one per step from update_w), in sweep order: dw_sq and da_sq are
-    the squared steps the majorization tests formed, grad_b_err reads the
-    z steps' mean moves, and the feasibility residual is the a steps' own
-    slab violation.
+    yields the layer's end-of-sweep terms, taken at once: its penalty, which
+    f_after sums, and its W and b gradients, which enter the certificates
+    and are then dropped. R_l itself is kept only while a later block reads
+    it, the next sweep's update_a(l - 1), which uses it up; R_0 is dropped
+    at once, and layer 0 carries only its (penalty, W gradient) pair. Each
+    W update also gets f_before, for the stop rule of its inner steps.
+
+    The gradient proxy is the norm of the computable smooth gradient
+    components: each layer's W and b penalty gradients (plus 2 lam W under
+    l2), summed at its close, and the output pre-activation's
+    penalty-plus-risk gradient, added after the last layer. The hidden z
+    and a components involve indicator subdifferentials and are left out;
+    the diagnostics log the proxy's ratio to the block movement as the
+    weak form of the subgradient bound. grad_b_err checks each layer's b
+    gradient against the mean move of the z step it closes on
+    (grad_b_layer_error). The other certificates are by-products of the
+    blocks, read from the BlockSteps the block updates return (one each,
+    one per step from update_w), in sweep order: dw_sq and da_sq are the
+    squared steps the majorization tests formed, and the feasibility
+    residual is the a steps' own slab violation.
 
     ``warm`` carries R_l for l >= 1, layer 0's pair, the input's Gram
     matrix and f_after into the next call, which must get the state as
@@ -507,12 +474,14 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     if warm.f_end is not None and warm.f_end[0] == eps:
         f_before = warm.f_end[1]
     else:
-        penalties = [warm.layer0[0], *(obj.penalty(r, rho) for r in resid[1:])]
-        f_before = obj.objective_from_penalties(state, hp, penalties,
+        carried = [warm.layer0[0], *(obj.penalty(r, rho) for r in resid[1:])]
+        f_before = obj.objective_from_penalties(state, hp, carried,
                                                 ns.feasibility_residual(state, eps)).total
 
+    l2 = state.arch.regularizer is ns.RegKind.L2 and state.arch.reg_weight != 0.0
     steps: list[BlockStep] = []     # one per block step, in sweep order
-    closed: list[ClosedLayer] = []  # one per layer, in sweep order
+    penalties: list[float] = []     # one per layer, in sweep order
+    proxy_sq = grad_b_err = 0.0
     try:
         for l in range(L):
             if l == 0:
@@ -536,13 +505,18 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
             # the layer closes; nothing reads the product after the z step
             R = obj.residual(product, state.b[l], state.z[l], out=product)
             del product
-            closed.append(ClosedLayer(obj.penalty(R, rho), obj.grad_w(R, state.a_prev(l), rho),
-                                      obj.grad_b(R, rho)))
+            penalties.append(obj.penalty(R, rho))
+            g_w, g_b = obj.grad_w(R, state.a_prev(l), rho), obj.grad_b(R, rho)
             if l == 0:
-                warm.layer0 = (closed[0].penalty, closed[0].grad_w)
+                warm.layer0 = (penalties[0], g_w)
             else:
                 resid[l] = R
             del R       # R_0 goes before update_a(0): peak memory
+            if l2:
+                g_w = g_w + 2.0 * state.arch.reg_weight * state.W[l]
+            proxy_sq += obj.inner(g_w, g_w) + obj.inner(g_b, g_b)
+            grad_b_err = max(grad_b_err, grad_b_layer_error(g_b, steps[-1].mean_move,
+                                                            state.n_samples, rho))
 
             if l < L - 1:
                 # R_{l+1} leaves the cache with update_a, which uses it up and
@@ -552,14 +526,18 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
                 steps.append(update_a(state, l, hp, eps, warm.tau[l] / GROWTH, r_a))
                 del r_a
                 warm.tau[l] = steps[-1].curvature
+            # dropped after the a step: dropped before it, they left heap holes
+            # that raised sigmoid-net's peak RSS by 1.5 MiB
+            del g_w, g_b
     except NonFiniteError as err:
         err.epoch = epoch
         raise
 
     feas = float(np.max([s.slab_violation for s in steps], initial=0.0))   # a NaN propagates
     w_steps, b_steps, z_steps, a_steps = ([s for s in steps if s.block == k] for k in "Wbza")
-    grad_proxy, grad_b_err = _gradient_certificates(state, hp, closed, z_steps, resid[-1])
-    after = obj.objective_from_penalties(state, hp, [c.penalty for c in closed], feas)
+    g_z = obj.grad_z(resid[-1], rho) + obj.grad_risk_cross_entropy(state.z[-1], state.y)
+    grad_proxy = math.sqrt(proxy_sq + obj.inner(g_z, g_z))
+    after = obj.objective_from_penalties(state, hp, penalties, feas)
     for what, value in (("objective", after.total), ("gradient proxy", grad_proxy)):
         if not math.isfinite(value):
             raise NonFiniteError(what, epoch=epoch)

@@ -169,6 +169,27 @@ class TestLoadDataset:
                               axis=2)
         assert np.array_equal(dist.argmin(axis=1), np.arange(classes))
 
+    def test_blobs_has_a_test_split(self):
+        cfg = cli.RunConfig(dataset="blobs", blobs_per_class=20, subset_size=30)
+        train, test = cli.load_dataset(cfg)
+        assert (train.split, train.n_samples) == ("train", 30)
+        assert (test.split, test.n_samples) == ("test", cfg.blobs_classes * 5)
+        assert test.features == train.features and test.classes == train.classes
+
+    def test_idx_fixture_has_a_test_split(self, tmp_path):
+        # a 3x3 IDX pair per split, the t10k one with its own sample count
+        data = tmp_path / "fashion"
+        data.mkdir()
+        for prefix, n in (("train", 6), ("t10k", 4)):
+            images = struct.pack(">IIII", data_io.IMAGE_MAGIC, n, 3, 3) + bytes(range(9 * n))
+            labels = struct.pack(">II", data_io.LABEL_MAGIC, n) + bytes(i % 10 for i in range(n))
+            (data / f"{prefix}-images-idx3-ubyte").write_bytes(images)
+            (data / f"{prefix}-labels-idx1-ubyte.gz").write_bytes(gzip.compress(labels))
+        train, test = cli.load_dataset(cli.RunConfig(dataset="fashion", data_dir=str(data)))
+        assert (train.split, train.n_samples, train.name) == ("train", 6, "fashion")
+        assert (test.split, test.n_samples, test.name) == ("test", 4, "fashion")
+        assert test.features == 9 and np.array_equal(test.y.argmax(axis=0), [0, 1, 2, 3])
+
 
 class TestTrainCommand:
     def test_blobs_dlam_run_outputs(self, tmp_path):
@@ -391,6 +412,25 @@ class TestTrainCommand:
         assert config["epochs"] == 2 and config["seed"] == 4
         assert config["blobs_classes"] == 3 and config["subset_size"] == 20
 
+    def test_run_leaves_the_callers_config_unchanged(self, tmp_path, monkeypatch):
+        searches = []
+        search = bl.select_learning_rate
+
+        def counted(*args, **kwargs):
+            searches.append(args[0])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(cli.baselines, "select_learning_rate", counted)
+        cfg = cli.RunConfig(dataset="blobs", hidden="8", optimizer="adagrad", epochs=2,
+                            out_dir=str(tmp_path))
+        rates = []
+        for _ in range(2):
+            assert cli.run(cfg) == 0
+            rates.append(json.loads((tmp_path / "summary.json").read_text())["config"]["lr"])
+        assert cfg.lr == 0.0
+        assert searches == [bl.BaselineKind.ADAGRAD] * 2
+        assert rates[0] == rates[1] and rates[0] in bl.LR_GRID
+
     def test_determinism_excluding_wall_time(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert cli.main(["train", *BLOBS_ARGS, "--out", str(out1)]) == 0
@@ -435,6 +475,15 @@ class TestScaleCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: {flag}: {detail}\n"
         assert not (out / "scaling.csv").exists()
+
+    def test_config_is_checked_as_a_run_checks_it(self, tmp_path):
+        cfg = cli.RunConfig(dataset="blobs", hidden="8", epochs=1, reg_weight=0.1,
+                            out_dir=str(tmp_path / "scale"))
+        with pytest.raises(cli.ConfigError, match="^reg_weight needs reg l1 or l2$"):
+            cli.run(cfg)
+        with pytest.raises(cli.ConfigError, match="^reg_weight needs reg l1 or l2$"):
+            cli.scaling_table(cfg, [50], [1e-2])
+        assert not (tmp_path / "scale").exists()
 
     def test_size_exceeding_dataset_rejected(self, tmp_path):
         cfg = cli.RunConfig(dataset="blobs", out_dir=str(tmp_path),

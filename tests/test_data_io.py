@@ -95,6 +95,52 @@ class TestLoadIdx:
         with pytest.raises(data_io.IdxFormatError, match="labels"):
             data_io.load_idx(img_path, str(other))
 
+    def test_count_mismatch_is_named_before_the_label_payload(self, tmp_path, rng):
+        # the label count disagrees with the images, the payload fits the images
+        images = rng.integers(0, 256, size=(3, 2, 2), dtype=np.uint8)
+        img_path, _ = _write_idx_pair(tmp_path, images, np.zeros(3, dtype=np.uint8))
+        other = tmp_path / "other-labels"
+        other.write_bytes(struct.pack(">II", data_io.LABEL_MAGIC, 5) + b"\x00" * 3)
+        with pytest.raises(data_io.IdxFormatError,
+                           match=f"^{re.escape(str(other))}: 5 labels but "
+                                 f"{re.escape(img_path)} has 3 images$"):
+            data_io.load_idx(img_path, str(other))
+
+    def test_bad_label_magic(self, tmp_path, rng):
+        images = rng.integers(0, 256, size=(2, 2, 2), dtype=np.uint8)
+        img_path, _ = _write_idx_pair(tmp_path, images, np.zeros(2, dtype=np.uint8))
+        lab_path = tmp_path / "bad-labels"
+        lab_path.write_bytes(struct.pack(">II", data_io.IMAGE_MAGIC, 2) + b"\x00" * 2)
+        with pytest.raises(data_io.IdxFormatError,
+                           match=f"^{re.escape(str(lab_path))}: bad label magic 0x00000803 "
+                                 r"at offset 0 \(expected 0x00000801\)$"):
+            data_io.load_idx(img_path, str(lab_path))
+
+    def test_truncated_label_data(self, tmp_path, rng):
+        images = rng.integers(0, 256, size=(4, 2, 2), dtype=np.uint8)
+        img_path, _ = _write_idx_pair(tmp_path, images, np.zeros(4, dtype=np.uint8))
+        lab_path = tmp_path / "short-labels"
+        lab_path.write_bytes(struct.pack(">II", data_io.LABEL_MAGIC, 4) + b"\x00" * 3)
+        with pytest.raises(data_io.IdxFormatError,
+                           match=f"^{re.escape(str(lab_path))}: truncated label data "
+                                 r"at offset 11 \(expected 12 bytes\)$"):
+            data_io.load_idx(img_path, str(lab_path))
+
+    @pytest.mark.parametrize("which,keep,offset", [("images", 10, 8), ("labels", 6, 4),
+                                                   ("labels", 3, 0)])
+    def test_truncated_header(self, tmp_path, rng, which, keep, offset):
+        images = rng.integers(0, 256, size=(2, 2, 2), dtype=np.uint8)
+        paths = dict(zip(("images", "labels"),
+                         _write_idx_pair(tmp_path, images, np.zeros(2, dtype=np.uint8))))
+        with open(paths[which], "rb") as f:
+            head = f.read(keep)
+        with open(paths[which], "wb") as f:
+            f.write(head)
+        with pytest.raises(data_io.IdxFormatError,
+                           match=f"^{re.escape(paths[which])}: truncated header "
+                                 f"at offset {offset}$"):
+            data_io.load_idx(paths["images"], paths["labels"])
+
     def test_label_out_of_range_names_the_file(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(4, 2, 2), dtype=np.uint8)
         labels = np.array([3, 9, 10, 0], dtype=np.uint8)
