@@ -151,11 +151,11 @@ def select_learning_rate(kind: BaselineKind, arch: ns.Architecture, x: np.ndarra
 
     Short probe runs on the given batch; ties break toward the larger rate
     because the grid is ordered descending. A rate whose probe diverges
-    (ns.NonFiniteError) is skipped.
+    (ns.NonFiniteError) is skipped, and a grid of such rates is a ValueError.
     """
     if probe_epochs < 1:
         raise ValueError("probe_epochs must be >= 1")
-    best_lr, best_acc = grid[0], -1.0
+    best_lr, best_acc = None, -1.0
     for lr in grid:
         cfg = BaselineConfig(kind=kind, lr=lr, epochs=probe_epochs, seed=seed)
         try:
@@ -164,4 +164,6 @@ def select_learning_rate(kind: BaselineKind, arch: ns.Architecture, x: np.ndarra
             continue
         if acc > best_acc:
             best_lr, best_acc = lr, acc
+    if best_lr is None:
+        raise ValueError(f"every learning rate in the grid {tuple(grid)} diverged")
     return best_lr

@@ -116,7 +116,8 @@ FLAG_ALIASES = {"subset_size": "--subset", "out_dir": "--out"}
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment; a key may appear once."""
+    """Flat ``key = value`` lines, each value parsed to its key's type (FIELD_TYPES);
+    '#' starts a comment; a key may appear once."""
     values, first_line = {}, {}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -131,24 +132,19 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in first_line:
             raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {first_line[key]}")
-        values[key], first_line[key] = value.strip(), lineno
-    return values
-
-
-def _coerce(values: dict) -> dict:
-    out = {}
-    for key, raw in values.items():
+        value = value.strip()
         try:
-            out[key] = FIELD_TYPES[key](raw)
+            values[key] = FIELD_TYPES[key](value)
         except ValueError:
-            raise ConfigError(f"bad value {raw!r} for {key}") from None
-    return out
+            raise ConfigError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
+        first_line[key] = lineno
+    return values
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
-        values.update(_coerce(parse_config_file(args.config)))
+        values.update(parse_config_file(args.config))
     for key in FIELD_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -261,7 +257,7 @@ def run(cfg: RunConfig) -> int:
         "git_describe": _git_describe(),
         "dataset": {"name": train_ds.name, "train_samples": train_ds.n_samples,
                     "features": train_ds.features, "classes": train_ds.classes},
-        "final": rows[-1] if rows else None,
+        "final": rows[-1],
     }
     with open(out_dir / "summary.json", "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
@@ -287,7 +283,7 @@ def scaling_table(cfg: RunConfig, sizes: list[int], rhos: list[float]) -> Path:
             sub = data_io.take_subset(base, size, cfg.seed)
             t0 = time.perf_counter()
             opt.train(arch, sub.x, sub.y, hp)
-            row.append((time.perf_counter() - t0) / max(hp.epochs, 1))
+            row.append((time.perf_counter() - t0) / hp.epochs)
         table.append(row)
     path = out_dir / "scaling.csv"
     with open(path, "w", newline="") as f:

@@ -101,15 +101,14 @@ def subgradient_ratio_series(trace) -> list[float]:
     return out
 
 
-def boundedness_record(trace, init_norms: dict | None = None) -> BoundednessRecord:
+def boundedness_record(trace) -> BoundednessRecord:
     """Running block-norm maxima, the objective floor, and a monotonicity flag.
 
-    ``init_norms`` seeds the maxima (and is all the record contains for a
-    zero-epoch trace). f_monotone checks both that the objective never rose
-    across an epoch and that the epoch-end values never increased, with
-    1e-8 absolute slack.
+    f_monotone checks both that the objective never rose across an epoch and
+    that the epoch-end values never increased, with 1e-8 absolute slack. A
+    zero-epoch trace gives no maxima and an infinite floor.
     """
-    maxima: dict = dict(init_norms) if init_norms else {}
+    maxima: dict = {}
     f_values: list[float] = []
     monotone = True
     for report in trace:

@@ -12,12 +12,11 @@ scale with batch size; the penalty sums over columns.
 
 phi_l depends on the blocks only through R_l = W_l a_{l-1} + b_l - z_l, and
 this module holds the one copy of each formula on R: ``residual``, ``penalty``
-and its block gradients ``grad_w/b/z/a``. ``penalty_phi`` and ``grad_phi_*``
-compose them with ``coupling_residual`` for callers holding only the blocks.
-``inner`` is the one reduction of two blocks that the penalty and the
-optimizer's squared norms and pairings share.
-The output solve's Newton step, ``newton_direction``, sits beside the risk
-formulas.
+and its block gradients ``grad_w/b/z/a``, the W one with l2 in ``smooth_grad_w``.
+``penalty_phi`` and ``grad_phi_*`` compose them with ``coupling_residual`` for
+callers holding only the blocks. ``inner`` is the one reduction of two blocks
+that the penalty and the optimizer's squared norms and pairings share. The
+output solve's Newton step, ``newton_direction``, sits beside the risk formulas.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ class HyperParams:
 
     rho: float = 1e-4          # coupling penalty weight
     eps0: float = 10.0         # slab tolerance bound; train holds eps at
-                               # min(eps0, 0.01) for the whole run
+                               # min(eps0, optimizer.EPS_MAX) for the whole run
     epochs: int = 150
     seed: int = 0
 
@@ -70,22 +69,18 @@ def inner(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.vdot(u, v))
 
 
-def residual(product: np.ndarray, b: np.ndarray, z: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """product + b 1^T - z with ``product`` = W a_prev: the coupling residual R.
-
-    Written into ``out`` when given, which may be ``product`` itself.
-    """
-    R = np.add(product, b, out=out)
-    R -= z
-    return R
+def residual(free: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """free - z, ``free`` = W a_prev + b 1^T the free step: the coupling residual R,
+    written into ``out`` when given, which may be ``free`` itself."""
+    return np.subtract(free, z, out=out)
 
 
 def coupling_residual(a_prev: np.ndarray, W: np.ndarray, b: np.ndarray,
                       z: np.ndarray) -> np.ndarray:
     """W a_prev + b 1^T - z, the residual every coupling term is built on."""
-    product = W @ a_prev
-    return residual(product, b, z, out=product)
+    free = W @ a_prev
+    free += b
+    return residual(free, z, out=free)
 
 
 def mean_residual(product: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -220,6 +215,13 @@ def solve_w_subproblem(kind: ns.RegKind, lam: float, W_k: np.ndarray,
     if kind is ns.RegKind.L1:
         return soft_threshold(W_k - grad / theta, lam / theta)
     raise ValueError(f"unknown regularizer {kind!r}")
+
+
+def smooth_grad_w(kind: ns.RegKind, lam: float, W: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """A W step's direction: the penalty's gradient ``grad``, plus 2 lam W under l2."""
+    if kind is ns.RegKind.L2 and lam != 0.0:
+        return grad + 2.0 * lam * W
+    return grad
 
 
 def objective_from_penalties(state: ns.NetworkState, hp: HyperParams,

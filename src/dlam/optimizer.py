@@ -185,8 +185,7 @@ def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
 
 
 def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, phi: float,
-             grad: np.ndarray, gram: np.ndarray | None = None,
-             f_before: float = 0.0) -> list[BlockStep]:
+             grad: np.ndarray, gram: np.ndarray, f_before: float) -> list[BlockStep]:
     """Up to W_STEPS backtracked majorized steps on W at ``layer``; writes the result into state.
 
     Each candidate minimizes the quadratic model plus the regularizer in
@@ -198,14 +197,14 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, phi: float
     and the rounding would swamp it, is ||d a_prev||^2 formed from the
     batch. The first step starts from ``phi`` and ``grad``, the layer's
     current penalty (rho/2)||R||^2 and its gradient rho R a_prev^T, R the
-    coupling residual W a_prev + b - z, which the caller forms (run_epoch
-    drops R before this call, so no W step holds a batch-sized array);
-    ``gram`` (G) is formed unless the caller already formed it. A later
-    step reads only G: it starts from the last step's phi and the last
-    gradient plus rho d G, so it costs O(n_l n_{l-1}^2). Every step's
-    curvature starts at rho <v G, v>/<v, v> (1 + RQ_SLACK), the exact
-    curvature of the penalty along the step's direction v (the gradient,
-    plus 2 lam W under l2), and at ALPHA0 for a zero v. Without a
+    coupling residual W a_prev + b - z, which the caller forms as it forms
+    ``gram`` (G); run_epoch drops R before this call, so no W step holds a
+    batch-sized array. A later step reads only G: it starts from the last
+    step's phi and the last gradient plus rho d G, so it costs
+    O(n_l n_{l-1}^2). Every step's curvature starts at
+    rho <v G, v>/<v, v> (1 + RQ_SLACK), the exact curvature of the penalty
+    along the step's direction v (obj.smooth_grad_w), and at ALPHA0 for a
+    zero v. Without a
     regularizer and under l2 the candidate moves along -v, so that first
     trial majorizes and the step is the exact line-search (Cauchy) step;
     under l1 it is a guess that backtracking grows. The loop stops after a step whose guaranteed
@@ -218,9 +217,6 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, phi: float
     arch = state.arch
     rho = hp.rho
     a_prev = state.a_prev(layer)
-    if gram is None:
-        gram = a_prev @ a_prev.T
-    l2 = arch.regularizer is ns.RegKind.L2 and arch.reg_weight != 0.0
     scale = np.sqrt(np.diag(gram))      # ||a_prev row i||, so |G_ij| <= scale_i scale_j
     W = state.W[layer]
     image = None        # the last trial's d G; after a step, the accepted d's
@@ -240,7 +236,7 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, phi: float
 
     steps: list[BlockStep] = []
     for _ in range(W_STEPS):
-        v = grad + 2.0 * arch.reg_weight * W if l2 else grad
+        v = obj.smooth_grad_w(arch.regularizer, arch.reg_weight, W, grad)
         vv = obj.inner(v, v)
         theta0 = rho * image_sq(v) / vv * (1.0 + RQ_SLACK) if vv > 0.0 else 0.0
         W_new, step = _majorized_step("W", layer, rho, W, phi, grad, theta0, candidate,
@@ -268,38 +264,37 @@ def update_b(state: ns.NetworkState, layer: int, rho: float, product: np.ndarray
 
 
 def update_z_hidden(state: ns.NetworkState, layer: int, eps: float, rho: float,
-                    product: np.ndarray) -> BlockStep:
+                    free: np.ndarray) -> BlockStep:
     """Exact hidden pre-activation step: clip the free step onto the slab box.
 
-    The penalty in z is (rho/2)||z - m||^2 with m = W a_prev + b the free
-    step (``product`` is W a_prev), a separable quadratic, so clipping m onto
-    [B1, B2] (the z-image of the slab around the current a) yields the exact
-    constrained minimizer. An entry whose slab inverts to an empty set keeps
+    The penalty in z is (rho/2)||z - m||^2 with m = ``free`` = W a_prev + b
+    the free step, a separable quadratic, so clipping m onto [B1, B2] (the
+    z-image of the slab around the current a) yields the exact constrained
+    minimizer. An entry whose slab inverts to an empty set keeps
     its current z; the a step that follows projects a into the slab around
-    h(z). Writes only z; the step counts the held entries, zero on clean
-    runs.
+    h(z). Writes only z, leaving ``free`` as it got it; the step counts the
+    held entries, zero on clean runs.
     """
     kind = state.arch.activation[layer]
     lo, hi, empty = ns.slab_z_bounds(kind, state.a[layer], eps)
-    # the free step is formed after the bounds, whose temporaries are gone by then
-    z = product + state.b[layer]
-    np.clip(z, lo, hi, out=z)
+    # the new z in lo's buffer and its move in hi's: peak memory
+    z = np.clip(free, lo, hi, out=lo)
     held = np.count_nonzero(empty)
     if held:
         np.copyto(z, state.z[layer], where=empty)
-    dz = np.subtract(z, state.z[layer], out=lo)     # in lo's buffer: peak memory
+    dz = np.subtract(z, state.z[layer], out=hi)
     state.z[layer] = z
     return BlockStep("z", layer, rho, obj.inner(dz, dz), held=held,
                      mean_move=dz.mean(axis=1, keepdims=True))
 
 
 def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
-                    product: np.ndarray) -> BlockStep:
+                    free: np.ndarray) -> BlockStep:
     """Safeguarded Newton on the output-layer composite; writes z_L into state.
 
-    Minimizes (rho/2)||z - free||_F^2 + risk(z; y) with free = W_L a_{L-1} + b_L
-    the free step; ``product`` is W_L a_{L-1}. The composite is strongly
-    convex and separates into one problem per sample column, and
+    Minimizes (rho/2)||z - free||_F^2 + risk(z; y), ``free`` = W_L a_{L-1} + b_L
+    the free step. The composite is strongly convex and separates into one
+    problem per sample column, and
     obj.newton_direction solves every column's Newton system in closed form.
     The solve has converged, within NEWTON_ITERS iterations, when the full
     Newton step s at the current iterate moves no entry by NEWTON_TOL or
@@ -316,7 +311,6 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
     step never counts as convergence.
     """
     y, rho = state.y, hp.rho
-    free = product + state.b[-1]
 
     def value(z):
         return obj.penalty(z - free, rho) + obj.risk_cross_entropy(z, y)
@@ -415,20 +409,23 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     The sweep forms every coupling residual R_l = W_l a_{l-1} + b_l - z_l
     and hands each block what it steps on; it reuses one only while its
     operands are unchanged, in the operation order of a fresh formation,
-    so reuse changes no bit. A layer's W steps get its penalty and W
-    gradient: for l >= 1 the sweep forms R_l at the start of the layer and
-    drops it before the W steps. A layer closes when its z step ends: from
-    then on nothing moves W_l, b_l, z_l or a_{l-1}, so the R_l formed there
-    yields the layer's end-of-sweep terms, taken at once: its penalty, which
-    f_after sums, and its W and b gradients, which enter the certificates
-    and are then dropped. R_l itself is kept only while a later block reads
+    so reuse changes no bit. A layer's W steps get its penalty, W gradient
+    and Gram matrix a_{l-1} a_{l-1}^T: for l >= 1 the sweep forms R_l at the
+    start of the layer and drops it before the W steps. After them it forms
+    W_l a_{l-1}, which the b step reads, and adds the new b_l into it once:
+    the free step W_l a_{l-1} + b_l, which the z step takes. A layer closes
+    when its z step ends: from then on nothing moves W_l, b_l, z_l or
+    a_{l-1}, so the R_l formed from the free step there yields the layer's
+    end-of-sweep terms, taken at once: its penalty, which f_after sums, and
+    its W and b gradients, which enter the certificates and are then
+    dropped. R_l itself is kept only while a later block reads
     it, the next sweep's update_a(l - 1), which uses it up; R_0 is dropped
     at once, and layer 0 carries only its (penalty, W gradient) pair. Each
     W update also gets f_before, for the stop rule of its inner steps.
 
     The gradient proxy is the norm of the computable smooth gradient
-    components: each layer's W and b penalty gradients (plus 2 lam W under
-    l2), summed at its close, and the output pre-activation's
+    components: each layer's W gradient (obj.smooth_grad_w) and b penalty
+    gradient, summed at its close, and the output pre-activation's
     penalty-plus-risk gradient, added after the last layer. The hidden z
     and a components involve indicator subdifferentials and are left out;
     the diagnostics log the proxy's ratio to the block movement as the
@@ -478,7 +475,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
         f_before = obj.objective_from_penalties(state, hp, carried,
                                                 ns.feasibility_residual(state, eps)).total
 
-    l2 = state.arch.regularizer is ns.RegKind.L2 and state.arch.reg_weight != 0.0
+    arch = state.arch
     steps: list[BlockStep] = []     # one per block step, in sweep order
     penalties: list[float] = []     # one per layer, in sweep order
     proxy_sq = grad_b_err = 0.0
@@ -490,30 +487,30 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
                 # update_a(l - 1) took R_l and moved a_{l-1}; R_l goes before the
                 # W steps: peak memory
                 phi, g_w = w_inputs(l)
-            steps.extend(update_w(state, l, hp, phi, g_w, warm.gram_x if l == 0 else None,
-                                  f_before))
-            del g_w     # before the closing W gradient is formed
+            a_prev = state.a_prev(l)
+            gram = warm.gram_x if l == 0 else a_prev @ a_prev.T
+            steps.extend(update_w(state, l, hp, phi, g_w, gram, f_before))
+            del g_w, gram   # before the closing W gradient is formed
 
             # W_l and a_{l-1} are final for this sweep from here on
-            product = state.W[l] @ state.a_prev(l)
-            steps.append(update_b(state, l, hp.rho, product))
-
+            free = state.W[l] @ a_prev
+            steps.append(update_b(state, l, rho, free))
+            free += state.b[l]      # the free step W_l a_{l-1} + b_l
             if l == L - 1:
-                steps.append(update_z_output(state, hp, product))
+                steps.append(update_z_output(state, hp, free))
             else:
-                steps.append(update_z_hidden(state, l, eps, hp.rho, product))
-            # the layer closes; nothing reads the product after the z step
-            R = obj.residual(product, state.b[l], state.z[l], out=product)
-            del product
+                steps.append(update_z_hidden(state, l, eps, rho, free))
+            # the layer closes; nothing reads the free step after the z step
+            R = obj.residual(free, state.z[l], out=free)
+            del free
             penalties.append(obj.penalty(R, rho))
-            g_w, g_b = obj.grad_w(R, state.a_prev(l), rho), obj.grad_b(R, rho)
+            g_w, g_b = obj.grad_w(R, a_prev, rho), obj.grad_b(R, rho)
             if l == 0:
                 warm.layer0 = (penalties[0], g_w)
             else:
                 resid[l] = R
             del R       # R_0 goes before update_a(0): peak memory
-            if l2:
-                g_w = g_w + 2.0 * state.arch.reg_weight * state.W[l]
+            g_w = obj.smooth_grad_w(arch.regularizer, arch.reg_weight, state.W[l], g_w)
             proxy_sq += obj.inner(g_w, g_w) + obj.inner(g_b, g_b)
             grad_b_err = max(grad_b_err, grad_b_layer_error(g_b, steps[-1].mean_move,
                                                             state.n_samples, rho))

@@ -263,6 +263,15 @@ class TestLearningRateSelection:
                                      grid=(1e308, 0.3, 0.1), probe_epochs=30, seed=0)
         assert lr == 0.3
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_grid_where_every_rate_diverges_is_an_error(self):
+        ds = data_io.synth_gaussian_blobs(3, 12, 40, seed=11, noise=0.05)   # criterion 11's
+        arch = ns.Architecture((12, 16, 16, 3))
+        with pytest.raises(ValueError) as err:
+            bl.select_learning_rate(bl.BaselineKind.SGD, arch, ds.x, ds.y,
+                                    grid=(1e308, 1e300), probe_epochs=30, seed=0)
+        assert str(err.value) == "every learning rate in the grid (1e+308, 1e+300) diverged"
+
     def test_needs_at_least_one_probe_epoch(self):
         ds = data_io.synth_gaussian_blobs(3, 8, 10, seed=5)
         with pytest.raises(ValueError, match="probe_epochs must be >= 1"):

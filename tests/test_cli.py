@@ -40,7 +40,8 @@ class TestConfigParsing:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("dataset = blobs\nepochs = 9   # comment\nrho = 0.5\n")
         parsed = cli.parse_config_file(str(cfg_file))
-        assert parsed == {"dataset": "blobs", "epochs": "9", "rho": "0.5"}
+        assert parsed == {"dataset": "blobs", "epochs": 9, "rho": 0.5}
+        assert type(parsed["epochs"]) is int
 
     def test_unknown_key_rejected(self, tmp_path):
         # solver constants are not config keys
@@ -64,6 +65,16 @@ class TestConfigParsing:
         assert cli.main(["train", "--config", str(cfg_file), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {cfg_file}:3: key 'epochs' already set on line 2\n"
+        assert not (out / "trace.csv").exists()
+
+    def test_bad_value_names_its_line(self, tmp_path, capsys):
+        # a value that does not parse to its key's type is a config-file error
+        # like any other, named by file and line
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("dataset = blobs\nepochs = two\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg_file}:2: bad value 'two' for epochs\n"
         assert not (out / "trace.csv").exists()
 
     def test_validation_messages(self):

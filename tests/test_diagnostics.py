@@ -180,11 +180,10 @@ class TestSubgradientRatio:
 
 
 class TestBoundedness:
-    def test_zero_epoch_trace_uses_init_norms(self):
-        init = {"W": 3.0, "b": 0.0, "z": 2.0, "a": 1.5}
-        rec = diag.boundedness_record([], init_norms=init)
-        assert rec.max_norm_per_block == init
-        assert math.isinf(rec.f_min)
+    def test_zero_epoch_trace_has_no_maxima(self):
+        rec = diag.boundedness_record([])
+        assert rec.max_norm_per_block == {}
+        assert math.isinf(rec.f_min) and rec.f_monotone
 
     def test_monotone_run_flagged_true(self):
         state = small_state(seed=26, scatter=0.4, sizes=(4, 5, 3), n=10)

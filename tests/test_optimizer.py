@@ -45,19 +45,26 @@ def _product(state, l):
     return state.W[l] @ state.a_prev(l)
 
 
+def _free(state, l):
+    """Layer l's free step W a_prev + b, which its z step takes."""
+    return _product(state, l) + state.b[l]
+
+
 def _fresh_resid(state, l):
     return obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
 
 
 def _w_inputs(state, l, hp):
-    """Layer l's penalty and W gradient, formed from a fresh residual."""
+    """Layer l's penalty and W gradient, from a fresh residual, and its Gram matrix."""
     R = _fresh_resid(state, l)
-    return obj.penalty(R, hp.rho), obj.grad_w(R, state.a_prev(l), hp.rho)
+    a_prev = state.a_prev(l)
+    return obj.penalty(R, hp.rho), obj.grad_w(R, a_prev, hp.rho), a_prev @ a_prev.T
 
 
-def _update_w(state, l, hp, **kwargs):
-    """update_w on layer l's penalty and W gradient, freshly formed."""
-    return opt.update_w(state, l, hp, *_w_inputs(state, l, hp), **kwargs)
+def _update_w(state, l, hp, f_before=0.0):
+    """update_w on layer l's penalty, W gradient and Gram matrix, freshly formed;
+    at f_before 0 only a step that moves nothing ends its inner loop."""
+    return opt.update_w(state, l, hp, *_w_inputs(state, l, hp), f_before)
 
 
 def _update_a(state, l, hp, eps, tau0=None):
@@ -239,12 +246,12 @@ class TestUpdateW:
                 base.append(tracemalloc.get_traced_memory()[0])
             return out
 
-        phi, grad = _w_inputs(state, 1, hp)
+        inputs = _w_inputs(state, 1, hp)
         tracemalloc.start()
         try:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(opt, "_majorized_step", spy)
-                steps = opt.update_w(state, 1, hp, phi, grad)
+                steps = opt.update_w(state, 1, hp, *inputs, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -285,7 +292,7 @@ class TestUpdateB:
         product, z = _product(state, layer), state.z[layer]
         opt.update_b(state, layer, rho, product)
         b = state.b[layer]
-        R = obj.residual(product, b, z)
+        R = obj.residual(product + b, z)
         # the row sums of R vanish up to the rounding of its entries
         scale = rho * (np.abs(product) + np.abs(z) + np.abs(b)).sum(axis=1, keepdims=True)
         assert np.all(np.abs(obj.grad_b(R, rho)) <= 1e-14 * scale)
@@ -293,7 +300,7 @@ class TestUpdateB:
         r2 = np.random.default_rng(seed)
         for size in np.logspace(-6, 1, 50):
             shift = r2.normal(0.0, size, b.shape)
-            assert obj.penalty(obj.residual(product, b + shift, z), rho) >= best * (1 - 1e-12)
+            assert obj.penalty(obj.residual(product + (b + shift), z), rho) >= best * (1 - 1e-12)
 
 
 class TestUpdateZHidden:
@@ -302,7 +309,7 @@ class TestUpdateZHidden:
         hp = obj.HyperParams(rho=0.5)
         expect = state.z[0] - obj.grad_phi_z(state.x, state.W[0], state.b[0],
                                              state.z[0], hp.rho) / hp.rho
-        step = opt.update_z_hidden(state, 0, 50.0, hp.rho, _product(state, 0))
+        step = opt.update_z_hidden(state, 0, 50.0, hp.rho, _free(state, 0))
         assert step.held == 0
         assert np.allclose(state.z[0], expect, atol=1e-12)
 
@@ -312,7 +319,7 @@ class TestUpdateZHidden:
         state = _scalar_state(W1=1.0, b1=0.0, z1=0.45, a1=0.5, W2=1.0, b2=0.0, z2=0.5,
                               x=1.0)
         # free step goes to W*x + b = 1.0
-        step = opt.update_z_hidden(state, 0, 0.1, 1.0, _product(state, 0))
+        step = opt.update_z_hidden(state, 0, 0.1, 1.0, _free(state, 0))
         assert step.held == 0
         assert state.z[0][0, 0] == pytest.approx(0.6, abs=1e-12)
 
@@ -332,7 +339,6 @@ class TestUpdateZHidden:
         r2 = np.random.default_rng(seed)
         state = small_state(seed=seed, sizes=(3, rows, 2), n=cols, activation=kind)
         state.a[0] = a = r2.uniform(*a_range, shape)    # the wider range empties some slabs
-        state.b[0] = np.zeros((rows, 1))                 # so the product is the free step m
         z0 = state.z[0]
         m = r2.normal(0.0, m_scale, shape)
         lo, hi, empty = ns.slab_z_bounds(kind, a, eps)
@@ -353,7 +359,7 @@ class TestUpdateZHidden:
         # its z, a is left to its own step, and the held entry is counted
         state = _empty_slab_state()
         a = state.a[0]
-        held = opt.update_z_hidden(state, 0, 0.1, 1.0, _product(state, 0)).held
+        held = opt.update_z_hidden(state, 0, 0.1, 1.0, _free(state, 0)).held
         assert held == 1
         assert state.z[0][0, 0] == 0.5
         assert state.a[0] is a and a[0, 0] == -5.0
@@ -375,7 +381,7 @@ class TestUpdateZHidden:
         assert a[0, 0] == 1.0 + eps and 0.0 < (a[0, 0] - 1.0) - eps < 1e-16
         assert ns.slab_z_bounds(kind, a, eps)[2][0, 0]
         assert ns.feasibility_residual(state, eps) <= 1e-12
-        assert opt.update_z_hidden(state, 0, eps, hp.rho, _product(state, 0)).held == 1
+        assert opt.update_z_hidden(state, 0, eps, hp.rho, _free(state, 0)).held == 1
         assert state.z[0][0, 0] == z_sat and state.a[0] is a
         state.z[0] = z
         warm = opt.WarmStart.fresh(state.num_layers)
@@ -400,11 +406,10 @@ class TestUpdateZOutput:
             for k in range(1, 41):
                 monkeypatch.setattr(opt, "NEWTON_ITERS", k)
                 state = small_state(seed=seed, scatter=1.0)
-                product = _product(state, state.num_layers - 1)
-                free = product + state.b[-1]
+                free = _free(state, state.num_layers - 1)
                 start = (obj.penalty(state.z[-1] - free, rho)
                          + obj.risk_cross_entropy(state.z[-1], state.y))
-                res = opt.update_z_output(state, obj.HyperParams(rho=rho), product)
+                res = opt.update_z_output(state, obj.HyperParams(rho=rho), free)
                 assert res.phi <= start
                 ends.append(res.phi)
                 if res.converged:
@@ -430,9 +435,8 @@ class TestUpdateZOutput:
         rho = float(10.0 ** np.random.default_rng(seed).uniform(-4.0, 0.0))
         state = small_state(seed=seed, scatter=1.0, sizes=(3, 4, 3, 4), n=7)
         hp = obj.HyperParams(rho=rho)
-        product = _product(state, state.num_layers - 1)
-        m = product + state.b[-1]
-        res = opt.update_z_output(state, hp, product)
+        m = _free(state, state.num_layers - 1)
+        res = opt.update_z_output(state, hp, m)
         assert res.converged
         z, n = state.z[-1], state.n_samples
         grad = rho * (z - m) + (obj.softmax_columns(z) - state.y) / n
@@ -458,9 +462,9 @@ class TestUpdateZOutput:
         # both solves run out all NEWTON_ITERS iterations
         state = small_state(seed=3, scatter=1.0, sizes=(3, 4, 3, 4), n=7)
         hp = obj.HyperParams(rho=1e-4)
-        product = _product(state, state.num_layers - 1)
-        assert opt.update_z_output(state, hp, product).converged
-        res = opt.update_z_output(state, hp, product)
+        free = _free(state, state.num_layers - 1)
+        assert opt.update_z_output(state, hp, free).converged
+        res = opt.update_z_output(state, hp, free)
         assert res.converged and res.trials <= 2
 
     def test_nonconverged_flagged(self, monkeypatch):
@@ -468,7 +472,7 @@ class TestUpdateZOutput:
         monkeypatch.setattr(opt, "NEWTON_TOL", 1e-14)
         state = small_state(seed=6, scatter=1.0, sizes=(3, 4, 3, 2), n=4)
         hp = obj.HyperParams(rho=1e-4)
-        res = opt.update_z_output(state, hp, _product(state, state.num_layers - 1))
+        res = opt.update_z_output(state, hp, _free(state, state.num_layers - 1))
         assert not res.converged
         assert res.trials == 3
 
@@ -483,7 +487,7 @@ class TestUpdateZOutput:
         state = small_state(seed=2, scatter=1.0)
         z = state.z[-1]
         hp = obj.HyperParams(rho=1e-3)
-        res = opt.update_z_output(state, hp, _product(state, state.num_layers - 1))
+        res = opt.update_z_output(state, hp, _free(state, state.num_layers - 1))
         assert not res.converged
         assert res.trials == 1
         assert len(calls) == 1 + (opt.NEWTON_HALVINGS + 1)
@@ -495,13 +499,13 @@ class TestUpdateZOutput:
         monkeypatch.setattr(opt, "NEWTON_ITERS", 4)
         state = small_state(seed=2, scatter=1.0)
         z = state.z[-1].copy()
-        product = _product(state, state.num_layers - 1)
-        product[0, 0] = np.nan
-        res = opt.update_z_output(state, obj.HyperParams(), product)
+        free = _free(state, state.num_layers - 1)
+        free[0, 0] = np.nan
+        res = opt.update_z_output(state, obj.HyperParams(), free)
         assert not res.converged
         assert res.trials == 1
         assert np.array_equal(state.z[-1], z) and np.all(np.isfinite(state.z[-1]))
-        assert math.isnan(obj.penalty(obj.residual(product, state.b[-1], state.z[-1]), 1.0))
+        assert math.isnan(obj.penalty(obj.residual(free, state.z[-1]), 1.0))
 
 
 class TestUpdateA:
@@ -935,12 +939,12 @@ def _calls_per_epoch(monkeypatch, targets, epochs):
 
 @pytest.fixture
 def cache_watch(monkeypatch):
-    """Each residual, product, penalty, W gradient or Gram matrix handed to a block
-    update, and after every block update and every epoch each residual and
+    """Each residual, product, free step, penalty, W gradient or Gram matrix handed
+    to a block update, and after every block update and every epoch each residual and
     layer 0's (penalty, W gradient) pair the sweep holds, must equal a fresh
     one byte for byte. ``carried`` counts the W steps of layer 0 that start
     from the pair the sweep before left."""
-    watch = {"warm": None, "compared": 0, "grads": 0, "grams": 0, "carried": 0,
+    watch = {"warm": None, "compared": 0, "grads": 0, "grams": 0, "frees": 0, "carried": 0,
              "pair": None}
 
     def same(held, fresh, what):
@@ -970,17 +974,19 @@ def cache_watch(monkeypatch):
                 same(given["resid"], _fresh_resid(state, l_r), f"stale R_{l_r} into {name}")
             if given.get("product") is not None:
                 same(given["product"], state.W[l] @ state.a_prev(l), f"stale product into {name}")
+            if given.get("free") is not None:
+                same(given["free"], state.W[l] @ state.a_prev(l) + state.b[l],
+                     f"stale free step into {name}")
+                watch["frees"] += 1
             if name == "update_w":
-                R = _fresh_resid(state, l)
+                R, a_prev = _fresh_resid(state, l), state.a_prev(l)
                 same(given["phi"], obj.penalty(R, given["hp"].rho), f"stale penalty into {name}")
-                fresh = given["hp"].rho * (R @ state.a_prev(l).T)
+                fresh = given["hp"].rho * (R @ a_prev.T)
                 same(given["grad"], fresh, f"stale W gradient into {name}")
                 watch["grads"] += 1
                 if l == 0 and watch["pair"] is not None:
                     assert given["grad"] is watch["pair"][1]
                     watch["carried"] += 1
-            if given.get("gram") is not None:
-                a_prev = state.a_prev(l)
                 same(given["gram"], a_prev @ a_prev.T, f"stale Gram matrix into {name}")
                 watch["grams"] += 1
             out = inner(state, *args, **kwargs)
@@ -1008,20 +1014,20 @@ class TestResidualReuse:
         opt.train(arch, x, y, hp)
         assert cache_watch["compared"] > 20 * len(BLOCKS)
         # every epoch after the first takes layer 0's penalty and W gradient from
-        # the sweep before, where layer 0 closed, and every epoch its Gram matrix
-        # from the warm start
+        # the sweep before, where layer 0 closed; every layer's W steps get a
+        # Gram matrix and every z step a free step
         assert cache_watch["grads"] == 20 * arch.num_layers
         assert cache_watch["carried"] == 19
-        assert cache_watch["grams"] == 20
+        assert cache_watch["grams"] == cache_watch["frees"] == 20 * arch.num_layers
 
     def test_input_gram_is_formed_once_per_run(self, monkeypatch):
         grams = []
         update_w = opt.update_w
 
-        def spy(state, layer, hp, phi, grad, gram=None, *rest):
+        def spy(state, layer, hp, phi, grad, gram, f_before):
             if layer == 0:
                 grams.append(gram)
-            return update_w(state, layer, hp, phi, grad, gram, *rest)
+            return update_w(state, layer, hp, phi, grad, gram, f_before)
 
         monkeypatch.setattr(opt, "update_w", spy)
         arch, x, y, hp = _blobs_problem(epochs=5)
@@ -1159,7 +1165,7 @@ class TestSweepPeak:
         # each 64 x N array is 4 MB, so small arrays are noise. Beyond the state
         # a sweep holds R_l for l >= 1 and its largest block's temporaries: the
         # a step's h(z), gradient, candidate and step, R_{l+1} taking its image,
-        # or the hidden z step's product, slab bounds and new z; about 5.3 here.
+        # or sigmoid's slab bounds as they are built; about 5.3 here.
         # Each array the sweep keeps beyond these, such as R_0, counts one
         n, N = 64, 8000
         arch = ns.Architecture((n, n, n, 3), activation=activation)
@@ -1185,6 +1191,44 @@ class TestSweepPeak:
         assert (peaks[0] - blocks) / (n * N * 8) <= 6.0
 
 
+class TestZStepPeak:
+    """The traced heap peak of one hidden z step in a warm sweep, counted in n x N
+    arrays, on TestSweepPeak's problem."""
+
+    @pytest.mark.parametrize("activation", [ns.ActivationKind.RELU, ns.ActivationKind.TANH])
+    def test_hidden_z_step_holds_the_free_step_and_its_bounds(self, activation, monkeypatch):
+        # beyond the state the layer-0 z step holds R_1, cached for the a step,
+        # the free step W a + b, which the layer's close turns into R_0, and the
+        # slab's two bounds, which become the new z and its move; about 4.5
+        # here. A copy of the free step, or a new z beside the bounds, counts one
+        n, N = 64, 8000
+        arch = ns.Architecture((n, n, n, 3), activation=activation)
+        hp = obj.HyperParams(rho=1e-4, eps0=10.0, epochs=3, seed=0)
+        peaks = []
+        update = opt.update_z_hidden
+
+        def measured(state, layer, *args):
+            tracemalloc.reset_peak()
+            step = update(state, layer, *args)
+            if layer == 0:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            return step
+
+        monkeypatch.setattr(opt, "update_z_hidden", measured)
+        tracemalloc.start()     # before the state is made, so its blocks are traced
+        try:
+            rng = np.random.default_rng(0)
+            x = rng.normal(size=(n, N))
+            y = random_one_hot(rng, 3, N)
+            state, _ = opt.train(arch, x, y, hp)
+        finally:
+            tracemalloc.stop()
+        blocks = sum(v.nbytes for v in (state.x, state.y, *state.W, *state.b, *state.z,
+                                        *state.a))
+        assert len(peaks) == hp.epochs
+        assert (peaks[-1] - blocks) / (n * N * 8) <= 4.75
+
+
 class TestBlockIsolation:
     """Each block update writes only its own block, so the descent ledger's
     one term per block covers every move and no cached residual goes stale
@@ -1203,8 +1247,8 @@ class TestBlockIsolation:
             "update_w": lambda: _update_w(state, layer, hp),
             "update_b": lambda: opt.update_b(state, layer, hp.rho, _product(state, layer)),
             "update_z_hidden": lambda: opt.update_z_hidden(state, layer, eps, hp.rho,
-                                                           _product(state, layer)),
-            "update_z_output": lambda: opt.update_z_output(state, hp, _product(state, layer)),
+                                                           _free(state, layer)),
+            "update_z_output": lambda: opt.update_z_output(state, hp, _free(state, layer)),
             "update_a": lambda: opt.update_a(state, layer, hp, eps, opt.ALPHA0,
                                              _fresh_resid(state, layer + 1)),
         }
@@ -1290,7 +1334,8 @@ class TestSharedFormulas:
     private copy of one cannot grow back unseen."""
 
     SHARED = [(obj, "residual"), (obj, "penalty"), (obj, "grad_w"), (obj, "grad_a"),
-              (obj, "grad_b"), (obj, "grad_z"), (ns, "slab_violation")]
+              (obj, "grad_b"), (obj, "grad_z"), (obj, "smooth_grad_w"),
+              (ns, "slab_violation")]
 
     def test_every_epoch_calls_each_shared_formula(self, monkeypatch):
         _, trace, spent = _calls_per_epoch(monkeypatch, self.SHARED, epochs=4)
@@ -1400,8 +1445,8 @@ class TestNonFinite:
     def test_nan_objective_ends_the_epoch(self, monkeypatch):
         update = opt.update_z_output
 
-        def poisoned(state, hp, product):
-            result = update(state, hp, product)
+        def poisoned(state, hp, free):
+            result = update(state, hp, free)
             z = state.z[-1].copy()
             z[0, 0] = np.nan
             state.z[-1] = z
