@@ -62,15 +62,13 @@ def activation_apply(kind: ActivationKind, z: np.ndarray,
     if kind is ActivationKind.SIGMOID:
         # 1/(1+e) where z >= 0 and e/(1+e) below, with e = exp(-|z|) <= 1 so
         # exp cannot overflow; the same bits as splitting z by sign, built
-        # in place without boolean indexing
+        # in place and branch-free: the numerator max(e, z >= 0) is 1 or e
         e = np.abs(z, out=out, dtype=np.float64)
         np.negative(e, out=e)
         np.exp(e, out=e)
         d = 1.0 + e
-        np.divide(e, d, out=e)
-        np.divide(1.0, d, out=d)
-        np.copyto(e, d, where=z >= 0)
-        return e
+        np.maximum(e, z >= 0, out=e)
+        return np.divide(e, d, out=e)
     if kind is ActivationKind.TANH:
         return np.tanh(z, out=out)
     raise ValueError(f"unknown activation {kind!r}")
@@ -92,9 +90,12 @@ def slab_z_bounds(kind: ActivationKind, a: np.ndarray, eps: float):
     t_hi = a + eps
     d = SATURATION_GUARD
     if kind is ActivationKind.RELU:
-        # t_lo and t_hi become the bounds in place; ~(t > 0) sends a NaN to -inf
+        # t_lo and t_hi become the bounds in place; ~(t > 0) sends a NaN to -inf.
+        # Branch-free on the random sign pattern: fmin with -inf where t <= 0
+        # and with NaN (-inf * 0, which fmin ignores) elsewhere
         empty = t_hi < 0.0
-        np.putmask(t_lo, ~(t_lo > 0.0), -np.inf)
+        with np.errstate(invalid="ignore"):
+            np.fmin(t_lo, np.multiply(-np.inf, ~(t_lo > 0.0)), out=t_lo)
         if empty.any():
             np.putmask(t_lo, empty, 0.0)
             np.putmask(t_hi, empty, 0.0)

@@ -40,6 +40,7 @@ NEWTON_TOL = 1e-8       # full Newton steps below this have converged
 NEWTON_DECREMENT = 1e-16  # so has a Newton decrement g.s/2 at most this times |value|
 NEWTON_HALVINGS = 30    # halvings of a rising Newton step before the solve stops
 W_STEPS = 20            # majorized steps per W block: the first reads the batch, the rest G only
+BLOCK_ENTRIES = 40_000  # entries per row block of the hidden z and a steps' per-entry work
 EPS_MAX = 0.01          # largest slab tolerance train uses: eps = min(eps0, EPS_MAX)
 
 
@@ -137,10 +138,22 @@ class EpochReport:
     wall_time_s: float = 0.0
 
 
+def _row_blocks(shape: tuple[int, int]):
+    """Row slices of an array of ``shape``, each about BLOCK_ENTRIES entries and one row at least.
+
+    The hidden z and a steps run their per-entry work block by block, so its
+    temporaries are block-sized and stay in cache between passes; per entry
+    the work is unchanged, so the result is the same bit for bit.
+    """
+    rows, cols = shape
+    step = max(1, BLOCK_ENTRIES // cols)
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
 def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
                     phi0: float, grad: np.ndarray, param0: float,
-                    candidate, image_sq, d: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, BlockStep]:
+                    candidate, image_sq) -> tuple[np.ndarray, BlockStep]:
     """Backtracked quadratic-majorizer step, shared by the W and a blocks.
 
     ``candidate(param)`` minimizes the block's model at curvature ``param``;
@@ -157,13 +170,14 @@ def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
     noise and can stall the loop. Returns the accepted candidate and its
     record; raises NonFiniteError for a non-finite phi0 or a NaN trial,
     which no curvature repairs, and BacktrackError after MAX_BACKTRACK
-    trials. Each trial's step is written into ``d`` when given, a buffer
-    shaped like ``current`` that ``candidate`` may use as scratch.
+    trials. Every trial after the first writes its step into the first's
+    buffer.
     """
     if not math.isfinite(phi0):
         raise NonFiniteError(f"{block} update", layer)
     param = max(param0, ALPHA0)
     trials = 1
+    d = None
     while True:
         cand = candidate(param)
         d = np.subtract(cand, current, out=d)
@@ -273,18 +287,26 @@ def update_z_hidden(state: ns.NetworkState, layer: int, eps: float, rho: float,
     minimizer. An entry whose slab inverts to an empty set keeps
     its current z; the a step that follows projects a into the slab around
     h(z). Writes only z, leaving ``free`` as it got it; the step counts the
-    held entries, zero on clean runs.
+    held entries, zero on clean runs. The bounds, the clip, the held entries
+    and dz are formed per row block (_row_blocks), so the slab's bounds and
+    masks are block-sized; the squared move and dz's row means are one
+    reduction each over the whole dz.
     """
     kind = state.arch.activation[layer]
-    lo, hi, empty = ns.slab_z_bounds(kind, state.a[layer], eps)
-    # the new z in lo's buffer and its move in hi's: peak memory
-    z = np.clip(free, lo, hi, out=lo)
-    held = np.count_nonzero(empty)
-    if held:
-        np.copyto(z, state.z[layer], where=empty)
-    dz = np.subtract(z, state.z[layer], out=hi)
+    a, z_old = state.a[layer], state.z[layer]
+    z = np.empty_like(z_old)
+    dz = np.empty_like(z_old)
+    held = []       # per block; their sum keeps np.count_nonzero's type, which reports show
+    for rows in _row_blocks(z.shape):
+        lo, hi, empty = ns.slab_z_bounds(kind, a[rows], eps)
+        np.clip(free[rows], lo, hi, out=z[rows])
+        held.append(np.count_nonzero(empty))
+        if held[-1]:
+            np.copyto(z[rows], z_old[rows], where=empty)
+        np.subtract(z[rows], z_old[rows], out=dz[rows])
+        del lo, hi, empty       # before the next block's are made: peak memory
     state.z[layer] = z
-    return BlockStep("z", layer, rho, obj.inner(dz, dz), held=held,
+    return BlockStep("z", layer, rho, obj.inner(dz, dz), held=sum(held),
                      mean_move=dz.mean(axis=1, keepdims=True))
 
 
@@ -355,36 +377,46 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
     ns.feasibility_residual would. ``resid`` is the next layer's current
     coupling residual W_next a + b_next - z_next, and this step uses it up:
     once its penalty and gradient are formed, each trial writes its image
-    W_next d into that buffer. The step holds h(z), not the slab's two
-    bounds: each trial builds each bound in turn in its step buffer, and
-    the slab check reuses the gradient's. Raises NonFiniteError when the
-    penalty or a trial step is NaN or inf; a NaN in h(z) reaches only the
-    trials.
+    W_next d into that buffer. Each trial forms its candidate per row block
+    (_row_blocks): h(z), the slab's two bounds and the clip, and the slab
+    check of that candidate, which the accepted trial's record keeps; so the
+    step holds no full-size h(z), and the per-block maxima are folded with
+    np.maximum, which keeps a NaN. Raises NonFiniteError when the penalty
+    or a trial step is NaN or inf; a NaN in h(z) reaches only the trials.
     """
     kind = state.arch.activation[layer]
-    a_k = state.a[layer]
+    a_k, z = state.a[layer], state.z[layer]
     W_next = state.W[layer + 1]
-    h = ns.activation_apply(kind, state.z[layer])
     phi0 = obj.penalty(resid, hp.rho)
     grad = obj.grad_a(resid, W_next, hp.rho)
     cand = np.empty_like(a_k)       # every trial's candidate, and the accepted one
-    step = np.empty_like(a_k)       # each bound in turn, then the trial's step
+    blocks = list(_row_blocks(a_k.shape))
+    h_buf = np.empty_like(a_k[blocks[0]])     # h(z) of one block, then h + eps
+    b_buf = np.empty_like(h_buf)              # each bound in turn, then the check's clip
+    violation = 0.0
 
     def candidate(tau):
-        # np.clip(cand, h - eps, h + eps) bit for bit, one bound at a time
-        np.divide(grad, tau, out=cand)
-        np.subtract(a_k, cand, out=cand)
-        np.maximum(cand, np.subtract(h, eps, out=step), out=cand)
-        return np.minimum(cand, np.add(h, eps, out=step), out=cand)
+        nonlocal violation
+        violation = 0.0
+        for rows in blocks:
+            c = cand[rows]
+            h, bound = ns.activation_apply(kind, z[rows], out=h_buf[:len(c)]), b_buf[:len(c)]
+            # np.clip(c, h - eps, h + eps) bit for bit, one bound at a time
+            np.divide(grad[rows], tau, out=c)
+            np.subtract(a_k[rows], c, out=c)
+            np.maximum(c, np.subtract(h, eps, out=bound), out=c)
+            np.minimum(c, np.add(h, eps, out=bound), out=c)
+            violation = np.maximum(violation, ns.slab_violation(c, h, eps, out=bound))
+        return cand
 
     def image_sq(d):
         image = np.matmul(W_next, d, out=resid)
         return obj.inner(image, image)
 
     _, record = _majorized_step("a", layer, hp.rho, a_k, phi0, grad, tau0, candidate,
-                                image_sq, step)
+                                image_sq)
     state.a[layer] = cand
-    record.slab_violation = ns.slab_violation(cand, h, eps, out=grad)
+    record.slab_violation = float(violation)
     return record
 
 

@@ -542,6 +542,119 @@ class TestUpdateA:
             assert np.all(state.a[l] <= h + 1.0 + 1e-12)
 
 
+def _z_step_whole(state, layer, eps, rho, free):
+    """update_z_hidden over the whole array at once, as before row blocks: the oracle."""
+    kind = state.arch.activation[layer]
+    lo, hi, empty = ns.slab_z_bounds(kind, state.a[layer], eps)
+    z = np.clip(free, lo, hi, out=lo)
+    held = np.count_nonzero(empty)
+    if held:
+        np.copyto(z, state.z[layer], where=empty)
+    dz = np.subtract(z, state.z[layer], out=hi)
+    state.z[layer] = z
+    return opt.BlockStep("z", layer, rho, obj.inner(dz, dz), held=held,
+                         mean_move=dz.mean(axis=1, keepdims=True))
+
+
+def _a_step_whole(state, layer, hp, eps, tau0, resid):
+    """update_a with h(z), the candidates' clips and the slab check over the whole
+    array at once, as before row blocks: the oracle."""
+    kind = state.arch.activation[layer]
+    a_k, W_next = state.a[layer], state.W[layer + 1]
+    h = ns.activation_apply(kind, state.z[layer])
+    phi0 = obj.penalty(resid, hp.rho)
+    grad = obj.grad_a(resid, W_next, hp.rho)
+    cand, bound = np.empty_like(a_k), np.empty_like(a_k)
+
+    def candidate(tau):
+        np.divide(grad, tau, out=cand)
+        np.subtract(a_k, cand, out=cand)
+        np.maximum(cand, np.subtract(h, eps, out=bound), out=cand)
+        return np.minimum(cand, np.add(h, eps, out=bound), out=cand)
+
+    def image_sq(d):
+        image = np.matmul(W_next, d, out=resid)
+        return obj.inner(image, image)
+
+    _, record = opt._majorized_step("a", layer, hp.rho, a_k, phi0, grad, tau0, candidate,
+                                    image_sq)
+    state.a[layer] = cand
+    record.slab_violation = ns.slab_violation(cand, h, eps, out=grad)
+    return record
+
+
+# (rows, columns, BLOCK_ENTRIES) and the row counts of the blocks that gives
+ROW_LAYOUTS = {
+    "one block": ((4, 6, 1000), [4]),
+    "several blocks": ((6, 5, 10), [2, 2, 2]),
+    "ragged last block": ((7, 5, 15), [3, 3, 1]),
+    "one row per block": ((3, 6, 4), [1, 1, 1]),
+}
+
+
+def _step_fields(record):
+    """A BlockStep's fields as the fingerprint sees them: repr, arrays by their bytes."""
+    return {k: (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else repr(v)
+            for k, v in dataclasses.asdict(record).items()}
+
+
+class TestRowBlocks:
+    """The hidden z and a steps run their per-entry work in row blocks
+    (opt._row_blocks); every layout gives the whole-array forms' bits."""
+
+    @pytest.mark.parametrize("layout", ROW_LAYOUTS)
+    def test_layout(self, layout, monkeypatch):
+        (rows, cols, entries), counts = ROW_LAYOUTS[layout]
+        monkeypatch.setattr(opt, "BLOCK_ENTRIES", entries)
+        blocks = list(opt._row_blocks((rows, cols)))
+        assert [s.stop - s.start for s in blocks] == counts
+        assert blocks[0].start == 0 and all(
+            s.stop == t.start for s, t in zip(blocks, blocks[1:])) and blocks[-1].stop == rows
+
+    @pytest.mark.parametrize("layout", ROW_LAYOUTS)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(list(ns.ActivationKind)), seed=st.integers(0, 500),
+           eps=st.floats(1e-3, 1.0), held=st.booleans(),
+           z_entry=st.sampled_from([None, np.nan, np.inf]))
+    def test_steps_equal_the_whole_array_forms(self, layout, kind, seed, eps, held, z_entry):
+        # a held (empty-slab) entry and a NaN or inf in z fall in any block; an
+        # inf z's NaN slab violation (ReLU: |inf - inf|) must survive the fold
+        # over the blocks, which Python's max(0.0, nan) would lose
+        (rows, cols, entries), _ = ROW_LAYOUTS[layout]
+        start = small_state(seed=seed, sizes=(3, rows, 4, 2), n=cols, activation=kind,
+                            scatter=0.5)
+        r2 = np.random.default_rng(seed)
+        if held:
+            a = start.a[0].copy()
+            a[r2.integers(rows), r2.integers(cols)] = -3.0   # below every range by > eps
+            start.a[0] = a
+        if z_entry is not None:
+            z = start.z[0].copy()
+            z[r2.integers(rows), r2.integers(cols)] = z_entry
+            start.z[0] = z
+        hp = obj.HyperParams(rho=0.5)           # several a trials, each with its own check
+        free = _free(start, 0) + r2.normal(0.0, 2.0, (rows, cols))
+        results = []
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(opt, "BLOCK_ENTRIES", entries)
+            for z_step, a_step in ((_z_step_whole, _a_step_whole),
+                                   (opt.update_z_hidden, opt.update_a)):
+                state = dataclasses.replace(start, z=list(start.z), a=list(start.a))
+                z_rec = z_step(state, 0, eps, hp.rho, free)
+                z_new = state.z[0].tobytes()
+                state.z[0] = start.z[0]     # the a step on the z it was given
+                try:
+                    a_rec = _step_fields(a_step(state, 0, hp, eps, opt.ALPHA0,
+                                                _fresh_resid(state, 1)))
+                except ns.NonFiniteError as err:
+                    a_rec = str(err)
+                results.append((_step_fields(z_rec), z_new, a_rec, state.a[0].tobytes()))
+        assert results[0] == results[1]
+        assert z_rec.held >= held
+        if kind is ns.ActivationKind.RELU and z_entry == np.inf:
+            assert a_rec["slab_violation"] == "nan"
+
+
 def _a_block(state, l, hp, eps):
     """update_a's backtracking inputs, formed afresh: (current, candidate, image)."""
     a_k, W_next = state.a[l], state.W[l + 1]
@@ -925,6 +1038,8 @@ def _calls_per_epoch(monkeypatch, targets, epochs):
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            # and the entries of its array arguments, such as the z it maps
+            counts[name + ".entries"] += sum(v.size for v in args if isinstance(v, np.ndarray))
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -1135,11 +1250,15 @@ class TestResidualReuse:
             (obj, "evaluate_f"), (ns, "feasibility_residual"), (ns, "activation_apply"),
             (obj, "coupling_residual")], epochs=30)
         assert all(r.eps_next == r.eps_used for r in trace)   # F is carried every epoch
+        n_samples = _blobs_problem(0)[1].shape[1]
         for k in range(1, len(trace)):
             assert spent[k]["evaluate_f"] == 0
-            # the a steps measure the slab and form the only h(z_l) of the sweep
+            # the a steps measure the slab and form the only h(z_l) of the sweep:
+            # each trial maps z_l once, block by block
             assert spent[k]["feasibility_residual"] == 0
-            assert spent[k]["activation_apply"] == arch.num_layers - 1
+            assert spent[k]["activation_apply.entries"] == sum(
+                n * n_samples * trials
+                for n, trials in zip(arch.layer_sizes[1:-1], trace[k].trials_a))
             # only R_l for l >= 1, after update_a(l - 1) moved a_{l-1}
             assert spent[k]["coupling_residual"] <= arch.num_layers - 1
 
@@ -1164,8 +1283,9 @@ class TestSweepPeak:
     def test_sweep_holds_at_most_six_batch_arrays_beyond_the_state(self, activation):
         # each 64 x N array is 4 MB, so small arrays are noise. Beyond the state
         # a sweep holds R_l for l >= 1 and its largest block's temporaries: the
-        # a step's h(z), gradient, candidate and step, R_{l+1} taking its image,
-        # or sigmoid's slab bounds as they are built; about 5.3 here.
+        # a step's gradient, candidate and step, R_{l+1} taking its image, or
+        # the z step's free step, new z and move, with h(z) and the slab bounds
+        # one row block at a time; about 4.3 here.
         # Each array the sweep keeps beyond these, such as R_0, counts one
         n, N = 64, 8000
         arch = ns.Architecture((n, n, n, 3), activation=activation)
@@ -1195,12 +1315,13 @@ class TestZStepPeak:
     """The traced heap peak of one hidden z step in a warm sweep, counted in n x N
     arrays, on TestSweepPeak's problem."""
 
-    @pytest.mark.parametrize("activation", [ns.ActivationKind.RELU, ns.ActivationKind.TANH])
+    @pytest.mark.parametrize("activation", list(ns.ActivationKind))
     def test_hidden_z_step_holds_the_free_step_and_its_bounds(self, activation, monkeypatch):
         # beyond the state the layer-0 z step holds R_1, cached for the a step,
-        # the free step W a + b, which the layer's close turns into R_0, and the
-        # slab's two bounds, which become the new z and its move; about 4.5
-        # here. A copy of the free step, or a new z beside the bounds, counts one
+        # the free step W a + b, which the layer's close turns into R_0, the new
+        # z and its move, and the slab's bounds and masks one row block at a
+        # time; about 4.5 here, sigmoid's included. A copy of the free step, or
+        # full-size bounds beside the new z, counts one
         n, N = 64, 8000
         arch = ns.Architecture((n, n, n, 3), activation=activation)
         hp = obj.HyperParams(rho=1e-4, eps0=10.0, epochs=3, seed=0)
