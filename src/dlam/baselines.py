@@ -145,9 +145,8 @@ def train_baseline(cfg: BaselineConfig, arch: ns.Architecture, x: np.ndarray,
 
 
 def select_learning_rate(kind: BaselineKind, arch: ns.Architecture, x: np.ndarray,
-                         y: np.ndarray, grid=LR_GRID, probe_epochs: int = 20,
-                         seed: int = 0) -> float:
-    """Pick the grid learning rate with the best training accuracy.
+                         y: np.ndarray, probe_epochs: int = 20, seed: int = 0) -> float:
+    """Pick the LR_GRID learning rate with the best training accuracy.
 
     Short probe runs on the given batch; ties break toward the larger rate
     because the grid is ordered descending. A rate whose probe diverges
@@ -156,7 +155,7 @@ def select_learning_rate(kind: BaselineKind, arch: ns.Architecture, x: np.ndarra
     if probe_epochs < 1:
         raise ValueError("probe_epochs must be >= 1")
     best_lr, best_acc = None, -1.0
-    for lr in grid:
+    for lr in LR_GRID:
         cfg = BaselineConfig(kind=kind, lr=lr, epochs=probe_epochs, seed=seed)
         try:
             acc = train_baseline(cfg, arch, x, y)[2][-1]["train_acc"]
@@ -165,5 +164,5 @@ def select_learning_rate(kind: BaselineKind, arch: ns.Architecture, x: np.ndarra
         if acc > best_acc:
             best_lr, best_acc = lr, acc
     if best_lr is None:
-        raise ValueError(f"every learning rate in the grid {tuple(grid)} diverged")
+        raise ValueError(f"every learning rate in the grid {LR_GRID} diverged")
     return best_lr

@@ -23,6 +23,7 @@ from . import baselines, data_io, diagnostics, network_state as ns, objective as
 from . import optimizer as opt
 
 DATASETS = ("mnist", "fashion", "blobs")
+MNIST_TRAIN = 55_000       # the paper's mnist train split, a seeded subset of the file's
 OPTIMIZERS = ("dlam", *(k.value for k in baselines.BaselineKind))
 
 
@@ -44,7 +45,6 @@ class RunConfig:
     reg_weight: float = ns.Architecture.reg_weight
     lr: float = 0.0            # 0 means grid-search per baseline
     subset_size: int = 0       # 0 means the full split
-    train_count: int = 55000   # cap applied to the mnist train split
     blobs_classes: int = 4
     blobs_features: int = 30
     blobs_per_class: int = 50
@@ -61,8 +61,8 @@ class RunConfig:
             )
         if self.dataset in ("mnist", "fashion") and not self.data_dir:
             raise ConfigError(f"dataset {self.dataset!r} needs --data-dir with IDX files")
-        if self.subset_size < 0 or self.train_count < 0:
-            raise ConfigError("subset_size and train_count must be >= 0")
+        if self.subset_size < 0:
+            raise ConfigError("subset_size must be >= 0")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         # the dataclasses check their own fields; build them before any data loads
@@ -75,11 +75,10 @@ class RunConfig:
             raise ConfigError("reg_weight needs reg l1 or l2")
         # a key the chosen optimizer or dataset never reads must keep its default
         blobs = ("blobs_classes", "blobs_features", "blobs_per_class", "blobs_noise")
-        by_dataset = {"blobs": ("data_dir", "train_count"), "mnist": blobs,
-                      "fashion": ("train_count", *blobs)}
+        by_dataset = ("data_dir",) if self.dataset == "blobs" else blobs
         by_optimizer = ("lr",) if self.optimizer == "dlam" else ("rho", "eps0", "reg", "reg_weight")
         for ignored, reader in ((by_optimizer, f"{self.optimizer} optimizer"),
-                                (by_dataset[self.dataset], f"{self.dataset} dataset")):
+                                (by_dataset, f"{self.dataset} dataset")):
             unread = [f.name for f in fields(self)
                       if f.name in ignored and getattr(self, f.name) != f.default]
             if unread:
@@ -177,8 +176,8 @@ def load_dataset(cfg: RunConfig) -> tuple[data_io.Dataset, data_io.Dataset]:
                                         name=cfg.dataset, split=split)
                        for prefix, split in (("train", "train"), ("t10k", "test")))
         if cfg.dataset == "mnist":
-            if cfg.train_count and cfg.train_count < train.n_samples:
-                train = data_io.take_subset(train, cfg.train_count, cfg.seed)
+            if train.n_samples > MNIST_TRAIN:
+                train = data_io.take_subset(train, MNIST_TRAIN, cfg.seed)
             train = data_io.downsample_196(train)
             test = data_io.downsample_196(test)
     if cfg.subset_size:
@@ -199,6 +198,12 @@ def _git_describe() -> str:
     return "unknown"
 
 
+def _output(cfg: RunConfig, name: str) -> Path:
+    """``name`` under the run's output directory, made here: a failed run makes none."""
+    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    return Path(cfg.out_dir) / name
+
+
 def _write_trace(path: Path, rows: list[dict]) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -212,8 +217,6 @@ def _write_trace(path: Path, rows: list[dict]) -> None:
 def run(cfg: RunConfig) -> int:
     """Execute one training run and write trace/diagnostics/summary files."""
     cfg.validate()
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_ds, test_ds = load_dataset(cfg)
     arch = cfg.architecture(train_ds.features, train_ds.classes)
     rows: list[dict] = []
@@ -233,7 +236,7 @@ def run(cfg: RunConfig) -> int:
                          "train_risk": obj.risk_cross_entropy(logits, train_ds.y)})
 
         state, trace = opt.train(arch, train_ds.x, train_ds.y, hp, per_epoch=per_epoch)
-        diagnostics.write_diagnostics_csv(trace, hp.rho, str(out_dir / "diagnostics.csv"))
+        diagnostics.write_diagnostics_csv(trace, hp.rho, str(_output(cfg, "diagnostics.csv")))
     else:
         if cfg.lr == 0.0:
             probe = train_ds
@@ -251,7 +254,7 @@ def run(cfg: RunConfig) -> int:
         baselines.train_baseline(cfg.baseline_config(), arch, train_ds.x, train_ds.y,
                                  per_epoch=per_epoch)
 
-    _write_trace(out_dir / "trace.csv", rows)
+    _write_trace(_output(cfg, "trace.csv"), rows)
     summary = {
         "config": asdict(cfg),
         "git_describe": _git_describe(),
@@ -259,7 +262,7 @@ def run(cfg: RunConfig) -> int:
                     "features": train_ds.features, "classes": train_ds.classes},
         "final": rows[-1],
     }
-    with open(out_dir / "summary.json", "w") as f:
+    with open(_output(cfg, "summary.json"), "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
     return 0
 
@@ -269,8 +272,6 @@ def scaling_table(cfg: RunConfig, sizes: list[int], rhos: list[float]) -> Path:
     cfg.validate()
     if cfg.optimizer != "dlam":
         raise ConfigError(f"scale times the dlam trainer only, not {cfg.optimizer!r}")
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     base = load_dataset(cfg)[0]
     if max(sizes) > base.n_samples:
         raise ConfigError(f"largest size {max(sizes)} exceeds dataset ({base.n_samples})")
@@ -285,7 +286,7 @@ def scaling_table(cfg: RunConfig, sizes: list[int], rhos: list[float]) -> Path:
             opt.train(arch, sub.x, sub.y, hp)
             row.append((time.perf_counter() - t0) / hp.epochs)
         table.append(row)
-    path = out_dir / "scaling.csv"
+    path = _output(cfg, "scaling.csv")
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["rho"] + [str(s) for s in sizes])

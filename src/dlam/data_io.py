@@ -17,6 +17,7 @@ import numpy as np
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
+IDX_CLASSES = 10          # MNIST and Fashion-MNIST both label the digits 0..9
 
 
 class IdxFormatError(ValueError):
@@ -95,23 +96,23 @@ def _read_idx(path: str, magic: int, count: tuple[str, int] | None = None
     return dims, np.frombuffer(raw, dtype=np.uint8, count=size, offset=start)
 
 
-def load_idx(images_path: str, labels_path: str, classes: int = 10,
-             name: str = "idx", split: str = "train") -> Dataset:
-    """Parse a big-endian IDX image/label pair into a Dataset.
+def load_idx(images_path: str, labels_path: str, name: str = "idx",
+             split: str = "train") -> Dataset:
+    """Parse a big-endian IDX image/label pair into a Dataset of IDX_CLASSES classes.
 
     Pixels are scaled by 1/255. Raises IdxFormatError on a damaged gzip
     stream, a bad magic number, a truncated payload, a count mismatch or a
-    label outside [0, classes).
+    label outside [0, IDX_CLASSES).
     """
     (n, rows, cols), pixels = _read_idx(images_path, IMAGE_MAGIC)
     _, labels = _read_idx(labels_path, LABEL_MAGIC, (images_path, n))
-    if n and labels.max() >= classes:
-        at = int(np.argmax(labels >= classes))
+    if n and labels.max() >= IDX_CLASSES:
+        at = int(np.argmax(labels >= IDX_CLASSES))
         raise IdxFormatError(f"{labels_path}: label {labels[at]} at offset {8 + at} "
-                             f"outside [0, {classes})")
+                             f"outside [0, {IDX_CLASSES})")
 
     x = (pixels.reshape(n, rows * cols).T / 255.0).astype(np.float64)
-    return Dataset(x=x, y=one_hot(labels, classes), name=name, split=split)
+    return Dataset(x=x, y=one_hot(labels, IDX_CLASSES), name=name, split=split)
 
 
 def downsample_196(ds: Dataset) -> Dataset:

@@ -128,10 +128,9 @@ class Architecture:
     """Layer sizes plus the activation and regularizer choices.
 
     ``layer_sizes`` runs from the feature count n_0 = d through the class
-    count n_L; there must be at least two weight layers. ``activation`` may
-    be a single kind (applied to every hidden layer) or one kind per hidden
-    layer. Each kind is an enum member or its string value, and is stored as
-    the member.
+    count n_L; there must be at least two weight layers. ``activation`` is
+    one kind for every hidden layer, an enum member or its string value; it
+    is stored as the member once per hidden layer.
     """
 
     layer_sizes: tuple[int, ...]
@@ -146,15 +145,8 @@ class Architecture:
             raise ValueError("need at least two weight layers (input, hidden+, output)")
         if any(n < 1 for n in sizes):
             raise ValueError("every layer size must be >= 1")
-        act = self.activation
-        if isinstance(act, (ActivationKind, str)):
-            act = (act,) * (self.num_layers - 1)
-        act = tuple(ActivationKind(kind) for kind in act)
-        if len(act) != self.num_layers - 1:
-            raise ValueError(
-                f"need one activation per hidden layer ({self.num_layers - 1}), got {len(act)}"
-            )
-        object.__setattr__(self, "activation", act)
+        object.__setattr__(self, "activation",
+                           (ActivationKind(self.activation),) * (self.num_layers - 1))
         object.__setattr__(self, "regularizer", RegKind(self.regularizer))
         if not 0 <= self.reg_weight < np.inf:
             raise ValueError("reg_weight must be finite and >= 0")

@@ -224,8 +224,8 @@ def smooth_grad_w(kind: ns.RegKind, lam: float, W: np.ndarray, grad: np.ndarray)
     return grad
 
 
-def objective_from_penalties(state: ns.NetworkState, hp: HyperParams,
-                             penalties: list[float], feas: float) -> ObjectiveBreakdown:
+def objective_from_penalties(state: ns.NetworkState, penalties: list[float],
+                             feas: float) -> ObjectiveBreakdown:
     """Full objective at the current state, given every layer's coupling penalty.
 
     ``penalties[l]`` must be phi_l = penalty(R_l, rho) at the current state
@@ -250,7 +250,7 @@ def evaluate_f(state: ns.NetworkState, hp: HyperParams, eps: float) -> Objective
     """
     penalties = [penalty_phi(state.a_prev(l), state.W[l], state.b[l], state.z[l], hp.rho)
                  for l in range(state.num_layers)]
-    return objective_from_penalties(state, hp, penalties, ns.feasibility_residual(state, eps))
+    return objective_from_penalties(state, penalties, ns.feasibility_residual(state, eps))
 
 
 def accuracy_from_logits(logits: np.ndarray, y: np.ndarray) -> float:

@@ -198,7 +198,7 @@ def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
                            base + quad_model)
 
 
-def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, phi: float,
+def update_w(state: ns.NetworkState, layer: int, rho: float, phi: float,
              grad: np.ndarray, gram: np.ndarray, f_before: float) -> list[BlockStep]:
     """Up to W_STEPS backtracked majorized steps on W at ``layer``; writes the result into state.
 
@@ -229,7 +229,6 @@ def update_w(state: ns.NetworkState, layer: int, hp: obj.HyperParams, phi: float
     step enters it.
     """
     arch = state.arch
-    rho = hp.rho
     a_prev = state.a_prev(layer)
     scale = np.sqrt(np.diag(gram))      # ||a_prev row i||, so |G_ij| <= scale_i scale_j
     W = state.W[layer]
@@ -310,8 +309,7 @@ def update_z_hidden(state: ns.NetworkState, layer: int, eps: float, rho: float,
                      mean_move=dz.mean(axis=1, keepdims=True))
 
 
-def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
-                    free: np.ndarray) -> BlockStep:
+def update_z_output(state: ns.NetworkState, rho: float, free: np.ndarray) -> BlockStep:
     """Safeguarded Newton on the output-layer composite; writes z_L into state.
 
     Minimizes (rho/2)||z - free||_F^2 + risk(z; y), ``free`` = W_L a_{L-1} + b_L
@@ -332,7 +330,7 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
     So the value does not rise from one iterate to the next, and a halved
     step never counts as convergence.
     """
-    y, rho = state.y, hp.rho
+    y = state.y
 
     def value(z):
         return obj.penalty(z - free, rho) + obj.risk_cross_entropy(z, y)
@@ -364,7 +362,7 @@ def update_z_output(state: ns.NetworkState, hp: obj.HyperParams,
                      converged=converged, mean_move=dz.mean(axis=1, keepdims=True))
 
 
-def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float,
+def update_a(state: ns.NetworkState, layer: int, rho: float, eps: float,
              tau0: float, resid: np.ndarray) -> BlockStep:
     """Backtracked projected step on a hidden activation; writes into state.
 
@@ -387,8 +385,8 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
     kind = state.arch.activation[layer]
     a_k, z = state.a[layer], state.z[layer]
     W_next = state.W[layer + 1]
-    phi0 = obj.penalty(resid, hp.rho)
-    grad = obj.grad_a(resid, W_next, hp.rho)
+    phi0 = obj.penalty(resid, rho)
+    grad = obj.grad_a(resid, W_next, rho)
     cand = np.empty_like(a_k)       # every trial's candidate, and the accepted one
     blocks = list(_row_blocks(a_k.shape))
     h_buf = np.empty_like(a_k[blocks[0]])     # h(z) of one block, then h + eps
@@ -413,7 +411,7 @@ def update_a(state: ns.NetworkState, layer: int, hp: obj.HyperParams, eps: float
         image = np.matmul(W_next, d, out=resid)
         return obj.inner(image, image)
 
-    _, record = _majorized_step("a", layer, hp.rho, a_k, phi0, grad, tau0, candidate,
+    _, record = _majorized_step("a", layer, rho, a_k, phi0, grad, tau0, candidate,
                                 image_sq)
     state.a[layer] = cand
     record.slab_violation = float(violation)
@@ -504,7 +502,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
         f_before = warm.f_end[1]
     else:
         carried = [warm.layer0[0], *(obj.penalty(r, rho) for r in resid[1:])]
-        f_before = obj.objective_from_penalties(state, hp, carried,
+        f_before = obj.objective_from_penalties(state, carried,
                                                 ns.feasibility_residual(state, eps)).total
 
     arch = state.arch
@@ -521,7 +519,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
                 phi, g_w = w_inputs(l)
             a_prev = state.a_prev(l)
             gram = warm.gram_x if l == 0 else a_prev @ a_prev.T
-            steps.extend(update_w(state, l, hp, phi, g_w, gram, f_before))
+            steps.extend(update_w(state, l, rho, phi, g_w, gram, f_before))
             del g_w, gram   # before the closing W gradient is formed
 
             # W_l and a_{l-1} are final for this sweep from here on
@@ -529,7 +527,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
             steps.append(update_b(state, l, rho, free))
             free += state.b[l]      # the free step W_l a_{l-1} + b_l
             if l == L - 1:
-                steps.append(update_z_output(state, hp, free))
+                steps.append(update_z_output(state, rho, free))
             else:
                 steps.append(update_z_hidden(state, l, eps, rho, free))
             # the layer closes; nothing reads the free step after the z step
@@ -552,7 +550,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
                 # moves a_l under it; z_l is final, so the accepted a_l's slab
                 # violation is layer l's feasibility residual
                 r_a, resid[l + 1] = resid[l + 1], None
-                steps.append(update_a(state, l, hp, eps, warm.tau[l] / GROWTH, r_a))
+                steps.append(update_a(state, l, rho, eps, warm.tau[l] / GROWTH, r_a))
                 del r_a
                 warm.tau[l] = steps[-1].curvature
             # dropped after the a step: dropped before it, they left heap holes
@@ -566,7 +564,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     w_steps, b_steps, z_steps, a_steps = ([s for s in steps if s.block == k] for k in "Wbza")
     g_z = obj.grad_z(resid[-1], rho) + obj.grad_risk_cross_entropy(state.z[-1], state.y)
     grad_proxy = math.sqrt(proxy_sq + obj.inner(g_z, g_z))
-    after = obj.objective_from_penalties(state, hp, penalties, feas)
+    after = obj.objective_from_penalties(state, penalties, feas)
     for what, value in (("objective", after.total), ("gradient proxy", grad_proxy)):
         if not math.isfinite(value):
             raise NonFiniteError(what, epoch=epoch)

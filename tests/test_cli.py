@@ -44,12 +44,13 @@ class TestConfigParsing:
         assert type(parsed["epochs"]) is int
 
     def test_unknown_key_rejected(self, tmp_path):
-        # solver constants are not config keys
+        # solver constants are not config keys, nor is the mnist cap MNIST_TRAIN
         cfg_file = tmp_path / "run.cfg"
-        for key in ("nonsense", "gamma", "fista_iters"):
-            cfg_file.write_text(f"{key} = 1\n")
-            with pytest.raises(cli.ConfigError, match=f"unknown key '{key}'"):
+        for key in ("nonsense", "gamma", "fista_iters", "train_count"):
+            cfg_file.write_text(f"dataset = blobs\n{key} = 10\n")
+            with pytest.raises(cli.ConfigError) as err:
                 cli.parse_config_file(str(cfg_file))
+            assert str(err.value) == f"{cfg_file}:2: unknown key '{key}'"
 
     def test_repeated_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -103,10 +104,9 @@ class TestConfigParsing:
         assert err == f"error: bad hidden spec {spec!r}; expected e.g. 100,100\n"
         assert not (out / "trace.csv").exists()
 
-    @pytest.mark.parametrize("key", ["subset_size", "train_count"])
-    def test_negative_sample_counts_rejected(self, key):
-        cfg = cli.RunConfig(dataset="blobs", **{key: -5})
-        with pytest.raises(cli.ConfigError, match="must be >= 0"):
+    def test_negative_subset_size_rejected(self):
+        cfg = cli.RunConfig(dataset="blobs", subset_size=-5)
+        with pytest.raises(cli.ConfigError, match="^subset_size must be >= 0$"):
             cfg.validate()
 
     @pytest.mark.parametrize("optimizer,given,unread", [
@@ -122,8 +122,6 @@ class TestConfigParsing:
             cfg.validate()
 
     @pytest.mark.parametrize("dataset,given,unread", [
-        ("blobs", {"train_count": 10}, "train_count"),
-        ("fashion", {"train_count": 10}, "train_count"),
         ("blobs", {"data_dir": "idx"}, "data_dir"),
         ("mnist", {"blobs_classes": 3}, "blobs_classes"),
         ("mnist", {"blobs_features": 5}, "blobs_features"),
@@ -138,7 +136,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("dataset,given", [
         ("blobs", {"blobs_classes": 3, "blobs_features": 5, "blobs_per_class": 7,
                    "blobs_noise": 0.5}),
-        ("mnist", {"data_dir": "idx", "train_count": 10}),
+        ("mnist", {"data_dir": "idx"}),
         ("fashion", {"data_dir": "idx"})])
     def test_read_dataset_keys_accepted(self, dataset, given):
         cli.RunConfig(dataset=dataset, **given).validate()
@@ -200,6 +198,38 @@ class TestLoadDataset:
         assert (train.split, train.n_samples, train.name) == ("train", 6, "fashion")
         assert (test.split, test.n_samples, test.name) == ("test", 4, "fashion")
         assert test.features == 9 and np.array_equal(test.y.argmax(axis=0), [0, 1, 2, 3])
+
+    def test_mnist_train_split_is_capped_and_pooled(self, tmp_path, monkeypatch):
+        # the same 28x28 IDX files, 6 train and 5 test images, under both names
+        rng = np.random.default_rng(0)
+        for name in ("mnist", "fashion"):
+            (tmp_path / name).mkdir()
+        for prefix, n in (("train", 6), ("t10k", 5)):
+            images = (struct.pack(">IIII", data_io.IMAGE_MAGIC, n, 28, 28)
+                      + rng.integers(0, 256, n * 784, dtype=np.uint8).tobytes())
+            labels = struct.pack(">II", data_io.LABEL_MAGIC, n) + bytes(range(n))
+            for name in ("mnist", "fashion"):
+                (tmp_path / name / f"{prefix}-images-idx3-ubyte").write_bytes(images)
+                (tmp_path / name / f"{prefix}-labels-idx1-ubyte").write_bytes(labels)
+        full = {split: data_io.load_idx(str(tmp_path / "mnist" / f"{prefix}-images-idx3-ubyte"),
+                                        str(tmp_path / "mnist" / f"{prefix}-labels-idx1-ubyte"))
+                for prefix, split in (("train", "train"), ("t10k", "test"))}
+        monkeypatch.setattr(cli, "MNIST_TRAIN", 4)
+
+        def load(name):
+            return cli.load_dataset(cli.RunConfig(dataset=name, data_dir=str(tmp_path / name),
+                                                  seed=3))
+
+        train, test = load("mnist")
+        capped = data_io.downsample_196(data_io.take_subset(full["train"], 4, 3))
+        assert (train.n_samples, train.features) == (4, 196)
+        assert np.array_equal(train.x, capped.x) and np.array_equal(train.y, capped.y)
+        pooled = data_io.downsample_196(full["test"])
+        assert (test.n_samples, test.features) == (5, 196)
+        assert np.array_equal(test.x, pooled.x) and np.array_equal(test.y, pooled.y)
+        for ds in load("fashion"):
+            assert np.array_equal(ds.x, full[ds.split].x)
+            assert np.array_equal(ds.y, full[ds.split].y)
 
 
 class TestTrainCommand:
@@ -321,7 +351,23 @@ class TestTrainCommand:
                          "--optimizer", "sgd", "--lr", "1e308", "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == "error: NaN or inf in the sgd loss at epoch 0\n"
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--dataset", "mnist", "--data-dir", "{tmp}/nonexistent"],
+         "missing train-images-idx3-ubyte[.gz] under {tmp}/nonexistent"),
+        (["train", "--dataset", "blobs", "--blobs-classes", "0"],
+         "classes, d and n_per_class must all be >= 1"),
+        (["scale", "--dataset", "blobs", "--sizes", "5000", "--rhos", "0.1"],
+         "largest size 5000 exceeds dataset (200)")],
+        ids=["missing-idx", "no-blobs-classes", "scale-too-large"])
+    def test_failed_run_makes_no_output_directory(self, tmp_path, capsys, argv, message):
+        # as a diverging baseline does (test_diverging_baseline_is_an_error_message)
+        out = tmp_path / "run"
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+        assert not out.exists()
 
     def test_diverging_baseline_prints_only_its_error_line(self, tmp_path):
         # in a fresh process, where no test harness catches numpy's warnings
@@ -350,7 +396,7 @@ class TestTrainCommand:
         (["--reg-weight", "0.5"], "reg_weight needs reg l1 or l2"),
         (["--rho", "nan"], "rho must be finite and > 0"),
         (["--reg-weight", "inf"], "reg_weight must be finite and >= 0"),
-        (["--subset", "-5"], "subset_size and train_count must be >= 0"),
+        (["--subset", "-5"], "subset_size must be >= 0"),
         (["--seed", "-1"], "seed must be >= 0"),
         (["--optimizer", "sgd", "--lr", "0.1", "--seed", "-1"], "seed must be >= 0"),
         (["--lr", "0.1"], "lr not read by the dlam optimizer"),
@@ -358,8 +404,7 @@ class TestTrainCommand:
          "reg, reg_weight not read by the sgd optimizer"),
         (["--optimizer", "adagrad", "--rho", "0.01", "--eps0", "1"],
          "rho, eps0 not read by the adagrad optimizer"),
-        (["--train-count", "10", "--data-dir", "/nonexistent"],
-         "data_dir, train_count not read by the blobs dataset"),
+        (["--data-dir", "/nonexistent"], "data_dir not read by the blobs dataset"),
         (["--hidden", "8,0"], "every layer size must be >= 1")])
     def test_bad_value_is_an_error_before_data_loads(self, tmp_path, capsys, monkeypatch,
                                                       flags, message):

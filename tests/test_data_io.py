@@ -141,7 +141,7 @@ class TestLoadIdx:
                                  f"at offset {offset}$"):
             data_io.load_idx(paths["images"], paths["labels"])
 
-    def test_label_out_of_range_names_the_file(self, tmp_path, rng):
+    def test_label_out_of_range_names_the_file(self, tmp_path, rng, monkeypatch):
         images = rng.integers(0, 256, size=(4, 2, 2), dtype=np.uint8)
         labels = np.array([3, 9, 10, 0], dtype=np.uint8)
         img_path, lab_path = _write_idx_pair(tmp_path, images, labels)
@@ -149,7 +149,9 @@ class TestLoadIdx:
                            match=f"^{re.escape(lab_path)}: label 10 at offset 10 "
                                  r"outside \[0, 10\)$"):
             data_io.load_idx(img_path, lab_path)
-        assert data_io.load_idx(img_path, lab_path, classes=11).classes == 11
+        # the bound is IDX_CLASSES, which also sizes the one-hot labels
+        monkeypatch.setattr(data_io, "IDX_CLASSES", 11)
+        assert data_io.load_idx(img_path, lab_path).classes == 11
 
 
 class TestDownsample:

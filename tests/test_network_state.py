@@ -253,16 +253,17 @@ def test_architecture_validation():
     with pytest.raises(ValueError):
         ns.Architecture((4, 0, 2))
     with pytest.raises(ValueError):
-        ns.Architecture((4, 3, 2), activation=(RELU,) * 3)
+        ns.Architecture((4, 3, 2), activation=(RELU,))    # one kind, not one per layer
     arch = ns.Architecture((4, 3, 2), activation=SIG)
     assert arch.activation == (SIG,)
     assert arch.num_layers == 2 and arch.features == 4 and arch.classes == 2
-    # a kind is its member or its string value; a bare one serves every hidden layer
+    # a kind is its member or its string value, and serves every hidden layer
     arch = ns.Architecture((3, 4, 2), activation="relu", regularizer="l2")
     assert arch.activation == (RELU,)
     assert arch.regularizer is ns.RegKind.L2
     assert ns.Architecture((3, 4, 5, 2), activation="sigmoid").activation == (SIG, SIG)
-    assert ns.Architecture((3, 4, 5, 2), activation=("relu", SIG)).activation == (RELU, SIG)
+    with pytest.raises(ValueError):
+        ns.Architecture((3, 4, 5, 2), activation=("relu", SIG))
 
 
 @pytest.mark.parametrize("name,kind", [
