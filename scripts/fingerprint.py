@@ -19,6 +19,19 @@ Each line reads ``hash  name  F``: F is the run's final objective, printed
 with ``repr`` so that it round-trips (F after the last epoch for a DLAM run,
 the last epoch's loss for a baseline run). It tells a change that moves bits
 at rounding level from one that moves the result.
+
+    python scripts/fingerprint.py --save runs.npz      # at one commit
+    python scripts/fingerprint.py --against runs.npz   # at another
+
+``--save FILE`` writes each run's final F and blocks (W, b, z, a; W and b
+for a baseline run) into one ``.npz`` file. ``--against FILE`` reads such
+a file and prints, after each line, how far the run lies from the saved
+one: ``dF``, the relative difference in F, then ``dW``, ``db``, ``dz`` and
+``da``, the largest entry gap |X - X_saved| over every layer of that block
+over its largest saved entry (a layer whose block is rounding noise, such
+as a stalled layer's b, would make a per-layer ratio large). 0.0
+everywhere means equal values; a hash that moves while every distance
+stays near the rounding unit is a rounding change.
 """
 
 import argparse
@@ -103,27 +116,77 @@ def baseline_fingerprint(W, b, trace) -> str:
     return _digest(trace, [*W, *b])
 
 
-def run(name: str) -> tuple[str, float]:
-    """The run's hash and its final objective."""
+def run(name: str) -> tuple[str, float, dict[str, list[np.ndarray]]]:
+    """The run's hash, its final objective and its final blocks by kind."""
     if name in BASELINE_RUNS:
         arch, data, cfg = BASELINE_RUNS[name]
         ds = synth_gaussian_blobs(**data)
         W, b, trace = bl.train_baseline(cfg, arch, ds.x, ds.y)
-        return baseline_fingerprint(W, b, trace), trace[-1]["loss"]
+        return baseline_fingerprint(W, b, trace), trace[-1]["loss"], {"W": W, "b": b}
     arch, data, hp = RUNS[name]
     ds = synth_gaussian_blobs(**data)
     state, trace = opt.train(arch, ds.x, ds.y, hp)
-    return fingerprint(state, trace), trace[-1].f_after
+    blocks = {"W": state.W, "b": state.b, "z": state.z, "a": state.a}
+    return fingerprint(state, trace), trace[-1].f_after, blocks
+
+
+def _saved(name: str, final_f: float, blocks) -> dict[str, np.ndarray]:
+    """The arrays --save writes for one run, keyed ``name:F`` and ``name:<kind><layer>``."""
+    arrays = {f"{name}:F": np.array(final_f)}
+    for kind, values in blocks.items():
+        arrays.update((f"{name}:{kind}{i}", v) for i, v in enumerate(values))
+    return arrays
+
+
+def _relative(values, saved) -> float:
+    """max|x - x_saved| over the pairs, over the largest |x_saved|; 0.0 when all are
+    zero, and a NaN propagates."""
+    gap = scale = 0.0
+    for x, x_saved in zip(values, saved):
+        x, x_saved = np.asarray(x, dtype=np.float64), np.asarray(x_saved, dtype=np.float64)
+        if x.shape != x_saved.shape:
+            raise ValueError(f"shape {x.shape} against a saved {x_saved.shape}")
+        gap = np.maximum(gap, np.max(np.abs(x - x_saved), initial=0.0))    # keeps a NaN
+        scale = max(scale, float(np.max(np.abs(x_saved), initial=0.0)))
+    return float(gap) / max(scale, np.finfo(float).tiny)
+
+
+def distances(name: str, final_f: float, blocks, saved) -> dict[str, float]:
+    """The run's relative difference from ``saved`` in F and in each block kind,
+    whose gap and scale are the largest over its layers."""
+    out = {"F": _relative([final_f], [saved[f"{name}:F"]])}
+    for kind, values in blocks.items():
+        out[kind] = _relative(values, [saved[f"{name}:{kind}{i}"] for i in range(len(values))])
+    return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     names = [*RUNS, *BASELINE_RUNS]
     parser.add_argument("--runs", nargs="+", choices=names, default=names)
+    parser.add_argument("--save", metavar="FILE", help="write each run's final F and blocks")
+    parser.add_argument("--against", metavar="FILE",
+                        help="print each run's distance from the runs saved in FILE")
     args = parser.parse_args(argv)
+    against = None
+    if args.against is not None:
+        with np.load(args.against) as file:
+            against = dict(file)
+        missing = [n for n in args.runs if f"{n}:F" not in against]
+        if missing:
+            parser.error(f"{args.against} holds no run {', '.join(missing)}")
+    arrays = {}
     for name in args.runs:
-        digest, final_f = run(name)
-        print(f"{digest}  {name}  {final_f!r}", flush=True)
+        digest, final_f, blocks = run(name)
+        line = f"{digest}  {name}  {final_f!r}"
+        if against is not None:
+            gaps = distances(name, final_f, blocks, against)
+            line += "".join(f"  d{kind} {gap!r}" for kind, gap in gaps.items())
+        print(line, flush=True)
+        arrays.update(_saved(name, final_f, blocks))
+    if args.save is not None:
+        with open(args.save, "wb") as file:      # a file object: np.savez adds no suffix
+            np.savez(file, **arrays)
     return 0
 
 

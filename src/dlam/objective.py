@@ -112,9 +112,11 @@ def grad_z(R: np.ndarray, rho: float) -> np.ndarray:
     return -rho * R
 
 
-def grad_a(R: np.ndarray, W_next: np.ndarray, rho: float) -> np.ndarray:
-    """d phi_next / d a = rho W_next^T R_next, R_next the next layer's residual."""
-    g = W_next.T @ R
+def grad_a(R: np.ndarray, W_next: np.ndarray, rho: float,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """d phi_next / d a = rho W_next^T R_next, R_next the next layer's residual;
+    written into ``out`` when given."""
+    g = np.matmul(W_next.T, R, out=out)
     g *= rho
     return g
 
@@ -140,24 +142,37 @@ def grad_phi_a(a, W_next, b_next, z_next, rho) -> np.ndarray:
     return grad_a(coupling_residual(a, W_next, b_next, z_next), W_next, rho)
 
 
+def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, e, s): the column max m, e = exp(z - m) and its column sums s, so that
+    softmax(z) = e / s and log-sum-exp(z) = m + log s without overflow."""
+    m = z.max(axis=0, keepdims=True)
+    e = np.exp(z - m)
+    return m, e, e.sum(axis=0, keepdims=True)
+
+
 def softmax_columns(z: np.ndarray) -> np.ndarray:
     """Column-wise softmax, log-sum-exp stabilized."""
-    shifted = z - z.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    _, e, s = _shifted_exp(z)
+    return e / s
 
 
-def risk_cross_entropy(z: np.ndarray, y: np.ndarray) -> float:
-    """Mean over columns of -sum_c y_c log softmax(z)_c; y must be one-hot.
+def cross_entropy(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(risk, e, s): the cross-entropy risk and the softmax's parts, softmax(z) = e / s.
 
-    The labels are checked once where they enter (``initialize`` and
-    ``train_baseline``), not on every evaluation.
+    The risk is the mean over columns of -sum_c y_c log softmax(z)_c; y must
+    be one-hot. The labels are checked once where they enter (``initialize``
+    and ``train_baseline``), not on every evaluation.
     """
     if z.shape != y.shape:
         raise ShapeError(f"risk: shapes differ, {z.shape} vs {y.shape}")
-    m = z.max(axis=0, keepdims=True)
-    lse = m + np.log(np.exp(z - m).sum(axis=0, keepdims=True))
-    return float(np.mean(lse - (y * z).sum(axis=0, keepdims=True)))
+    m, e, s = _shifted_exp(z)
+    lse = m + np.log(s)
+    return float(np.mean(lse - (y * z).sum(axis=0, keepdims=True))), e, s
+
+
+def risk_cross_entropy(z: np.ndarray, y: np.ndarray) -> float:
+    """The cross-entropy risk alone (cross_entropy)."""
+    return cross_entropy(z, y)[0]
 
 
 def grad_risk_cross_entropy(z: np.ndarray, y: np.ndarray,

@@ -78,8 +78,10 @@ class WarmStart:
     (update_w). ``resid[l]`` for l >= 1 is layer l's coupling residual
     R_l = W_l a_{l-1} + b_l - z_l while none of its operands has moved
     since it was formed, and None otherwise; its one reader is the next
-    sweep's update_a(l - 1), which uses it up. run_epoch fills the empty
-    ones and leaves every slot current. ``resid[0]`` stays None: after
+    sweep's update_a(l - 1), which carries it to the a_{l-1} it accepts,
+    so it leaves the slot there. run_epoch fills the empty ones and leaves
+    every slot current, each formed afresh at its layer's close.
+    ``resid[0]`` stays None: after
     layer 0's z step nothing reads R_0 but its own end-of-sweep terms, so
     layer 0 carries only ``layer0``, the pair (penalty, W gradient) of R_0,
     (rho/2)||R_0||^2 and rho R_0 x^T, which the next sweep's first W step
@@ -171,7 +173,9 @@ def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
     record; raises NonFiniteError for a non-finite phi0 or a NaN trial,
     which no curvature repairs, and BacktrackError after MAX_BACKTRACK
     trials. Every trial after the first writes its step into the first's
-    buffer.
+    buffer. Each trial takes <grad, d> and ||d||^2 before ``image_sq(d)``,
+    so image_sq may write its image over ``grad`` (update_a); the accepted
+    trial's <grad, d> gives the record's phi and model.
     """
     if not math.isfinite(phi0):
         raise NonFiniteError(f"{block} update", layer)
@@ -181,8 +185,9 @@ def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
     while True:
         cand = candidate(param)
         d = np.subtract(cand, current, out=d)
-        quad_true = 0.5 * rho * image_sq(d)
+        base = phi0 + obj.inner(grad, d)    # before image_sq, which may spend grad
         move_sq = obj.inner(d, d)
+        quad_true = 0.5 * rho * image_sq(d)
         quad_model = 0.5 * param * move_sq
         if quad_true <= quad_model:
             break
@@ -193,7 +198,6 @@ def _majorized_step(block: str, layer: int, rho: float, current: np.ndarray,
                 f"{block} update at layer {layer} did not majorize after {trials} trials", param)
         param *= GROWTH
         trials += 1
-    base = phi0 + obj.inner(grad, d)
     return cand, BlockStep(block, layer, param, move_sq, trials, base + quad_true,
                            base + quad_model)
 
@@ -328,20 +332,25 @@ def update_z_output(state: ns.NetworkState, rho: float, free: np.ndarray) -> Blo
     NEWTON_HALVINGS times; when no halving lowers the value (a NaN
     included), the solve stops at the last accepted iterate, not converged.
     So the value does not rise from one iterate to the next, and a halved
-    step never counts as convergence.
+    step never counts as convergence. The value check that accepts an
+    iterate keeps z - free and softmax's parts (obj.cross_entropy), and
+    the next iteration's gradient and Newton step read them from there.
     """
     y = state.y
 
     def value(z):
-        return obj.penalty(z - free, rho) + obj.risk_cross_entropy(z, y)
+        tether = z - free
+        risk, e, sums = obj.cross_entropy(z, y)
+        return obj.penalty(tether, rho) + risk, (tether, e, sums)
 
     z = state.z[-1]
-    f = value(z)
+    f, parts = value(z)
     converged = False
     iterations = 0
     for iterations in range(1, NEWTON_ITERS + 1):
-        p = obj.softmax_columns(z)
-        g = rho * (z - free) + obj.grad_risk_cross_entropy(z, y, p)
+        tether, e, sums = parts
+        p = e / sums        # softmax(z)
+        g = rho * tether + obj.grad_risk_cross_entropy(z, y, p)
         s = obj.newton_direction(g, rho, p)
         if (float(np.max(np.abs(s))) < NEWTON_TOL
                 or 0.5 * obj.inner(g, s) <= NEWTON_DECREMENT * abs(f)):
@@ -349,13 +358,13 @@ def update_z_output(state: ns.NetworkState, rho: float, free: np.ndarray) -> Blo
             break
         for _ in range(NEWTON_HALVINGS + 1):
             cand = z - s
-            f_cand = value(cand)
+            f_cand, cand_parts = value(cand)
             if f_cand <= f:
                 break
             s *= 0.5
         else:   # no halving lowered the value
             break
-        z, f = cand, f_cand
+        z, f, parts = cand, f_cand, cand_parts
     dz = z - state.z[-1]
     state.z[-1] = z
     return BlockStep("z", state.num_layers - 1, rho, obj.inner(dz, dz), iterations, phi=f,
@@ -373,20 +382,33 @@ def update_a(state: ns.NetworkState, layer: int, rho: float, eps: float,
     Feasibility of the accepted block holds by construction, and the step
     measures it against the slab it was projected onto, as
     ns.feasibility_residual would. ``resid`` is the next layer's current
-    coupling residual W_next a + b_next - z_next, and this step uses it up:
-    once its penalty and gradient are formed, each trial writes its image
-    W_next d into that buffer. Each trial forms its candidate per row block
-    (_row_blocks): h(z), the slab's two bounds and the clip, and the slab
-    check of that candidate, which the accepted trial's record keeps; so the
-    step holds no full-size h(z), and the per-block maxima are folded with
-    np.maximum, which keeps a NaN. Raises NonFiniteError when the penalty
-    or a trial step is NaN or inf; a NaN in h(z) reaches only the trials.
+    coupling residual R_next = W_next a + b_next - z_next, and this step
+    carries it, not uses it up: once the step's penalty and gradient are
+    formed from it, each trial writes its image W_next d over the spent
+    gradient (into its leading rows, or into an array of its own where
+    layer + 1 is wider than this one), a rejected trial's successor forms
+    the gradient again from the intact ``resid``, and the accepted image is
+    added into ``resid``, which then holds R_next at the new a. That sum
+    drifts from a fresh formation by the rounding of three sums of
+    n_{layer} + 2 terms (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3); run_epoch forms R_next afresh at that layer's
+    close, so the drift lasts one sweep. Each trial forms its candidate per
+    row block (_row_blocks): h(z), the slab's two bounds and the clip, and
+    the slab check of that candidate, which the accepted trial's record
+    keeps; so the step holds no full-size h(z), and the per-block maxima
+    are folded with np.maximum, which keeps a NaN. Raises NonFiniteError
+    when the penalty or a trial step is NaN or inf; a NaN in h(z) reaches
+    only the trials.
     """
     kind = state.arch.activation[layer]
     a_k, z = state.a[layer], state.z[layer]
     W_next = state.W[layer + 1]
     phi0 = obj.penalty(resid, rho)
     grad = obj.grad_a(resid, W_next, rho)
+    # each trial's image W_next d: the gradient's leading rows unless layer + 1 is wider
+    shared = len(W_next) <= len(grad)
+    image = grad[:len(W_next)] if shared else np.empty((len(W_next), a_k.shape[1]))
+    spent = False       # whether the last trial's image overwrote the gradient
     cand = np.empty_like(a_k)       # every trial's candidate, and the accepted one
     blocks = list(_row_blocks(a_k.shape))
     h_buf = np.empty_like(a_k[blocks[0]])     # h(z) of one block, then h + eps
@@ -394,7 +416,10 @@ def update_a(state: ns.NetworkState, layer: int, rho: float, eps: float,
     violation = 0.0
 
     def candidate(tau):
-        nonlocal violation
+        nonlocal violation, spent
+        if spent:       # a rejected trial's image; resid is still the R it started from
+            obj.grad_a(resid, W_next, rho, out=grad)
+            spent = False
         violation = 0.0
         for rows in blocks:
             c = cand[rows]
@@ -408,11 +433,14 @@ def update_a(state: ns.NetworkState, layer: int, rho: float, eps: float,
         return cand
 
     def image_sq(d):
-        image = np.matmul(W_next, d, out=resid)
+        nonlocal spent
+        np.matmul(W_next, d, out=image)
+        spent = shared
         return obj.inner(image, image)
 
     _, record = _majorized_step("a", layer, rho, a_k, phi0, grad, tau0, candidate,
                                 image_sq)
+    resid += image      # R_next at the accepted a: W_next (a_k + d) + b_next - z_next
     state.a[layer] = cand
     record.slab_violation = float(violation)
     return record
@@ -437,21 +465,25 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     ``eps_used`` and f_after describes the state this call leaves.
 
     The sweep forms every coupling residual R_l = W_l a_{l-1} + b_l - z_l
-    and hands each block what it steps on; it reuses one only while its
-    operands are unchanged, in the operation order of a fresh formation,
-    so reuse changes no bit. A layer's W steps get its penalty, W gradient
-    and Gram matrix a_{l-1} a_{l-1}^T: for l >= 1 the sweep forms R_l at the
-    start of the layer and drops it before the W steps. After them it forms
-    W_l a_{l-1}, which the b step reads, and adds the new b_l into it once:
+    and hands each block what it steps on; it reuses one unchanged only
+    while its operands are unchanged, in the operation order of a fresh
+    formation, so that reuse changes no bit. For l >= 1, update_a(l - 1)
+    moves a_{l-1} and carries R_l along, adding its accepted image
+    W_l (a_new - a_old) into it, so R_l reaches layer l within rounding of
+    a fresh formation, not bit for bit. A layer's W steps get its penalty,
+    W gradient and Gram matrix a_{l-1} a_{l-1}^T: for l >= 1 from that
+    carried R_l, which the sweep drops before the W steps. After them it
+    forms W_l a_{l-1}, which the b step reads, and adds the new b_l into it once:
     the free step W_l a_{l-1} + b_l, which the z step takes. A layer closes
     when its z step ends: from then on nothing moves W_l, b_l, z_l or
     a_{l-1}, so the R_l formed from the free step there yields the layer's
     end-of-sweep terms, taken at once: its penalty, which f_after sums, and
     its W and b gradients, which enter the certificates and are then
-    dropped. R_l itself is kept only while a later block reads
-    it, the next sweep's update_a(l - 1), which uses it up; R_0 is dropped
-    at once, and layer 0 carries only its (penalty, W gradient) pair. Each
-    W update also gets f_before, for the stop rule of its inner steps.
+    dropped. That fresh R_l also ends the carry's drift, every sweep. R_l
+    itself is kept only while a later block reads it, the next sweep's
+    update_a(l - 1), which carries it into layer l; R_0 is dropped at once,
+    and layer 0 carries only its (penalty, W gradient) pair. Each W update
+    also gets f_before, for the stop rule of its inner steps.
 
     The gradient proxy is the norm of the computable smooth gradient
     components: each layer's W gradient (obj.smooth_grad_w) and b penalty
@@ -469,8 +501,8 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
 
     ``warm`` carries R_l for l >= 1, layer 0's pair, the input's Gram
     matrix and f_after into the next call, which must get the state as
-    this call left it; there only R_l for l >= 1 is formed anew, and
-    f_before is the carried F when eps is unchanged. Without ``warm`` the
+    this call left it; there no residual is formed anew, and f_before is
+    the carried F when eps is unchanged. Without ``warm`` the
     epoch starts from fresh a curvatures and residuals. A NaN or inf in a
     block's penalty or trial step, in f_after or in the proxy raises
     NonFiniteError naming the epoch (and the layer and block where it is
@@ -486,15 +518,14 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     def fresh_resid(l):
         return obj.coupling_residual(state.a_prev(l), state.W[l], state.b[l], state.z[l])
 
-    def w_inputs(l):
-        """Layer l's penalty and W gradient; the R_l they come from is dropped."""
-        R = fresh_resid(l)
+    def w_inputs(l, R):
+        """Layer l's penalty and W gradient from its residual R."""
         return obj.penalty(R, rho), obj.grad_w(R, state.a_prev(l), rho)
 
     if warm.gram_x is None:
         warm.gram_x = state.x @ state.x.T
     if warm.layer0 is None:
-        warm.layer0 = w_inputs(0)
+        warm.layer0 = w_inputs(0, fresh_resid(0))
     for l in range(1, L):
         if resid[l] is None:
             resid[l] = fresh_resid(l)
@@ -509,14 +540,15 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     steps: list[BlockStep] = []     # one per block step, in sweep order
     penalties: list[float] = []     # one per layer, in sweep order
     proxy_sq = grad_b_err = 0.0
+    carried = None      # R_l, which update_a(l - 1) carried to the a_{l-1} it accepted
     try:
         for l in range(L):
             if l == 0:
                 (phi, g_w), warm.layer0 = warm.layer0, None
             else:
-                # update_a(l - 1) took R_l and moved a_{l-1}; R_l goes before the
-                # W steps: peak memory
-                phi, g_w = w_inputs(l)
+                # R_l goes before the W steps: peak memory
+                phi, g_w = w_inputs(l, carried)
+                carried = None
             a_prev = state.a_prev(l)
             gram = warm.gram_x if l == 0 else a_prev @ a_prev.T
             steps.extend(update_w(state, l, rho, phi, g_w, gram, f_before))
@@ -546,12 +578,11 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
                                                             state.n_samples, rho))
 
             if l < L - 1:
-                # R_{l+1} leaves the cache with update_a, which uses it up and
-                # moves a_l under it; z_l is final, so the accepted a_l's slab
+                # R_{l+1} leaves the cache with update_a, which moves a_l and
+                # carries R_{l+1} along; z_l is final, so the accepted a_l's slab
                 # violation is layer l's feasibility residual
-                r_a, resid[l + 1] = resid[l + 1], None
-                steps.append(update_a(state, l, rho, eps, warm.tau[l] / GROWTH, r_a))
-                del r_a
+                carried, resid[l + 1] = resid[l + 1], None
+                steps.append(update_a(state, l, rho, eps, warm.tau[l] / GROWTH, carried))
                 warm.tau[l] = steps[-1].curvature
             # dropped after the a step: dropped before it, they left heap holes
             # that raised sigmoid-net's peak RSS by 1.5 MiB

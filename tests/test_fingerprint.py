@@ -3,6 +3,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "fingerprint.py"
 
@@ -96,3 +97,52 @@ def test_each_line_is_hash_name_and_final_objective(capsys):
     baseline_line = [fp.baseline_fingerprint(W, b, trace), "adagrad-blobs",
                      repr(trace[-1]["loss"])]
     assert lines == [dlam_line, baseline_line]
+
+
+def test_against_a_saved_run_prints_its_distances(tmp_path, capsys):
+    fp = _load_script()
+    saved = tmp_path / "runs.npz"
+    runs = ["--runs", "tanh-l1-blobs", "adagrad-blobs"]
+    assert fp.main([*runs, "--save", str(saved)]) == 0
+    assert saved.exists()
+    plain = capsys.readouterr().out.splitlines()
+
+    def distances():
+        assert fp.main([*runs, "--against", str(saved)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(plain)
+        out = []
+        for line, head in zip(lines, plain):
+            # the hash line as before, then the distances
+            assert line.startswith(head + "  ")
+            fields = [f.split(" ") for f in line[len(head) + 2:].split("  ")]
+            out.append({k: float(v) for k, v in fields})
+        return out
+
+    # a run against itself is 0.0 everywhere
+    dlam, baseline = distances()
+    assert dlam == dict.fromkeys(["dF", "dW", "db", "dz", "da"], 0.0)
+    assert baseline == dict.fromkeys(["dF", "dW", "db"], 0.0)
+    # a perturbed block is reported in its own column, relative to its kind's
+    # largest saved entry
+    with np.load(saved) as file:
+        arrays = dict(file)
+    a = arrays["tanh-l1-blobs:a1"]
+    scale = max(np.max(np.abs(arrays["tanh-l1-blobs:a0"])), np.max(np.abs(a)))
+    a.flat[np.argmin(np.abs(a))] += 1e-3 * scale     # an entry that stays below the scale
+    arrays["adagrad-blobs:F"] = arrays["adagrad-blobs:F"] * 2.0
+    np.savez(saved, **arrays)
+    dlam, baseline = distances()
+    assert dlam["da"] == pytest.approx(1e-3, rel=1e-6)
+    assert dlam["dF"] == dlam["dW"] == dlam["db"] == dlam["dz"] == 0.0
+    assert baseline == {"dF": 0.5, "dW": 0.0, "db": 0.0}
+
+
+def test_against_a_file_without_the_run_is_an_error(tmp_path, capsys):
+    fp = _load_script()
+    saved = tmp_path / "runs.npz"
+    np.savez(saved, **{"adagrad-blobs:F": np.array(1.0)})
+    with pytest.raises(SystemExit) as err:
+        fp.main(["--runs", "tanh-l1-blobs", "--against", str(saved)])
+    assert err.value.code == 2
+    assert "holds no run tanh-l1-blobs" in capsys.readouterr().err

@@ -396,6 +396,41 @@ class TestUpdateZHidden:
             f_last = report.f_after
 
 
+def _z_output_fresh(state, rho, free):
+    """update_z_output with the risk, softmax(z) and z - free each formed anew
+    where it is read, not kept from the value check: the oracle."""
+    y = state.y
+
+    def value(z):
+        return obj.penalty(z - free, rho) + obj.risk_cross_entropy(z, y)
+
+    z = state.z[-1]
+    f = value(z)
+    converged = False
+    iterations = 0
+    for iterations in range(1, opt.NEWTON_ITERS + 1):
+        p = obj.softmax_columns(z)
+        g = rho * (z - free) + obj.grad_risk_cross_entropy(z, y, p)
+        s = obj.newton_direction(g, rho, p)
+        if (float(np.max(np.abs(s))) < opt.NEWTON_TOL
+                or 0.5 * obj.inner(g, s) <= opt.NEWTON_DECREMENT * abs(f)):
+            converged = True
+            break
+        for _ in range(opt.NEWTON_HALVINGS + 1):
+            cand = z - s
+            f_cand = value(cand)
+            if f_cand <= f:
+                break
+            s *= 0.5
+        else:
+            break
+        z, f = cand, f_cand
+    dz = z - state.z[-1]
+    state.z[-1] = z
+    return opt.BlockStep("z", state.num_layers - 1, rho, obj.inner(dz, dz), iterations,
+                         phi=f, converged=converged, mean_move=dz.mean(axis=1, keepdims=True))
+
+
 class TestUpdateZOutput:
     def test_inner_objective_nonincreasing_cross_entropy(self, monkeypatch):
         # the k-iteration run is the k-step prefix of any longer one, so the end
@@ -430,8 +465,9 @@ class TestUpdateZOutput:
         on these fixtures it fires with the gradient under the same bound.
         """
         checks = []
-        risk = obj.risk_cross_entropy
-        monkeypatch.setattr(obj, "risk_cross_entropy", lambda *a: checks.append(1) or risk(*a))
+        cross_entropy = obj.cross_entropy
+        monkeypatch.setattr(obj, "cross_entropy",
+                            lambda *a: checks.append(1) or cross_entropy(*a))
         rho = float(10.0 ** np.random.default_rng(seed).uniform(-4.0, 0.0))
         state = small_state(seed=seed, scatter=1.0, sizes=(3, 4, 3, 4), n=7)
         hp = obj.HyperParams(rho=rho)
@@ -456,6 +492,18 @@ class TestUpdateZOutput:
         assert halvings > 0
         assert sup <= bound
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_value_checks_serve_the_next_iteration(self, seed):
+        # the iteration reads z - free and softmax(z) from the value check that
+        # accepted z, and gets the bits of forming them anew; seed 3 halves
+        rho = float(10.0 ** np.random.default_rng(seed).uniform(-4.0, 0.0))
+        runs = []
+        for solve in (_z_output_fresh, opt.update_z_output):
+            state = small_state(seed=seed, scatter=1.0, sizes=(3, 4, 3, 4), n=7)
+            record = solve(state, rho, _free(state, state.num_layers - 1))
+            runs.append((_step_fields(record), state.z[-1].tobytes()))
+        assert runs[0] == runs[1]
+
     def test_started_at_its_optimum_converges_at_once(self):
         # at rho 1e-4 the full step amplifies the gradient's rounding by up to
         # 1e4 and never falls under NEWTON_TOL here; without the decrement test
@@ -479,10 +527,11 @@ class TestUpdateZOutput:
     def test_rising_values_never_report_convergence(self, monkeypatch):
         # every value check rises, so the first iteration halves NEWTON_HALVINGS
         # times and stops where it started; the tiny halved steps must not
-        # count as converged
+        # count as converged; each value check's softmax parts are the true ones
         calls = []
-        monkeypatch.setattr(obj, "risk_cross_entropy",
-                            lambda *a: float(len(calls.append(1) or calls)))
+        cross_entropy = obj.cross_entropy
+        monkeypatch.setattr(obj, "cross_entropy", lambda *a: (
+            float(len(calls.append(1) or calls)), *cross_entropy(*a)[1:]))
         monkeypatch.setattr(opt, "NEWTON_ITERS", 4)
         state = small_state(seed=2, scatter=1.0)
         z = state.z[-1]
@@ -558,13 +607,16 @@ def _z_step_whole(state, layer, eps, rho, free):
 
 def _a_step_whole(state, layer, rho, eps, tau0, resid):
     """update_a with h(z), the candidates' clips and the slab check over the whole
-    array at once, as before row blocks: the oracle."""
+    array at once, as before row blocks, one gradient for every trial and each
+    trial's image in a fresh array: the oracle. Like update_a it adds the
+    accepted trial's image into ``resid``."""
     kind = state.arch.activation[layer]
     a_k, W_next = state.a[layer], state.W[layer + 1]
     h = ns.activation_apply(kind, state.z[layer])
     phi0 = obj.penalty(resid, rho)
     grad = obj.grad_a(resid, W_next, rho)
     cand, bound = np.empty_like(a_k), np.empty_like(a_k)
+    images = []
 
     def candidate(tau):
         np.divide(grad, tau, out=cand)
@@ -573,11 +625,12 @@ def _a_step_whole(state, layer, rho, eps, tau0, resid):
         return np.minimum(cand, np.add(h, eps, out=bound), out=cand)
 
     def image_sq(d):
-        image = np.matmul(W_next, d, out=resid)
-        return obj.inner(image, image)
+        images.append(W_next @ d)
+        return obj.inner(images[-1], images[-1])
 
     _, record = opt._majorized_step("a", layer, rho, a_k, phi0, grad, tau0, candidate,
                                     image_sq)
+    resid += images[-1]
     state.a[layer] = cand
     record.slab_violation = ns.slab_violation(cand, h, eps, out=grad)
     return record
@@ -643,16 +696,58 @@ class TestRowBlocks:
                 z_rec = z_step(state, 0, eps, hp.rho, free)
                 z_new = state.z[0].tobytes()
                 state.z[0] = start.z[0]     # the a step on the z it was given
+                resid = _fresh_resid(state, 1)
                 try:
-                    a_rec = _step_fields(a_step(state, 0, hp.rho, eps, opt.ALPHA0,
-                                                _fresh_resid(state, 1)))
+                    a_rec = _step_fields(a_step(state, 0, hp.rho, eps, opt.ALPHA0, resid))
                 except ns.NonFiniteError as err:
                     a_rec = str(err)
-                results.append((_step_fields(z_rec), z_new, a_rec, state.a[0].tobytes()))
+                results.append((_step_fields(z_rec), z_new, a_rec, state.a[0].tobytes(),
+                                resid.tobytes()))
         assert results[0] == results[1]
         assert z_rec.held >= held
         if kind is ns.ActivationKind.RELU and z_entry == np.inf:
             assert a_rec["slab_violation"] == "nan"
+
+
+class TestACarry:
+    """update_a writes each trial's image into its spent gradient's buffer, re-forms
+    the gradient from the intact R_next after a rejected trial, and carries R_next
+    to the accepted a; against _a_step_whole, which keeps one gradient and forms
+    each image in a fresh array."""
+
+    # (3, 4, 3, 2) narrows into layer 1, so the image is the gradient's leading
+    # rows; (3, 4, 5, 2) widens, so the image needs an array of its own
+    @pytest.mark.parametrize("sizes", [(3, 4, 3, 2), (3, 4, 4, 2), (3, 4, 5, 2)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rejected_trials_reform_the_gradient(self, sizes, seed, monkeypatch):
+        start = small_state(seed=seed, sizes=sizes, scatter=0.5)
+        rho, eps = 10.0, 1.0
+        # tau0 far below rho ||W_1||_2^2, so the first trials are rejected
+        assert rho * np.linalg.norm(start.W[1], 2) ** 2 > 1e3 * opt.ALPHA0
+        runs = []
+        for a_step in (_a_step_whole, opt.update_a):
+            state = dataclasses.replace(start, a=list(start.a))
+            grads = []
+            grad_a = obj.grad_a
+
+            def spy(*args, **kwargs):
+                g = grad_a(*args, **kwargs)
+                grads.append(g.tobytes())
+                return g
+
+            resid = _fresh_resid(state, 1)
+            with monkeypatch.context() as mp:
+                mp.setattr(obj, "grad_a", spy)
+                record = a_step(state, 0, rho, eps, opt.ALPHA0, resid)
+            runs.append((record, grads, resid, state))
+        (oracle, [grad], R_oracle, _), (record, grads, R, state) = runs
+        assert record.trials > 1
+        assert _step_fields(record) == _step_fields(oracle)
+        assert state.a[0].tobytes() == runs[0][3].a[0].tobytes()
+        # the first gradient, and one re-formed per rejected trial when they share
+        assert grads == [grad] * (record.trials if sizes[2] <= sizes[1] else 1)
+        assert R.tobytes() == R_oracle.tobytes()
+        _assert_carried(R, state, 1, start.a[0], "R_1 carried by update_a")
 
 
 def _a_block(state, l, hp, eps):
@@ -1040,15 +1135,47 @@ def _calls_per_epoch(monkeypatch, targets, epochs):
     return arch, trace, [after - before for before, after in zip(seen, seen[1:])]
 
 
+def _carry_bound(W, a_old, a_new, b, z, R):
+    """Entry by entry, how far a residual carried through an a step may lie from a
+    fresh one: 2 gamma_{n+2} (|W| (|a_old| + |a_new| + |a_new - a_old|) + |b| + |z|)
+    + u |R|, n the columns of W, u the unit roundoff, gamma_k = k u / (1 - k u).
+
+    The carried R is R_old + W d, d = a_new - a_old, three rounded sums: R_old
+    = W a_old + b - z (n + 2 terms), W d (n terms, d itself rounded) and
+    their sum (u |R|); a fresh R = W a_new + b - z is n + 2 terms. Each sum
+    of k terms errs by at most gamma_k times the sum of its terms' moduli,
+    in any order (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 3.1), and the bound adds the carried and the fresh errors.
+    """
+    u = np.finfo(float).eps / 2
+    k = W.shape[1] + 2
+    gamma = k * u / (1.0 - k * u)
+    moved = np.abs(a_old) + np.abs(a_new) + np.abs(a_new - a_old)
+    return 2.0 * gamma * (np.abs(W) @ moved + np.abs(b) + np.abs(z)) + u * np.abs(R)
+
+
+def _assert_carried(R, state, l, a_old, what):
+    """R, layer l's residual carried from a_{l-1} = a_old to the state's, within
+    _carry_bound of a fresh one; returns the largest entry's share of its bound."""
+    W, b, z, a_new = state.W[l], state.b[l], state.z[l], state.a_prev(l)
+    gap = np.abs(R - _fresh_resid(state, l))
+    bound = _carry_bound(W, a_old, a_new, b, z, R)
+    assert np.all(gap <= bound), what
+    return float(np.max(gap / np.maximum(bound, np.finfo(float).tiny)))
+
+
 @pytest.fixture
 def cache_watch(monkeypatch):
     """Each residual, product, free step, penalty, W gradient or Gram matrix handed
     to a block update, and after every block update and every epoch each residual and
     layer 0's (penalty, W gradient) pair the sweep holds, must equal a fresh
-    one byte for byte. ``carried`` counts the W steps of layer 0 that start
-    from the pair the sweep before left."""
+    one byte for byte, but for R_l with l >= 1 after update_a(l - 1): that step
+    carries it to the a_{l-1} it accepts, and it must lie within _carry_bound
+    of a fresh one. Layer l's W steps then get the penalty and W gradient of
+    exactly that carried R_l. ``carried`` counts the W steps of layer 0 that
+    start from the pair the sweep before left, ``bounded`` the R_l carried."""
     watch = {"warm": None, "compared": 0, "grads": 0, "grams": 0, "frees": 0, "carried": 0,
-             "pair": None}
+             "pair": None, "bounded": 0, "through_a": {}}
 
     def same(held, fresh, what):
         assert np.asarray(held).tobytes() == np.asarray(fresh).tobytes(), what
@@ -1072,6 +1199,7 @@ def cache_watch(monkeypatch):
         def wrapper(state, *args, **kwargs):
             given = signature.bind(state, *args, **kwargs).arguments
             l = given.get("layer", state.num_layers - 1)
+            a_old = state.a[l] if name == "update_a" else None
             if given.get("resid") is not None:
                 l_r = l + 1 if name == "update_a" else l
                 same(given["resid"], _fresh_resid(state, l_r), f"stale R_{l_r} into {name}")
@@ -1082,7 +1210,8 @@ def cache_watch(monkeypatch):
                      f"stale free step into {name}")
                 watch["frees"] += 1
             if name == "update_w":
-                R, a_prev = _fresh_resid(state, l), state.a_prev(l)
+                a_prev = state.a_prev(l)
+                R = watch["through_a"].pop(l) if l > 0 else _fresh_resid(state, l)
                 same(given["phi"], obj.penalty(R, given["rho"]), f"stale penalty into {name}")
                 fresh = given["rho"] * (R @ a_prev.T)
                 same(given["grad"], fresh, f"stale W gradient into {name}")
@@ -1093,6 +1222,12 @@ def cache_watch(monkeypatch):
                 same(given["gram"], a_prev @ a_prev.T, f"stale Gram matrix into {name}")
                 watch["grams"] += 1
             out = inner(state, *args, **kwargs)
+            if name == "update_a":
+                # update_a wrote R_{l+1} at the accepted a_l into the array it was handed
+                R = given["resid"]
+                _assert_carried(R, state, l + 1, a_old, f"R_{l + 1} carried by {name}")
+                watch["through_a"][l + 1] = R.copy()
+                watch["bounded"] += 1
             check(state, name)
             return out
         return wrapper
@@ -1104,6 +1239,7 @@ def cache_watch(monkeypatch):
     def epoch(state, hp, k, eps, warm=None):
         watch["warm"], watch["rho"], watch["pair"] = warm, hp.rho, warm.layer0
         report = run_epoch(state, hp, k, eps, warm)
+        assert not watch["through_a"], "a carried residual no W step read"
         check(state, f"epoch {k}")
         return report
 
@@ -1122,6 +1258,8 @@ class TestResidualReuse:
         assert cache_watch["grads"] == 20 * arch.num_layers
         assert cache_watch["carried"] == 19
         assert cache_watch["grams"] == cache_watch["frees"] == 20 * arch.num_layers
+        # and every hidden layer's a step carries the next layer's residual
+        assert cache_watch["bounded"] == 20 * (arch.num_layers - 1)
 
     def test_input_gram_is_formed_once_per_run(self, monkeypatch):
         grams = []
@@ -1247,20 +1385,20 @@ class TestResidualReuse:
             assert spent[k]["activation_apply.entries"] == sum(
                 n * n_samples * trials
                 for n, trials in zip(arch.layer_sizes[1:-1], trace[k].trials_a))
-            # only R_l for l >= 1, after update_a(l - 1) moved a_{l-1}
-            assert spent[k]["coupling_residual"] <= arch.num_layers - 1
+            # none: update_a(l - 1) carries R_l to the a_{l-1} it accepts
+            assert spent[k]["coupling_residual"] == 0
 
     def test_sweep_forms_each_residual_once(self, monkeypatch):
-        # a fresh start forms every R_l once, for f_before and the blocks alike,
-        # and R_l for l >= 1 once more after update_a(l - 1); no block forms one
+        # a fresh start forms every R_l once, for f_before and the blocks alike;
+        # update_a(l - 1) carries R_l for l >= 1 and no block forms one
         arch, trace, spent = _calls_per_epoch(monkeypatch, [
             (obj, "evaluate_f"), (obj, "coupling_residual")], epochs=5)
         L = arch.num_layers
         assert spent[0]["evaluate_f"] == 0
-        assert spent[0]["coupling_residual"] <= 2 * L - 1
+        assert spent[0]["coupling_residual"] == L
         for k in range(1, len(trace)):
             assert spent[k]["evaluate_f"] == 0
-            assert spent[k]["coupling_residual"] <= L - 1
+            assert spent[k]["coupling_residual"] == 0
 
 
 class TestSweepPeak:
@@ -1271,9 +1409,9 @@ class TestSweepPeak:
     def test_sweep_holds_at_most_six_batch_arrays_beyond_the_state(self, activation):
         # each 64 x N array is 4 MB, so small arrays are noise. Beyond the state
         # a sweep holds R_l for l >= 1 and its largest block's temporaries: the
-        # a step's gradient, candidate and step, R_{l+1} taking its image, or
-        # the z step's free step, new z and move, with h(z) and the slab bounds
-        # one row block at a time; about 4.3 here.
+        # a step's gradient (which takes its image), candidate and step, and the
+        # R_{l+1} it carries, or the z step's free step, new z and move, with
+        # h(z) and the slab bounds one row block at a time; about 4.3 here.
         # Each array the sweep keeps beyond these, such as R_0, counts one
         n, N = 64, 8000
         arch = ns.Architecture((n, n, n, 3), activation=activation)
@@ -1371,7 +1509,7 @@ class TestBlockIsolation:
                     assert new is old, (name, l)
 
     def test_held_entry_forms_no_extra_residual(self, monkeypatch):
-        # a fresh sweep forms 2L - 1 residuals and a later one L - 1, as
+        # a fresh sweep forms L residuals and a later one none, as
         # TestResidualReuse counts them, also when an entry is held
         formed = []
         coupling_residual = obj.coupling_residual
@@ -1382,10 +1520,10 @@ class TestBlockIsolation:
         L = state.num_layers
         warm = opt.WarmStart.fresh(L)
         assert opt.run_epoch(state, hp, 0, 0.1, warm).recoveries == 1
-        assert len(formed) == 2 * L - 1
+        assert len(formed) == L
         formed.clear()
         opt.run_epoch(state, hp, 1, 0.1, warm)
-        assert len(formed) == L - 1
+        assert len(formed) == 0
 
 
 class TestBlockSteps:
