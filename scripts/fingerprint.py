@@ -31,7 +31,17 @@ one: ``dF``, the relative difference in F, then ``dW``, ``db``, ``dz`` and
 over its largest saved entry (a layer whose block is rounding noise, such
 as a stalled layer's b, would make a per-layer ratio large). 0.0
 everywhere means equal values; a hash that moves while every distance
-stays near the rounding unit is a rounding change.
+stays near the rounding unit is a rounding change. A saved run whose blocks
+differ from this checkout's in number or shape is an error naming the run
+and the block.
+
+The hash reads each report field through its ``repr``, so a change of type
+with equal values moves it: a count held as a Python int where it was an
+``np.int64`` moves every DLAM hash, though no number changed. And the
+tanh-l1-blobs run is rounding-chaotic: a pure reordering of its sums, such
+as permuting its sample columns, moves its final F by up to a few parts in
+a thousand, so for that run a moved hash with small distances says little;
+the other runs tell a rounding change from a real one.
 """
 
 import argparse
@@ -144,11 +154,27 @@ def _relative(values, saved) -> float:
     gap = scale = 0.0
     for x, x_saved in zip(values, saved):
         x, x_saved = np.asarray(x, dtype=np.float64), np.asarray(x_saved, dtype=np.float64)
-        if x.shape != x_saved.shape:
-            raise ValueError(f"shape {x.shape} against a saved {x_saved.shape}")
         gap = np.maximum(gap, np.max(np.abs(x - x_saved), initial=0.0))    # keeps a NaN
         scale = max(scale, float(np.max(np.abs(x_saved), initial=0.0)))
     return float(gap) / max(scale, np.finfo(float).tiny)
+
+
+def mismatch(name: str, blocks, saved) -> str | None:
+    """Why the blocks ``saved`` for run ``name`` cannot be compared with ``blocks``: a
+    block not saved, a saved one this checkout does not form, or one saved in another
+    shape. None when every block matches."""
+    shapes = {f"{kind}{i}": np.shape(v) for kind, values in blocks.items()
+              for i, v in enumerate(values)}
+    held = {key.split(":", 1)[1]: v.shape for key, v in saved.items()
+            if key.startswith(f"{name}:") and key != f"{name}:F"}
+    for block in sorted(shapes.keys() | held.keys()):
+        if block not in held:
+            return f"run {name} has no saved block {block}"
+        if block not in shapes:
+            return f"run {name} has a saved block {block} that this checkout does not form"
+        if shapes[block] != held[block]:
+            return f"run {name} block {block} has shape {shapes[block]}, saved {held[block]}"
+    return None
 
 
 def distances(name: str, final_f: float, blocks, saved) -> dict[str, float]:
@@ -180,6 +206,9 @@ def main(argv=None) -> int:
         digest, final_f, blocks = run(name)
         line = f"{digest}  {name}  {final_f!r}"
         if against is not None:
+            why = mismatch(name, blocks, against)
+            if why is not None:
+                parser.error(f"{args.against}: {why}")
             gaps = distances(name, final_f, blocks, against)
             line += "".join(f"  d{kind} {gap!r}" for kind, gap in gaps.items())
         print(line, flush=True)

@@ -80,8 +80,9 @@ def slab_z_bounds(kind: ActivationKind, a: np.ndarray, eps: float):
     Monotonicity of h makes each set an interval; a side becomes infinite
     when the corresponding target falls outside the activation's range.
     Returns (B1, B2, empty) where ``empty`` marks entries whose target band
-    misses the range entirely; B1/B2 are undefined (0) at those entries and
-    the caller decides what such an entry does.
+    misses the range entirely; there B1 and B2 are whatever the formulas
+    give, never NaN for a finite ``a`` and with B1 <= B2, and the caller
+    decides what such an entry does (update_z_hidden keeps its z).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -96,9 +97,6 @@ def slab_z_bounds(kind: ActivationKind, a: np.ndarray, eps: float):
         empty = t_hi < 0.0
         with np.errstate(invalid="ignore"):
             np.fmin(t_lo, np.multiply(-np.inf, ~(t_lo > 0.0)), out=t_lo)
-        if empty.any():
-            np.putmask(t_lo, empty, 0.0)
-            np.putmask(t_hi, empty, 0.0)
         return t_lo, t_hi, empty
     # the range (floor, 1) of the activation and its inverse on that range,
     # taken in the buffer of its clipped argument
@@ -117,9 +115,6 @@ def slab_z_bounds(kind: ActivationKind, a: np.ndarray, eps: float):
     saturated = t_hi >= 1.0 - d
     hi = inverse(np.clip(t_hi, floor + d, 1.0 - d, out=t_hi))
     np.putmask(hi, saturated, np.inf)
-    if empty.any():
-        np.putmask(lo, empty, 0.0)
-        np.putmask(hi, empty, 0.0)
     return lo, hi, empty
 
 
@@ -129,8 +124,9 @@ class Architecture:
 
     ``layer_sizes`` runs from the feature count n_0 = d through the class
     count n_L; there must be at least two weight layers. ``activation`` is
-    one kind for every hidden layer, an enum member or its string value; it
-    is stored as the member once per hidden layer.
+    one kind for every hidden layer, named by its member, its string value or
+    a non-empty tuple or list of names of that one kind (the stored form, so
+    dataclasses.replace works); it is stored as the member once per hidden layer.
     """
 
     layer_sizes: tuple[int, ...]
@@ -145,8 +141,11 @@ class Architecture:
             raise ValueError("need at least two weight layers (input, hidden+, output)")
         if any(n < 1 for n in sizes):
             raise ValueError("every layer size must be >= 1")
-        object.__setattr__(self, "activation",
-                           (ActivationKind(self.activation),) * (self.num_layers - 1))
+        named = self.activation
+        kinds = set(map(ActivationKind, named if isinstance(named, (tuple, list)) else [named]))
+        if len(kinds) != 1:
+            raise ValueError(f"activation must name one kind, got {named!r}")
+        object.__setattr__(self, "activation", (*kinds,) * (self.num_layers - 1))
         object.__setattr__(self, "regularizer", RegKind(self.regularizer))
         if not 0 <= self.reg_weight < np.inf:
             raise ValueError("reg_weight must be finite and >= 0")
@@ -260,7 +259,7 @@ def initialize(arch: Architecture, x: np.ndarray, y: np.ndarray, hp=None,
     y = np.asarray(y, dtype=np.float64)
     check_batch(arch, x, y)
     if seed is None:
-        seed = getattr(hp, "seed", 0) if hp is not None else 0
+        seed = hp.seed if hp is not None else 0
     W, b = he_init(arch, seed)
     return NetworkState(arch, x, y, W, b, *forward_pass(arch, W, b, x))
 

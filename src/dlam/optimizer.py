@@ -4,12 +4,12 @@ One epoch sweeps the layers front to back and, within each layer, updates
 W, b, z, and finally a (hidden layers only), each block against the freshest
 values of the others. W and a are solved through a backtracked quadratic
 majorizer whose curvature is grown geometrically until it dominates the true
-penalty at the candidate point, W in several such steps per sweep, all but
-the first through the Gram matrix of the layer's input, each starting at
-the exact curvature along its direction; b and hidden z have
-exact closed forms; the output z solves a strongly convex composite
-(quadratic tether plus risk) by a safeguarded Newton iteration. No gradient
-is ever propagated through more than one layer.
+penalty at the candidate point, W in several such steps per sweep, each
+through the Gram matrix of the layer's input and starting at the exact
+curvature along its direction; b and hidden z have exact closed forms; the
+output z solves a strongly convex composite (quadratic tether plus risk) by
+a safeguarded Newton iteration. No gradient is ever propagated through more
+than one layer.
 
 Every accepted step decreases the objective by at least the weighted squared
 block movement, which run_epoch records so the diagnostics module can audit
@@ -39,7 +39,7 @@ NEWTON_ITERS = 50       # the output solve's Newton iteration budget
 NEWTON_TOL = 1e-8       # full Newton steps below this have converged
 NEWTON_DECREMENT = 1e-16  # so has a Newton decrement g.s/2 at most this times |value|
 NEWTON_HALVINGS = 30    # halvings of a rising Newton step before the solve stops
-W_STEPS = 20            # majorized steps per W block: the first reads the batch, the rest G only
+W_STEPS = 20            # majorized steps per W block: each reads G, the batch only to resolve it
 BLOCK_ENTRIES = 40_000  # entries per row block of the hidden z and a steps' per-entry work
 EPS_MAX = 0.01          # largest slab tolerance train uses: eps = min(eps0, EPS_MAX)
 
@@ -75,13 +75,13 @@ class WarmStart:
 
     ``tau`` holds each hidden layer's last accepted a curvature; the W
     steps carry none, since each starts at its own Rayleigh quotient
-    (update_w). ``resid[l]`` for l >= 1 is layer l's coupling residual
-    R_l = W_l a_{l-1} + b_l - z_l while none of its operands has moved
-    since it was formed, and None otherwise; its one reader is the next
-    sweep's update_a(l - 1), which carries it to the a_{l-1} it accepts,
-    so it leaves the slot there. run_epoch fills the empty ones and leaves
-    every slot current, each formed afresh at its layer's close.
-    ``resid[0]`` stays None: after
+    (update_w). ``resid`` maps each layer l >= 1 to its coupling residual
+    R_l = W_l a_{l-1} + b_l - z_l, kept only while none of its operands has
+    moved since it was formed; its one reader is the next sweep's
+    update_a(l - 1), which run_epoch hands it with ``resid.pop(l)`` and
+    which carries it to the a_{l-1} it accepts. run_epoch forms any missing
+    layer's at the start and stores each afresh at its layer's close, so
+    the sweep leaves every layer's current. Layer 0 has no key: after
     layer 0's z step nothing reads R_0 but its own end-of-sweep terms, so
     layer 0 carries only ``layer0``, the pair (penalty, W gradient) of R_0,
     (rho/2)||R_0||^2 and rho R_0 x^T, which the next sweep's first W step
@@ -95,14 +95,14 @@ class WarmStart:
     """
 
     tau: list[float]
-    resid: list[np.ndarray | None]
+    resid: dict[int, np.ndarray] = field(default_factory=dict)
     layer0: tuple[float, np.ndarray] | None = None
     gram_x: np.ndarray | None = None
     f_end: tuple[float, float] | None = None
 
     @classmethod
     def fresh(cls, num_layers: int) -> "WarmStart":
-        return cls(tau=[ALPHA0] * (num_layers - 1), resid=[None] * num_layers)
+        return cls(tau=[ALPHA0] * (num_layers - 1))
 
 
 @dataclass
@@ -455,14 +455,14 @@ def _block_norms(state: ns.NetworkState) -> dict:
     }
 
 
-def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
+def run_epoch(state: ns.NetworkState, rho: float, epoch: int,
               eps: float, warm: WarmStart | None = None) -> EpochReport:
-    """One full sweep at slab tolerance ``eps``: per layer W, b, z, then a.
+    """One full sweep at coupling weight ``rho`` and slab tolerance ``eps``.
 
-    The update order is fixed; the descent ledger assumes each block sees
-    the freshest upstream values. Every step keeps the state inside the
-    eps-slab and none moves eps, so the report's ``eps_next`` equals
-    ``eps_used`` and f_after describes the state this call leaves.
+    Per layer W, b, z, then a, in a fixed order: the descent ledger assumes
+    each block sees the freshest upstream values. Every step keeps the state
+    inside the eps-slab and none moves eps, so the report's ``eps_next``
+    equals ``eps_used`` and f_after describes the state this call leaves.
 
     The sweep forms every coupling residual R_l = W_l a_{l-1} + b_l - z_l
     and hands each block what it steps on; it reuses one unchanged only
@@ -473,17 +473,18 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     a fresh formation, not bit for bit. A layer's W steps get its penalty,
     W gradient and Gram matrix a_{l-1} a_{l-1}^T: for l >= 1 from that
     carried R_l, which the sweep drops before the W steps. After them it
-    forms W_l a_{l-1}, which the b step reads, and adds the new b_l into it once:
-    the free step W_l a_{l-1} + b_l, which the z step takes. A layer closes
-    when its z step ends: from then on nothing moves W_l, b_l, z_l or
+    forms W_l a_{l-1}, which the b step reads, and adds the new b_l into it
+    once: the free step W_l a_{l-1} + b_l, which the z step takes. A layer
+    closes when its z step ends: from then on nothing moves W_l, b_l, z_l or
     a_{l-1}, so the R_l formed from the free step there yields the layer's
     end-of-sweep terms, taken at once: its penalty, which f_after sums, and
     its W and b gradients, which enter the certificates and are then
     dropped. That fresh R_l also ends the carry's drift, every sweep. R_l
-    itself is kept only while a later block reads it, the next sweep's
-    update_a(l - 1), which carries it into layer l; R_0 is dropped at once,
-    and layer 0 carries only its (penalty, W gradient) pair. Each W update
-    also gets f_before, for the stop rule of its inner steps.
+    itself is kept in ``warm.resid`` only until the next sweep's
+    update_a(l - 1) takes it out (``resid.pop(l)``) and carries it into
+    layer l; R_0 is dropped at once, and layer 0 carries only its (penalty,
+    W gradient) pair. Each W update also gets f_before, for the stop rule
+    of its inner steps.
 
     The gradient proxy is the norm of the computable smooth gradient
     components: each layer's W gradient (obj.smooth_grad_w) and b penalty
@@ -502,15 +503,13 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     ``warm`` carries R_l for l >= 1, layer 0's pair, the input's Gram
     matrix and f_after into the next call, which must get the state as
     this call left it; there no residual is formed anew, and f_before is
-    the carried F when eps is unchanged. Without ``warm`` the
-    epoch starts from fresh a curvatures and residuals. A NaN or inf in a
-    block's penalty or trial step, in f_after or in the proxy raises
-    NonFiniteError naming the epoch (and the layer and block where it is
-    known).
+    the carried F when eps is unchanged. Without ``warm`` the epoch starts
+    from fresh a curvatures and residuals. A NaN or inf in a block's
+    penalty or trial step, in f_after or in the proxy raises NonFiniteError
+    naming the epoch (and the layer and block where it is known).
     """
     t0 = time.perf_counter()
     L = state.num_layers
-    rho = hp.rho
     if warm is None:
         warm = WarmStart.fresh(L)
     resid = warm.resid
@@ -527,12 +526,12 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
     if warm.layer0 is None:
         warm.layer0 = w_inputs(0, fresh_resid(0))
     for l in range(1, L):
-        if resid[l] is None:
+        if l not in resid:
             resid[l] = fresh_resid(l)
     if warm.f_end is not None and warm.f_end[0] == eps:
         f_before = warm.f_end[1]
     else:
-        carried = [warm.layer0[0], *(obj.penalty(r, rho) for r in resid[1:])]
+        carried = [warm.layer0[0], *(obj.penalty(resid[l], rho) for l in range(1, L))]
         f_before = obj.objective_from_penalties(state, carried,
                                                 ns.feasibility_residual(state, eps)).total
 
@@ -581,7 +580,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
                 # R_{l+1} leaves the cache with update_a, which moves a_l and
                 # carries R_{l+1} along; z_l is final, so the accepted a_l's slab
                 # violation is layer l's feasibility residual
-                carried, resid[l + 1] = resid[l + 1], None
+                carried = resid.pop(l + 1)
                 steps.append(update_a(state, l, rho, eps, warm.tau[l] / GROWTH, carried))
                 warm.tau[l] = steps[-1].curvature
             # dropped after the a step: dropped before it, they left heap holes
@@ -593,7 +592,7 @@ def run_epoch(state: ns.NetworkState, hp: obj.HyperParams, epoch: int,
 
     feas = float(np.max([s.slab_violation for s in steps], initial=0.0))   # a NaN propagates
     w_steps, b_steps, z_steps, a_steps = ([s for s in steps if s.block == k] for k in "Wbza")
-    g_z = obj.grad_z(resid[-1], rho) + obj.grad_risk_cross_entropy(state.z[-1], state.y)
+    g_z = obj.grad_z(resid[L - 1], rho) + obj.grad_risk_cross_entropy(state.z[-1], state.y)
     grad_proxy = math.sqrt(proxy_sq + obj.inner(g_z, g_z))
     after = obj.objective_from_penalties(state, penalties, feas)
     for what, value in (("objective", after.total), ("gradient proxy", grad_proxy)):
@@ -647,7 +646,7 @@ def train(arch: ns.Architecture, x: np.ndarray, y: np.ndarray, hp: obj.HyperPara
     eps = min(hp.eps0, EPS_MAX)
     trace: list[EpochReport] = []
     for k in range(hp.epochs):
-        report = run_epoch(state, hp, k, eps, warm)
+        report = run_epoch(state, hp.rho, k, eps, warm)
         trace.append(report)
         if per_epoch is not None:
             per_epoch(state, report)

@@ -104,13 +104,13 @@ def nan_before_epoch(run_epoch, at_epoch: int):
     from it (layer 0's penalty and W gradient; it holds no R_0) is dropped,
     as a caller that changes the state between sweeps must.
     """
-    def poisoned(state, hp, k, eps, warm=None):
+    def poisoned(state, rho, k, eps, warm=None):
         if k == at_epoch:
             z = state.z[0].copy()
             z[0, 0] = np.nan
             state.z[0] = z
             warm.layer0 = None
-        return run_epoch(state, hp, k, eps, warm)
+        return run_epoch(state, rho, k, eps, warm)
     return poisoned
 
 

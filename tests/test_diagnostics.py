@@ -52,7 +52,7 @@ class TestDescentLedger:
         monkeypatch.setattr(opt, "_majorized_step", spy)
         state = small_state(seed=8, sizes=(1, 1, 1), n=1, scatter=0.3)
         hp = obj.HyperParams(rho=2.0)
-        report = opt.run_epoch(state, hp, 0, eps=1.0)
+        report = opt.run_epoch(state, hp.rho, 0, eps=1.0)
         assert len(w_moves) == len(report.theta) > 2
         hand = (sum(0.5 * theta * move * move for theta, move in zip(report.theta, w_moves))
                 + 0.5 * hp.rho * (report.db_sq[0] + report.db_sq[1])
@@ -121,7 +121,7 @@ class TestGradBIdentity:
         state = small_state(seed=25, scatter=0.4)
         hp = obj.HyperParams(rho=0.2)
         z_before = list(state.z)
-        opt.run_epoch(state, hp, 0, eps=1.0)
+        opt.run_epoch(state, hp.rho, 0, eps=1.0)
         # rebuild the pre-update z for the check and then poison b
         z_pre = z_before
         err_clean = grad_b_identity_check(state, z_pre, hp.rho)
@@ -149,7 +149,7 @@ class TestGradBIdentity:
 
         monkeypatch.setattr(opt, "update_b", faulty)
         state, hp = self._blobs_state()
-        report = opt.run_epoch(state, hp, 0, 0.01)
+        report = opt.run_epoch(state, hp.rho, 0, 0.01)
         assert report.grad_b_err == pytest.approx(hp.rho * delta, rel=1e-6)
 
     def test_recorded_error_equals_fresh_oracle(self):
@@ -158,7 +158,7 @@ class TestGradBIdentity:
         warm = opt.WarmStart.fresh(state.num_layers)
         for k in range(50):
             z_before = list(state.z)
-            report = opt.run_epoch(state, hp, k, 0.01, warm)
+            report = opt.run_epoch(state, hp.rho, k, 0.01, warm)
             assert report.grad_b_err == grad_b_identity_check(state, z_before, hp.rho)
 
 

@@ -146,3 +146,28 @@ def test_against_a_file_without_the_run_is_an_error(tmp_path, capsys):
         fp.main(["--runs", "tanh-l1-blobs", "--against", str(saved)])
     assert err.value.code == 2
     assert "holds no run tanh-l1-blobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doctor,says", [
+    (lambda arrays: arrays.pop("adagrad-blobs:W0"), "has no saved block W0"),
+    (lambda arrays: arrays.update({"adagrad-blobs:W0": arrays["adagrad-blobs:W0"][:, :3]}),
+     "block W0 has shape (16, 12), saved (16, 3)"),
+    (lambda arrays: arrays.update({"adagrad-blobs:b9": np.zeros((3, 1))}),
+     "has a saved block b9 that this checkout does not form"),
+])
+def test_against_a_run_whose_blocks_differ_is_an_error(tmp_path, capsys, doctor, says):
+    # a saved block missing, reshaped or extra: exit code 2 and one line naming
+    # the file, the run and the block, not a traceback
+    fp = _load_script()
+    saved = tmp_path / "runs.npz"
+    assert fp.main(["--runs", "adagrad-blobs", "--save", str(saved)]) == 0
+    with np.load(saved) as file:
+        arrays = dict(file)
+    doctor(arrays)
+    np.savez(saved, **arrays)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        fp.main(["--runs", "adagrad-blobs", "--against", str(saved)])
+    assert err.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith(f"error: {saved}: run adagrad-blobs {says}")

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -169,11 +170,7 @@ def _sigmoid_sign_split(z):
 def _relu_bounds_where(a, eps):
     """slab_z_bounds' ReLU branch with its np.where passes always taken: the oracle."""
     t_lo, t_hi = a - eps, a + eps
-    empty = t_hi < 0.0
-    hi = np.where(empty, 0.0, t_hi)
-    lo = np.where(t_lo > 0.0, t_lo, -np.inf)
-    lo = np.where(empty, 0.0, lo)
-    return lo, hi, empty
+    return np.where(t_lo > 0.0, t_lo, -np.inf), t_hi, t_hi < 0.0
 
 
 @PROPERTY
@@ -207,7 +204,7 @@ def _smooth_bounds_where(kind, a, eps):
     empty = (t_hi <= floor) | (t_lo >= 1.0)
     lo = np.where(t_lo <= floor + d, -np.inf, inverse(np.clip(t_lo, floor + d, 1.0 - d)))
     hi = np.where(t_hi >= 1.0 - d, np.inf, inverse(np.clip(t_hi, floor + d, 1.0 - d)))
-    return np.where(empty, 0.0, lo), np.where(empty, 0.0, hi), empty
+    return lo, hi, empty
 
 
 @pytest.mark.parametrize("kind", [SIG, TANH])
@@ -224,6 +221,18 @@ def test_smooth_bounds_equal_where_path(kind, with_empty, a, eps):
     assert bool(got[2].any()) == with_empty
     for g, w in zip(got, _smooth_bounds_where(kind, a, eps)):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("kind", [RELU, SIG, TANH])
+def test_empty_entry_bounds_are_ordered_and_not_nan(kind):
+    # a band below the range and, for sigmoid and tanh, one above it: the
+    # bounds there are what the formulas give, never NaN, and lo <= hi
+    eps = 0.1
+    a = np.array([[-1.5, -1e6, 1.5, 1e6]])
+    lo, hi, empty = ns.slab_z_bounds(kind, a, eps)
+    assert list(empty[0]) == [True, True, kind is not RELU, kind is not RELU]
+    assert not (np.isnan(lo).any() or np.isnan(hi).any())
+    assert np.all(lo <= hi)
 
 
 @PROPERTY
@@ -252,8 +261,6 @@ def test_architecture_validation():
         ns.Architecture((4, 3))            # only one weight layer
     with pytest.raises(ValueError):
         ns.Architecture((4, 0, 2))
-    with pytest.raises(ValueError):
-        ns.Architecture((4, 3, 2), activation=(RELU,))    # one kind, not one per layer
     arch = ns.Architecture((4, 3, 2), activation=SIG)
     assert arch.activation == (SIG,)
     assert arch.num_layers == 2 and arch.features == 4 and arch.classes == 2
@@ -262,8 +269,23 @@ def test_architecture_validation():
     assert arch.activation == (RELU,)
     assert arch.regularizer is ns.RegKind.L2
     assert ns.Architecture((3, 4, 5, 2), activation="sigmoid").activation == (SIG, SIG)
-    with pytest.raises(ValueError):
-        ns.Architecture((3, 4, 5, 2), activation=("relu", SIG))
+    # a tuple or list must name one kind, at least once
+    for named in (("relu", SIG), (), []):
+        with pytest.raises(ValueError, match="activation must name one kind"):
+            ns.Architecture((3, 4, 5, 2), activation=named)
+
+
+@pytest.mark.parametrize("kind", list(ns.ActivationKind))
+def test_architecture_accepts_its_stored_form(kind):
+    # the stored tuple, a tuple of one or a list of strings names the same kind,
+    # so dataclasses.replace keeps it and re-expands it to a new depth
+    arch = ns.Architecture((3, 4, 2), activation=kind)
+    assert ns.Architecture(arch.layer_sizes, arch.activation) == arch
+    assert ns.Architecture((3, 4, 2), activation=[kind.value]) == arch
+    assert dataclasses.replace(arch, reg_weight=0.1).activation == (kind,)
+    deeper = dataclasses.replace(arch, layer_sizes=(3, 4, 5, 2))
+    assert deeper.activation == (kind, kind)
+    assert dataclasses.replace(deeper, layer_sizes=(3, 4, 2)) == arch
 
 
 @pytest.mark.parametrize("name,kind", [
@@ -461,10 +483,10 @@ def test_epoch_on_a_copied_state_matches_the_original():
     state = small_state(seed=14, scatter=0.3)
     hp = obj.HyperParams(rho=0.1, epochs=4, seed=0)
     for k in range(2):
-        opt.run_epoch(state, hp, k, hp.eps0)
+        opt.run_epoch(state, hp.rho, k, hp.eps0)
     copied = copy.deepcopy(state)
-    r1 = opt.run_epoch(state, hp, 2, hp.eps0)
-    r2 = opt.run_epoch(copied, hp, 2, hp.eps0)
+    r1 = opt.run_epoch(state, hp.rho, 2, hp.eps0)
+    r2 = opt.run_epoch(copied, hp.rho, 2, hp.eps0)
     assert r1.f_after == r2.f_after
     assert descent_ledger(r1, hp.rho) == descent_ledger(r2, hp.rho)
 

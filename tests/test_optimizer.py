@@ -387,7 +387,7 @@ class TestUpdateZHidden:
         warm = opt.WarmStart.fresh(state.num_layers)
         f_last = math.inf
         for k in range(3):
-            report = opt.run_epoch(state, hp, k, eps, warm)
+            report = opt.run_epoch(state, hp.rho, k, eps, warm)
             assert report.feasibility_residual <= 1e-12
             assert ns.feasibility_residual(state, eps) <= 1e-12
             assert report.f_after <= report.f_before <= f_last
@@ -872,14 +872,14 @@ class TestRunEpoch:
         for seed in range(6):
             state = small_state(seed=seed, scatter=0.4, sizes=(4, 5, 4, 3), n=8)
             hp = obj.HyperParams(rho=0.05)
-            report = opt.run_epoch(state, hp, 0, eps=1.0)
+            report = opt.run_epoch(state, hp.rho, 0, eps=1.0)
             assert report.f_after <= report.f_before + 1e-8
 
     def test_descent_margin(self):
         for seed in range(6):
             state = small_state(seed=seed, scatter=0.4, sizes=(4, 5, 4, 3), n=8)
             hp = obj.HyperParams(rho=0.05)
-            report = opt.run_epoch(state, hp, 0, eps=1.0)
+            report = opt.run_epoch(state, hp.rho, 0, eps=1.0)
             lhs, rhs, _ = descent_ledger(report, hp.rho)
             assert lhs >= rhs - 1e-6 * max(1.0, abs(report.f_before))
 
@@ -888,7 +888,7 @@ class TestRunEpoch:
         hp = obj.HyperParams(rho=0.1)
         eps = hp.eps0
         for k in range(5):
-            report = opt.run_epoch(state, hp, k, eps)
+            report = opt.run_epoch(state, hp.rho, k, eps)
             assert report.feasibility_residual <= 1e-12
             assert report.recoveries == 0
             eps = report.eps_next
@@ -898,26 +898,26 @@ class TestRunEpoch:
         # every a_l back into the narrower slab and hands back the eps it got
         state = small_state(seed=12, scatter=0.5)
         hp = obj.HyperParams(rho=0.1, eps0=10.0)
-        opt.run_epoch(state, hp, 0, eps=10.0)
+        opt.run_epoch(state, hp.rho, 0, eps=10.0)
         assert ns.feasibility_residual(state, 0.01) > 0.0
-        report = opt.run_epoch(state, hp, 1, eps=0.01)
+        report = opt.run_epoch(state, hp.rho, 1, eps=0.01)
         assert report.eps_used == report.eps_next == 0.01
         assert report.feasibility_residual == 0.0
         assert ns.feasibility_residual(state, 0.01) == 0.0
-        report = opt.run_epoch(state, hp, 2, eps=0.01)
+        report = opt.run_epoch(state, hp.rho, 2, eps=0.01)
         assert report.recoveries == 0
         assert report.f_after <= report.f_before
 
     def test_epoch_hands_back_its_eps(self):
         state = small_state(seed=12, scatter=0.5)
         hp = obj.HyperParams(rho=0.1)
-        report = opt.run_epoch(state, hp, 0, eps=10.0)
+        report = opt.run_epoch(state, hp.rho, 0, eps=10.0)
         assert report.eps_used == report.eps_next == 10.0
         assert ns.feasibility_residual(state, 10.0) == 0.0
 
     def test_grad_b_identity_recorded_small(self):
         state = small_state(seed=13, scatter=0.4)
-        report = opt.run_epoch(state, obj.HyperParams(rho=0.2), 0, eps=1.0)
+        report = opt.run_epoch(state, 0.2, 0, eps=1.0)
         assert report.grad_b_err < 1e-10
 
 
@@ -1097,7 +1097,7 @@ def test_every_w_step_is_the_exact_line_search_step(activation, reg, lam, monkey
     monkeypatch.setattr(opt, "_majorized_step", spy)
     warm = opt.WarmStart.fresh(arch.num_layers)
     for k in range(hp.epochs):
-        opt.run_epoch(state, hp, k, min(hp.eps0, opt.EPS_MAX), warm)
+        opt.run_epoch(state, hp.rho, k, min(hp.eps0, opt.EPS_MAX), warm)
     assert len(seen) > 3 * hp.epochs
     for record, param0, fresh in seen:
         assert param0 == pytest.approx(fresh, rel=1e-12, abs=0.0)
@@ -1183,10 +1183,9 @@ def cache_watch(monkeypatch):
 
     def check(state, where):
         warm = watch["warm"]
-        assert warm.resid[0] is None, f"R_0 kept after {where}"
-        for l, r in enumerate(warm.resid):
-            if r is not None:
-                same(r, _fresh_resid(state, l), f"stale R_{l} after {where}")
+        assert 0 not in warm.resid, f"R_0 kept after {where}"
+        for l, r in warm.resid.items():
+            same(r, _fresh_resid(state, l), f"stale R_{l} after {where}")
         if warm.layer0 is not None:
             R0 = _fresh_resid(state, 0)
             same(warm.layer0[0], obj.penalty(R0, watch["rho"]), f"stale phi_0 after {where}")
@@ -1236,9 +1235,9 @@ def cache_watch(monkeypatch):
         monkeypatch.setattr(opt, name, wrap(name, getattr(opt, name)))
     run_epoch = opt.run_epoch
 
-    def epoch(state, hp, k, eps, warm=None):
-        watch["warm"], watch["rho"], watch["pair"] = warm, hp.rho, warm.layer0
-        report = run_epoch(state, hp, k, eps, warm)
+    def epoch(state, rho, k, eps, warm=None):
+        watch["warm"], watch["rho"], watch["pair"] = warm, rho, warm.layer0
+        report = run_epoch(state, rho, k, eps, warm)
         assert not watch["through_a"], "a carried residual no W step read"
         check(state, f"epoch {k}")
         return report
@@ -1283,13 +1282,13 @@ class TestResidualReuse:
         state = small_state(seed=12, scatter=0.5)
         hp = obj.HyperParams(rho=0.1, eps0=10.0)
         warm = opt.WarmStart.fresh(state.num_layers)
-        report = opt.run_epoch(state, hp, 0, eps=10.0, warm=warm)
+        report = opt.run_epoch(state, hp.rho, 0, eps=10.0, warm=warm)
         f_tight = obj.evaluate_f(state, hp, 0.01).total
         assert f_tight != report.f_after
-        report = opt.run_epoch(state, hp, 1, eps=0.01, warm=warm)
+        report = opt.run_epoch(state, hp.rho, 1, eps=0.01, warm=warm)
         assert report.f_before == f_tight
         f_carried = report.f_after
-        report = opt.run_epoch(state, hp, 2, eps=0.01, warm=warm)
+        report = opt.run_epoch(state, hp.rho, 2, eps=0.01, warm=warm)
         assert report.f_before == f_carried
         assert cache_watch["compared"] > 3 * len(BLOCKS)
 
@@ -1300,7 +1299,7 @@ class TestResidualReuse:
         warm = opt.WarmStart.fresh(state.num_layers)
         trace = []
         for k in range(5):
-            report = opt.run_epoch(state, hp, k, eps=10.0, warm=warm)
+            report = opt.run_epoch(state, hp.rho, k, eps=10.0, warm=warm)
             assert report.eps_used == report.eps_next == 10.0
             assert report.f_after == obj.evaluate_f(state, hp, 10.0).total
             assert report.recoveries == 0
@@ -1319,15 +1318,29 @@ class TestResidualReuse:
         for dropped, planted in ((False, False), (True, False), (True, True)):
             state = ns.initialize(arch, x, y, hp)
             warm = opt.WarmStart.fresh(arch.num_layers)
-            opt.run_epoch(state, hp, 0, 0.01, warm)
-            assert warm.resid[0] is None
+            opt.run_epoch(state, hp.rho, 0, 0.01, warm)
+            assert 0 not in warm.resid
             if dropped:
                 warm.layer0 = None
             if planted:
                 warm.resid[0] = np.full_like(state.z[0], np.nan)
-            report = opt.run_epoch(state, hp, 1, 0.01, warm)
+            report = opt.run_epoch(state, hp.rho, 1, 0.01, warm)
             runs.append((report.f_after, [W.tobytes() for W in state.W]))
         assert runs[0] == runs[1] == runs[2]
+
+    def test_carry_through_a_widening_layer(self, cache_watch):
+        # layer 1 widens (3 -> 6), so update_a(0) forms its image in an array of
+        # its own; layer 2 narrows, so update_a(1) writes it over the gradient.
+        # Whole sweeps on one warm start carry both within their bounds
+        state = small_state(seed=5, sizes=(4, 3, 6, 3), n=9, scatter=0.5)
+        rho, eps = 0.5, 1.0
+        warm = opt.WarmStart.fresh(state.num_layers)
+        for k in range(5):
+            report = opt.run_epoch(state, rho, k, eps, warm)
+            assert report.f_after <= report.f_before
+            margin = descent_ledger(report, rho)[2]
+            assert margin >= -1e-6 * max(1.0, abs(report.f_before))
+        assert cache_watch["bounded"] == 10
 
     def test_cache_coherent_through_recovery(self, cache_watch):
         # the state of test_empty_interval_holds_z, as a whole sweep: the held
@@ -1335,9 +1348,9 @@ class TestResidualReuse:
         state = _empty_slab_state()
         hp = obj.HyperParams(rho=1.0)
         warm = opt.WarmStart.fresh(state.num_layers)
-        report = opt.run_epoch(state, hp, 0, eps=0.1, warm=warm)
+        report = opt.run_epoch(state, hp.rho, 0, eps=0.1, warm=warm)
         assert report.recoveries == 1
-        opt.run_epoch(state, hp, 1, eps=0.1, warm=warm)
+        opt.run_epoch(state, hp.rho, 1, eps=0.1, warm=warm)
         assert cache_watch["compared"] > 0
 
     @pytest.mark.parametrize("problem,epochs", [(_blobs_problem, 30),
@@ -1347,11 +1360,11 @@ class TestResidualReuse:
         state, trace = opt.train(arch, x, y, hp)
         run_epoch = opt.run_epoch
 
-        def forgetful(state, hp, k, eps, warm=None):
-            warm.resid = [None] * arch.num_layers
+        def forgetful(state, rho, k, eps, warm=None):
+            warm.resid = {}
             warm.layer0 = None
             warm.f_end = None
-            return run_epoch(state, hp, k, eps, warm)
+            return run_epoch(state, rho, k, eps, warm)
 
         monkeypatch.setattr(opt, "run_epoch", forgetful)
         state2, trace2 = opt.train(arch, x, y, hp)
@@ -1519,10 +1532,10 @@ class TestBlockIsolation:
         hp = obj.HyperParams(rho=1.0)
         L = state.num_layers
         warm = opt.WarmStart.fresh(L)
-        assert opt.run_epoch(state, hp, 0, 0.1, warm).recoveries == 1
+        assert opt.run_epoch(state, hp.rho, 0, 0.1, warm).recoveries == 1
         assert len(formed) == L
         formed.clear()
-        opt.run_epoch(state, hp, 1, 0.1, warm)
+        opt.run_epoch(state, hp.rho, 1, 0.1, warm)
         assert len(formed) == 0
 
 
@@ -1548,7 +1561,7 @@ class TestBlockSteps:
         warm = opt.WarmStart.fresh(L)
         for k in range(3):
             steps.clear()
-            report = opt.run_epoch(state, hp, k, 1.0, warm)
+            report = opt.run_epoch(state, hp.rho, k, 1.0, warm)
             w_steps = Counter(s.layer for s in steps if s.block == "W")
             assert max(w_steps.values()) > 1
             order = [(block, l) for l in range(L)
@@ -1646,7 +1659,7 @@ class TestCertificatesExact:
         for k in range(epochs):
             before = {name: list(getattr(state, name)) for name in "Wbza"}
             w_moves.clear()
-            report = opt.run_epoch(state, hp, k, eps, warm)
+            report = opt.run_epoch(state, hp.rho, k, eps, warm)
             assert report.recoveries == 0      # no slab is empty on these runs
             # each W step moves its layer's block from where the last step left it
             for l in range(arch.num_layers):
@@ -1702,6 +1715,6 @@ class TestNonFinite:
         monkeypatch.setattr(opt, "update_z_output", poisoned)
         state = small_state(seed=13, scatter=0.4)
         with pytest.raises(opt.NonFiniteError) as err:
-            opt.run_epoch(state, obj.HyperParams(rho=0.2), 4, eps=1.0)
+            opt.run_epoch(state, 0.2, 4, eps=1.0)
         assert (err.value.epoch, err.value.layer, err.value.block) == (4, None, "objective")
         assert str(err.value) == "NaN or inf in the objective at epoch 4"
